@@ -137,8 +137,9 @@ class Observability:
             from repro.sim.timing.specialized import (
                 record_timing_metrics,
                 specialization_reports,
+                untiered_pipelines,
             )
-            if specialization_reports():
+            if specialization_reports() or untiered_pipelines():
                 record_timing_metrics(self.metrics)
         if self.bus is not None:
             set_active_bus(self._previous_bus)

@@ -31,6 +31,12 @@ the program -- fall back to :meth:`SpecializedPipeline._slow`, a
 per-entry port of the generic loop over the *same* stage state, so fast
 and slow segments interleave freely.
 
+Generation is tiered: a pipeline runs on ``_slow`` until it has fed
+``TIER_UP_ATTRIBUTED`` (or ``TIER_UP_PLAIN``) entries per static
+instruction, and only then generates its scheduler -- short sessions
+never pay for ``compile()``.  A scheduler already in the code cache is
+used from entry 0.
+
 The output contract is bit-identical :class:`~repro.sim.stats.SimStats`
 against the ``"generic"`` engine for every config, trace and chunking
 (``tests/sim/test_timing_engines.py`` is the oracle).  Generated sources
@@ -108,9 +114,22 @@ class SpecializationReport:
         return "attr" if self.attributed else "plain"
 
 
+#: Tier-up thresholds, in entries fed per static instruction: a pipeline
+#: generates its scheduler once it has fed ``K * n_instructions`` trace
+#: entries, i.e. once each static instruction has run about K times.
+#: Each is the measured break-even of one-time codegen against the
+#: per-entry path (docs/timing.md, "Tiered specialization"): codegen
+#: costs ~0.5 ms per static instruction attributed (finite issue width)
+#: and ~0.12 ms plain, and saves ~0.65 and ~0.47 us per entry.
+#: Count-based, never time-based, so the tier point is deterministic.
+TIER_UP_ATTRIBUTED = 800
+TIER_UP_PLAIN = 250
+
 _CODE_CACHE: dict = {}
 _REPORTS: dict = {}
 _SERIAL = [0]
+#: Pipelines that finished below their tier-up threshold.
+_UNTIERED = [0]
 
 
 def cache_info() -> dict[str, int]:
@@ -122,6 +141,7 @@ def cache_clear() -> None:
     """Drop all cached generated schedulers (for tests/benchmarks)."""
     _CODE_CACHE.clear()
     _REPORTS.clear()
+    _UNTIERED[0] = 0
 
 
 def specialization_reports() -> list[SpecializationReport]:
@@ -129,18 +149,25 @@ def specialization_reports() -> list[SpecializationReport]:
     return list(_REPORTS.values())
 
 
+def untiered_pipelines() -> int:
+    """Pipelines this process finished without generating a scheduler."""
+    return _UNTIERED[0]
+
+
 def record_timing_metrics(registry) -> None:
     """Fold the process's specialization reports into a metrics registry.
 
-    ``timing.programs`` / ``timing.source_cache_hits`` counters, one
-    ``timing.<counter>`` counter per optimization kind, and the total
-    codegen wall time as ``timing.wall_seconds``.
+    ``timing.programs`` / ``timing.source_cache_hits`` /
+    ``timing.pipelines_untiered`` counters, one ``timing.<counter>``
+    counter per optimization kind, and the total codegen wall time as
+    ``timing.wall_seconds``.
     """
     reports = specialization_reports()
     registry.counter("timing.programs").inc(len(reports))
     registry.counter("timing.source_cache_hits").inc(
         sum(report.source_cache_hits for report in reports)
     )
+    registry.counter("timing.pipelines_untiered").inc(untiered_pipelines())
     for key in COUNTER_KEYS:
         registry.counter(f"timing.{key}").inc(
             sum(report.counters.get(key, 0) for report in reports)
@@ -153,9 +180,16 @@ def record_timing_metrics(registry) -> None:
 def explain_table(reports: "list[SpecializationReport] | None" = None) -> str:
     """The ``riscasim --timing-engine specialized --explain`` table."""
     reports = specialization_reports() if reports is None else reports
+    untiered = untiered_pipelines()
+    untiered_line = (
+        f"  {untiered} pipeline(s) finished on the per-entry path, below "
+        f"the tier-up threshold of {TIER_UP_ATTRIBUTED} (attr) / "
+        f"{TIER_UP_PLAIN} (plain) entries per static instruction"
+    )
     if not reports:
-        return ("specialized timing engine: no programs specialized "
+        head = ("specialized timing engine: no programs specialized "
                 "in this process")
+        return f"{head}\n{untiered_line}" if untiered else head
     lines = [
         f"specialized timing engine: {len(reports)} specialization(s), "
         f"{sum(r.compile_seconds for r in reports) * 1e3:.1f} ms codegen, "
@@ -175,6 +209,8 @@ def explain_table(reports: "list[SpecializationReport] | None" = None) -> str:
             f"{report.compile_seconds * 1e3:>6.1f} "
             f"{report.source_cache_hits:>5}  {opts}"
         )
+    if untiered:
+        lines.append(untiered_line)
     return "\n".join(lines)
 
 
@@ -205,6 +241,12 @@ def _static_fingerprint(static, n: int) -> int:
     ))
 
 
+def _scheduler_key(ir: TimingIR, static, config: MachineConfig) -> tuple:
+    """The code-cache key: (program digest, static fingerprint, config)."""
+    return (ir.program.digest(),
+            _static_fingerprint(static, ir.n_instructions), config)
+
+
 def specialized_scheduler(ir: TimingIR, static, config: MachineConfig):
     """The generated fast-path function for this (program, config) pair.
 
@@ -214,7 +256,7 @@ def specialized_scheduler(ir: TimingIR, static, config: MachineConfig):
     n = ir.n_instructions
     if not ir.blocks:
         return None, None
-    key = (ir.program.digest(), _static_fingerprint(static, n), config)
+    key = _scheduler_key(ir, static, config)
     cached = _CODE_CACHE.get(key)
     if cached is not None:
         report = _REPORTS.get(key)
@@ -1000,6 +1042,13 @@ class SpecializedPipeline(PipelineBase):
     port of the generic loop over the same state representations (byte
     store map, scalar retire frontier) -- and the fast path resumes.
     Chunks with explicit ``taken`` flags go entirely through ``_slow``.
+
+    Tiered: until the pipeline has fed its tier-up count of entries
+    (``TIER_UP_*`` per static instruction) every window goes through
+    ``_slow``, and the window that crosses the count is split there, so
+    the scheduler is generated exactly at that entry.  A scheduler
+    already in the code cache is used from entry 0.  Both paths share
+    all stage state, so the stats do not depend on the tier point.
     """
 
     engine_name = "specialized"
@@ -1019,11 +1068,22 @@ class SpecializedPipeline(PipelineBase):
                 "engine when schedule_range is given"
             )
         super().__init__(config, static, program, warm_ranges=warm_ranges)
-        self._ir = timing_ir(static, program)
-        self._fast, self.report = specialized_scheduler(
-            self._ir, static, config
-        )
-        self._block_execs = [0] * len(self._ir.blocks)
+        ir = self._ir = timing_ir(static, program)
+        self._fast = self.report = None
+        #: Entry count at which to generate the scheduler; None once
+        #: tiered up (or for an empty program, which has nothing to
+        #: specialize).
+        self._tier_at: "int | None" = None
+        if ir.blocks:
+            if _scheduler_key(ir, static, config) in _CODE_CACHE:
+                self._tier_up()
+            else:
+                per_static = (TIER_UP_ATTRIBUTED if self._attribute
+                              else TIER_UP_PLAIN)
+                # int(): a fractional K (e.g. a Fraction) is allowed and
+                # still yields an exact entry count.
+                self._tier_at = int(per_static * ir.n_instructions)
+        self._block_execs = [0] * len(ir.blocks)
         # Machine-view stall labels: the attribution frontier advances
         # monotonically and labels each cycle exactly once, so the
         # ``reason_at`` dict becomes an append-only list where index
@@ -1031,7 +1091,26 @@ class SpecializedPipeline(PipelineBase):
         self._ra: list[int] = []
         self._ra_base = 0
 
+    def _tier_up(self) -> None:
+        """Switch to the generated scheduler (from the code cache if there)."""
+        self._fast, self.report = specialized_scheduler(
+            self._ir, self.static, self.config
+        )
+        self._tier_at = None
+
     def _advance(self, seq, addrs, taken_arr, base_pos, lo, hi, next_s):
+        if self._tier_at is not None and taken_arr is None:
+            split = min(hi, lo + self._tier_at - self._count)
+            if split > lo:
+                # The entries before the tier point.  ``_slow`` reads the
+                # lookahead entry seq[split] inside the window, so the
+                # split changes nothing.
+                self._slow(seq, addrs, None, base_pos, lo, split, next_s)
+                self._count += split - lo
+                lo = split
+            if lo == hi:
+                return
+            self._tier_up()
         fast = self._fast
         if taken_arr is not None or fast is None:
             self._slow(seq, addrs, taken_arr, base_pos, lo, hi, next_s)
@@ -1048,6 +1127,8 @@ class SpecializedPipeline(PipelineBase):
         self._count += hi - lo
 
     def _finalize_engine(self):
+        if self._tier_at is not None:
+            _UNTIERED[0] += 1
         if not self._attribute:
             return
         # Fold the fast path's per-block execution tallies into the

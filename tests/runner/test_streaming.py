@@ -165,3 +165,30 @@ def test_simulate_stream_full_cache_hit_never_runs_machine(tmp_path):
     )
     assert second == first
     assert not warm.halted  # served from cache; the machine never ran
+
+
+@pytest.mark.parametrize("path", ("group", "simulate_stream"))
+def test_pipeline_build_counts_in_timing_phase(monkeypatch, path):
+    """Building pipelines is timing work: a slow ``make_pipeline`` shows
+    up in ``wall_time_timing`` on both streaming paths."""
+    import time
+
+    import repro.runner.engine as engine_mod
+
+    delay = 0.05
+    make_pipeline = engine_mod.make_pipeline
+
+    def slow_make_pipeline(*args, **kwargs):
+        time.sleep(delay)
+        return make_pipeline(*args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "make_pipeline", slow_make_pipeline)
+    runner = Runner(cache=ResultCache.disabled(), stream=True)
+    if path == "group":
+        runner.run(grid(ciphers=("RC4",), configs=(FOURW, DATAFLOW),
+                        session_bytes=64))
+    else:
+        program = assemble(LOOP)
+        source = Machine(program, Memory(1 << 12)).execute(stream=True)
+        runner.simulate_stream(source, [FOURW, DATAFLOW])
+    assert runner.stats.wall_time_timing >= 2 * delay

@@ -4,10 +4,14 @@ The ``"specialized"`` engine generates a per-(program, config) scheduler;
 its entire value rests on producing *exactly* the SimStats the
 ``"generic"`` engine produces -- cycles, the 13-category slot account,
 wait-cycle totals, and the hot-spot table -- for every cipher, machine
-model, and chunking.  These tests pin that contract, the engine
-registry's uniform error shape, the ``schedule_range`` fallback, and the
-specialization report/cache surfaces.
+model, chunking and tier-up point (the entry where a pipeline leaves the
+per-entry path for the generated scheduler).  These tests pin that
+contract, the engine registry's uniform error shape, the
+``schedule_range`` fallback, and the tiering, specialization report and
+cache surfaces.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.kernels import KERNEL_NAMES
 from repro.kernels.registry import make_kernel
+from repro.obs import MetricsRegistry
 from repro.obs.diffing import explain_stats_delta
 from repro.sim import DATAFLOW, EIGHTW_PLUS, FOURW, Machine, Memory
 from repro.sim.backends import get_backend
@@ -27,12 +32,21 @@ from repro.sim.timing import (
 )
 from repro.sim.timing import specialized as specialized_mod
 from repro.sim.timing.generic import GenericPipeline
+from repro.sim.timing.ir import timing_ir
+from repro.sim.timing.specialized import SpecializedPipeline
 from repro.sim.trace import StaticInfo
 
 from .test_timing_properties import random_programs
 
 CONFIGS = (FOURW, EIGHTW_PLUS, DATAFLOW)
 CHUNK_SIZES = (1, 7, 4096, None)
+TIER_POINTS = ("entry-0", "mid-block", "chunk-seam", "never")
+
+
+def _feed(pipeline, trace, chunk_size):
+    for chunk in trace.chunks(chunk_size):
+        pipeline.feed(chunk)
+    return pipeline.finish()
 
 
 def _stats(kernel_run, config, engine, chunk_size=None):
@@ -40,9 +54,71 @@ def _stats(kernel_run, config, engine, chunk_size=None):
     pipeline = make_pipeline(config, trace.static, trace.program,
                              warm_ranges=kernel_run.warm_ranges,
                              engine=engine)
-    for chunk in trace.chunks(chunk_size):
-        pipeline.feed(chunk)
-    return pipeline.finish()
+    return _feed(pipeline, trace, chunk_size)
+
+
+def _tier_entry(point, trace, chunk_size):
+    """The trace entry at which ``point`` tiers a pipeline up (or None)."""
+    total = len(trace)
+    if point == "entry-0":
+        return 0
+    if point == "never":
+        return None
+    if point == "chunk-seam":
+        # A chunk's final entry is deferred and fed with the next chunk
+        # (the trace's last one by finish()): tier up on a carried entry.
+        size = chunk_size or total
+        seams = [*range(size - 1, total - 1, size), total - 1]
+        return seams[len(seams) // 2]
+    ir = timing_ir(trace.static, trace.program)
+    inside = {s for block in ir.blocks
+              for s in range(block.leader + 1, block.leader + block.length)}
+    inner = [j for j in range(total) if trace.seq[j] in inside]
+    return inner[len(inner) // 2]
+
+
+class _ColdCache(dict):
+    """A code cache the construction-time probe never hits.
+
+    Schedulers are still shared between cases (``specialized_scheduler``
+    reads it with ``get``), but every pipeline tiers up at its pinned
+    entry instead of entry 0.
+    """
+
+    def __contains__(self, key):
+        return False
+
+
+_COLD_CACHE = _ColdCache()
+
+
+def _tiered_stats(trace, config, chunk_size, point, warm_ranges=None):
+    """Specialized stats with the tier-up pinned at ``point``.
+
+    The module constants become ``entry / n_instructions`` (an exact
+    Fraction), and a spy checks the pipeline tiered up exactly there.
+    """
+    entry = _tier_entry(point, trace, chunk_size)
+    n = timing_ir(trace.static, trace.program).n_instructions
+    per_static = 10 ** 9 if entry is None else Fraction(entry, n)
+    tiered = []
+    tier_up = SpecializedPipeline._tier_up
+
+    def spy(pipeline):
+        tiered.append(pipeline._count)
+        tier_up(pipeline)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(specialized_mod, "TIER_UP_ATTRIBUTED", per_static)
+        patch.setattr(specialized_mod, "TIER_UP_PLAIN", per_static)
+        patch.setattr(specialized_mod, "_CODE_CACHE", _COLD_CACHE)
+        patch.setattr(SpecializedPipeline, "_tier_up", spy)
+        pipeline = make_pipeline(config, trace.static, trace.program,
+                                 warm_ranges=warm_ranges,
+                                 engine="specialized")
+        stats = _feed(pipeline, trace, chunk_size)
+    assert tiered == ([] if entry is None else [entry]), point
+    return stats
 
 
 @pytest.fixture(scope="module")
@@ -60,12 +136,15 @@ def test_engines_bit_identical_every_cipher(kernel_runs, cipher, config):
     run = kernel_runs[cipher]
     baseline = _stats(run, config, "generic")
     for chunk_size in CHUNK_SIZES:
-        specialized = _stats(run, config, "specialized", chunk_size)
-        assert specialized == baseline, (
-            f"{cipher}/{config.name} diverged at chunk_size={chunk_size}: "
-            + explain_stats_delta(baseline, specialized,
-                                  "generic", "specialized")
-        )
+        for point in TIER_POINTS:
+            specialized = _tiered_stats(run.trace, config, chunk_size, point,
+                                        run.warm_ranges)
+            assert specialized == baseline, (
+                f"{cipher}/{config.name} diverged at chunk_size="
+                f"{chunk_size}, tier-up {point}: "
+                + explain_stats_delta(baseline, specialized,
+                                      "generic", "specialized")
+            )
 
 
 def _issue_slot_invariant(stats):
@@ -75,19 +154,21 @@ def _issue_slot_invariant(stats):
         stats.issue_slots
 
 
-@given(random_programs(), st.sampled_from(CHUNK_SIZES))
+@given(random_programs(), st.sampled_from(CHUNK_SIZES),
+       st.sampled_from(TIER_POINTS))
 @settings(max_examples=25, deadline=None)
-def test_random_programs_engines_agree(program, chunk_size):
-    """Both engines, any chunking: identical stats, exact slot account."""
+def test_random_programs_engines_agree(program, chunk_size, point):
+    """Both engines, any chunking and tier-up point: identical stats,
+    exact slot account."""
     trace = Machine(program, Memory(1 << 13)).execute().trace
     static = StaticInfo.from_program(program)
-    results = {}
-    for engine in ("generic", "specialized"):
-        pipeline = make_pipeline(FOURW, static, program, engine=engine)
-        for chunk in trace.chunks(chunk_size):
-            pipeline.feed(chunk)
-        results[engine] = pipeline.finish()
-        _issue_slot_invariant(results[engine])
+    generic = make_pipeline(FOURW, static, program, engine="generic")
+    results = {
+        "generic": _feed(generic, trace, chunk_size),
+        "specialized": _tiered_stats(trace, FOURW, chunk_size, point),
+    }
+    for stats in results.values():
+        _issue_slot_invariant(stats)
     assert results["specialized"] == results["generic"], explain_stats_delta(
         results["generic"], results["specialized"], "generic", "specialized")
 
@@ -97,8 +178,10 @@ def test_specialized_handles_taken_branch_slow_path():
     the single-entry slow-path repairs around mispredictions."""
     run = make_kernel("RC4").encrypt(bytes(256))
     for config in CONFIGS:
-        assert _stats(run, config, "specialized", 1) == \
-            _stats(run, config, "generic")
+        baseline = _stats(run, config, "generic")
+        for point in TIER_POINTS:
+            assert _tiered_stats(run.trace, config, 1, point,
+                                 run.warm_ranges) == baseline, point
 
 
 # -- registry ---------------------------------------------------------------
@@ -152,22 +235,62 @@ def test_specialized_schedule_range_falls_back_to_generic():
     assert got.extra["schedule"] == baseline.extra["schedule"]
 
 
-# -- specialization reports and cache ---------------------------------------
+# -- tiering, specialization reports and cache ------------------------------
 
-def test_specialization_report_and_code_cache():
+def _pipeline(run, config):
+    trace = run.trace
+    return make_pipeline(config, trace.static, trace.program,
+                         warm_ranges=run.warm_ranges, engine="specialized")
+
+
+def test_specialization_report_and_code_cache(monkeypatch):
     specialized_mod.cache_clear()
-    assert specialized_mod.cache_info()["size"] == 0
     run = _small_run()
-    before = _stats(run, FOURW, "specialized")
+    n = timing_ir(run.trace.static, run.trace.program).n_instructions
+    assert len(run.trace) < specialized_mod.TIER_UP_ATTRIBUTED * n
+    # Below its threshold a pipeline stays on the per-entry path.
+    pipeline = _pipeline(run, FOURW)
+    before = _feed(pipeline, run.trace, None)
+    assert specialized_mod.cache_info()["size"] == 0
+    assert pipeline.report is None
+    assert specialized_mod.untiered_pipelines() == 1
+    # Crossing the threshold generates the scheduler exactly once.
+    monkeypatch.setattr(specialized_mod, "TIER_UP_ATTRIBUTED", 10)
+    pipeline = _pipeline(run, FOURW)
+    assert pipeline.report is None
+    assert _feed(pipeline, run.trace, 7) == before
     assert specialized_mod.cache_info()["size"] == 1
     reports = specialized_mod.specialization_reports()
-    assert len(reports) == 1
+    assert reports == [pipeline.report]
     report = reports[0]
     assert report.config_name == FOURW.name
     assert report.attributed
     assert report.source_cache_hits == 0
-    # Second pipeline for the same (program, config): served from cache.
-    assert _stats(run, FOURW, "specialized") == before
-    assert specialized_mod.cache_info()["size"] == 1
+    # A later pipeline for the same key uses the cached scheduler from
+    # entry 0, whatever the threshold.
+    monkeypatch.undo()
+    pipeline = _pipeline(run, FOURW)
+    assert pipeline.report is report
     assert report.source_cache_hits == 1
+    assert _feed(pipeline, run.trace, None) == before
+    assert specialized_mod.cache_info()["size"] == 1
+    assert specialized_mod.untiered_pipelines() == 1
     assert FOURW.name in specialized_mod.explain_table()
+
+
+def test_untiered_pipelines_surface_in_explain_and_metrics():
+    specialized_mod.cache_clear()
+    run = _small_run()
+    for config in CONFIGS:
+        _feed(_pipeline(run, config), run.trace, None)
+    assert specialized_mod.specialization_reports() == []
+    table = specialized_mod.explain_table()
+    assert "no programs specialized" in table
+    assert "3 pipeline(s) finished on the per-entry path" in table
+    assert f"{specialized_mod.TIER_UP_ATTRIBUTED} (attr)" in table
+    registry = MetricsRegistry()
+    specialized_mod.record_timing_metrics(registry)
+    assert registry.counter("timing.pipelines_untiered").value == 3
+    assert registry.counter("timing.programs").value == 0
+    specialized_mod.cache_clear()
+    assert specialized_mod.untiered_pipelines() == 0

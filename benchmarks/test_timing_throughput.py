@@ -1,29 +1,30 @@
-"""Acceptance benchmark: the specialized timing engine beats generic >= 5x.
+"""Timing-engine throughput: the specialized engine against the generic one.
 
-The tentpole claim for the timing-engine split is that specializing the
-cycle-accurate pipeline per (program, config) buys a large factor of
-timing-path throughput with *bit-identical* SimStats.  This benchmark
-runs the repository's canonical timing run -- one RC4 session across the
-standard machine grid {4W, 8W+, DF} -- through both engines, asserts
-identity where both engines run the full trace, measures timing-path
-instructions/second per leg, and records the numbers to
-``BENCH_timing.json`` plus (with ``REPRO_BENCH_HISTORY`` set) the
+This benchmark runs the repository's canonical timing run -- one RC4
+session across the standard machine grid {4W, 8W+, DF} -- through both
+engines over the full trace, asserts bit-identical SimStats on every leg,
+measures timing-path instructions/second per leg, and records the numbers
+to ``BENCH_timing.json`` plus (with ``REPRO_BENCH_HISTORY`` set) the
 benchmark history for trend tracking.
 
-The generic engine's DF leg is measured on a bounded instruction prefix:
-its store-queue scan is quadratic in the unbounded DF load/store queue
-(``lsq_size`` is effectively infinite there), so a full paper-scale run
-takes hours.  Per-instruction cost grows monotonically with trace length
-(every load scans the entire store history), so the prefix rate strictly
-*overstates* the full-run rate -- the aggregate speedup computed from it
-is a conservative lower bound.  Both the half- and full-prefix rates are
-recorded so the decay is visible in the artifact.
+Both engines run one per-entry scheduler loop over the same stage state
+(a byte-map store queue, a scalar retire frontier), so the generic
+engine costs the same per entry at any session length on every config,
+DF included, and every leg is measured, none extrapolated.  The
+specialized engine's gain is its generated per-block code alone.
 
 Session length defaults to 64 KiB so CI finishes in seconds; the
 committed artifact was generated with ``REPRO_TIMING_BENCH_BYTES=1048576``
-(the paper-scale 1 MiB session), where the >= 5x acceptance bar applies.
-Specialized wall time *includes* code generation: the code cache is
-cleared first, so the reported speedup is what a cold run actually sees.
+(the paper-scale 1 MiB session).  Specialized wall time *includes* code
+generation: the code cache is cleared first, so the reported speedup is
+what a cold run actually sees.
+
+The floor, 1.6x at any session length, sits below the measured aggregate
+speedups over two runs each: 1.92-2.11x at 1 MiB (DF 2.8-3.0x) and
+2.22-2.34x at 64 KiB, on a 2-vCPU Xeon whose speed drifts by 10-80% over
+minutes.  The floors were 5x (1 MiB) and 2.5x (64 KiB) while the generic
+engine scanned the whole store history per load, which made its DF leg
+quadratic in session length and most of the generic total.
 """
 
 import json
@@ -32,43 +33,29 @@ import time
 from pathlib import Path
 
 from repro.kernels import make_kernel
+from repro.obs.diffing import explain_stats_delta
 from repro.sim.config import DATAFLOW, EIGHTW_PLUS, FOURW
 from repro.sim.timing import make_pipeline, specialized as specialized_mod
 
 BENCH_BYTES = int(os.environ.get("REPRO_TIMING_BENCH_BYTES", "65536"))
 BENCH_OUT = Path(os.environ.get("REPRO_TIMING_BENCH_OUT",
                                 "BENCH_timing.json"))
-#: The paper-scale acceptance bar.  Short CI sessions amortize the
-#: one-time code generation over fewer instructions, so the floor scales
-#: down (mirroring ``test_backend_throughput``).
-SPEEDUP_FLOOR = 5.0 if BENCH_BYTES >= 1 << 20 else 2.5
-#: Instructions fed to the generic engine's DF leg (see module docstring).
-GENERIC_DF_PREFIX = int(os.environ.get("REPRO_TIMING_BENCH_DF_PREFIX",
-                                       "65536"))
+#: See the module docstring for the measurements behind it.
+SPEEDUP_FLOOR = 1.6
 
 CONFIGS = (FOURW, EIGHTW_PLUS, DATAFLOW)
 
 
-def _feed(kernel_run, config, engine, limit=None):
-    """Time one pipeline over the trace (or its first ``limit`` entries).
-
-    Returns ``(stats_or_None, seconds, instructions_fed)``; stats are
-    only produced for full-trace runs (a prefix's stats describe a
-    different trace, so they are not comparable across legs).
-    """
+def _feed(kernel_run, config, engine):
+    """Time one pipeline over the whole trace; returns (stats, seconds)."""
     trace = kernel_run.trace
     pipe = make_pipeline(config, trace.static, trace.program,
                          warm_ranges=kernel_run.warm_ranges, engine=engine)
-    fed = 0
     start = time.perf_counter()
     for chunk in trace.chunks(4096):
         pipe.feed(chunk)
-        fed += len(chunk)
-        if limit is not None and fed >= limit:
-            break
-    stats = pipe.finish() if limit is None else None
-    elapsed = time.perf_counter() - start
-    return stats, elapsed, fed
+    stats = pipe.finish()
+    return stats, time.perf_counter() - start
 
 
 def test_specialized_timing_speedup(show):
@@ -77,76 +64,47 @@ def test_specialized_timing_speedup(show):
     total_instructions = len(kernel_run.trace)
 
     legs = {}
-    stats_by_leg = {}
+    seconds = {"generic": 0.0, "specialized": 0.0}
     for config in CONFIGS:
+        stats = {}
         for engine in ("generic", "specialized"):
-            limit = (GENERIC_DF_PREFIX
-                     if engine == "generic" and config is DATAFLOW
-                     else None)
-            if limit is not None:
-                # Record the half-prefix rate too, making the O(n^2)
-                # decay (and hence the bound's conservatism) visible.
-                _, half_time, half_fed = _feed(
-                    kernel_run, config, engine, limit=limit // 2)
-            stats, elapsed, fed = _feed(
-                kernel_run, config, engine, limit=limit)
-            rate = fed / elapsed
-            leg = {
-                "instructions_measured": fed,
+            stats[engine], elapsed = _feed(kernel_run, config, engine)
+            seconds[engine] += elapsed
+            legs[f"{config.name}/{engine}"] = {
+                "instructions_measured": total_instructions,
                 "seconds": round(elapsed, 3),
-                "instructions_per_second": round(rate),
-                "full_trace": limit is None,
+                "instructions_per_second": round(
+                    total_instructions / elapsed),
             }
-            if limit is not None:
-                leg["half_prefix_instructions_per_second"] = round(
-                    half_fed / half_time)
-                # Extrapolated full-run time at the (overstated) prefix
-                # rate; the true generic time is larger.
-                leg["extrapolated_seconds"] = round(
-                    total_instructions / rate, 3)
-            legs[f"{config.name}/{engine}"] = leg
-            stats_by_leg[(config.name, engine)] = stats
+        assert stats["specialized"] == stats["generic"], (
+            f"{config.name}: " + explain_stats_delta(
+                stats["generic"], stats["specialized"],
+                "generic", "specialized"))
 
-    # Bit-identical SimStats wherever both engines ran the full trace.
-    for config in (FOURW, EIGHTW_PLUS):
-        assert stats_by_leg[(config.name, "specialized")] == \
-            stats_by_leg[(config.name, "generic")], config.name
-
-    def total_seconds(engine):
-        out = 0.0
-        for config in CONFIGS:
-            leg = legs[f"{config.name}/{engine}"]
-            out += leg.get("extrapolated_seconds", leg["seconds"])
-        return out
-
-    generic_seconds = total_seconds("generic")
-    specialized_seconds = total_seconds("specialized")
-    speedup = generic_seconds / specialized_seconds
-
+    speedup = seconds["generic"] / seconds["specialized"]
     report = {
         "session_bytes": BENCH_BYTES,
         "cipher": "RC4",
         "configs": [config.name for config in CONFIGS],
         "instructions": total_instructions,
-        "generic_seconds": round(generic_seconds, 3),
-        "specialized_seconds": round(specialized_seconds, 3),
+        "generic_seconds": round(seconds["generic"], 3),
+        "specialized_seconds": round(seconds["specialized"], 3),
         "speedup": round(speedup, 2),
         "speedup_floor": SPEEDUP_FLOOR,
-        "generic_df_prefix": GENERIC_DF_PREFIX,
         "legs": legs,
     }
     BENCH_OUT.write_text(json.dumps(report, indent=2) + "\n")
     _record_history(legs, total_instructions, speedup)
     show(
         f"RC4 {BENCH_BYTES}B timing grid {{4W, 8W+, DF}}: generic "
-        f"{generic_seconds:.2f}s (DF extrapolated), specialized "
-        f"{specialized_seconds:.2f}s -> {speedup:.2f}x "
-        f"(floor {SPEEDUP_FLOOR}x, conservative) -> {BENCH_OUT}"
+        f"{seconds['generic']:.2f}s, specialized "
+        f"{seconds['specialized']:.2f}s -> {speedup:.2f}x "
+        f"(floor {SPEEDUP_FLOOR}x) -> {BENCH_OUT}"
     )
     assert speedup >= SPEEDUP_FLOOR, (
         f"specialized timing engine only {speedup:.2f}x over generic "
-        f"(generic {generic_seconds:.3f}s, "
-        f"specialized {specialized_seconds:.3f}s)"
+        f"(generic {seconds['generic']:.3f}s, "
+        f"specialized {seconds['specialized']:.3f}s)"
     )
 
 
@@ -172,7 +130,6 @@ def _record_history(legs, total_instructions, speedup):
                 "session_bytes": BENCH_BYTES,
                 "config": config_name,
                 "instructions": total_instructions,
-                "full_trace": leg["full_trace"],
                 "speedup": round(speedup, 2),
             },
             env=dict(environment_fingerprint(), timing_engine=engine),

@@ -174,7 +174,18 @@ def replay_memory(
 
     out = MemoryReplay(sport_uses=[0] * (config.sbox_caches or 0))
     counts: dict[str, int] = {}
-    recent_stores: list[tuple[int, int]] = []
+    # The timing model's byte-map store queue, without the data-ready
+    # cycles: byte -> order of the latest store to it, live iff within
+    # the last ``lsq_size`` stores.
+    store_order: dict[int, int] = {}
+    store_count = 0
+
+    def live(addr: int, size: int) -> bool:
+        """Whether a store still in the queue overlaps the access."""
+        barrier = store_count - lsq_size
+        return any(store_order.get(byte, barrier) > barrier
+                   for byte in range(addr, addr + size))
+
     seq = trace.seq
     addrs = trace.addrs
     mul_costs = {
@@ -194,13 +205,7 @@ def replay_memory(
             out.mul_cost += cost
         if k == "load":
             addr = addrs[j]
-            size = mem_size[s]
-            forwarded = False
-            for start, end in reversed(recent_stores):
-                if addr < end and start < addr + size:
-                    forwarded = True
-                    break
-            if forwarded:
+            if live(addr, mem_size[s]):
                 out.forwarded += 1
             else:
                 out.dport_uses += 1
@@ -211,18 +216,13 @@ def replay_memory(
             out.dport_uses += 1
             if hierarchy is not None:
                 hierarchy.access(addr, is_store=True)
-            recent_stores.append((addr, addr + mem_size[s]))
-            if len(recent_stores) > lsq_size:
-                recent_stores.pop(0)
+            store_count += 1
+            for byte in range(addr, addr + mem_size[s]):
+                store_order[byte] = store_count
         elif k == "sbox":
             addr = addrs[j]
             if sbox_aliased[s]:
-                forwarded = False
-                for start, end in reversed(recent_stores):
-                    if addr < end and start < addr + 4:
-                        forwarded = True
-                        break
-                if forwarded:
+                if live(addr, 4):
                     out.forwarded += 1
                 else:
                     out.dport_uses += 1

@@ -70,13 +70,13 @@ spent blocked per category, independent of machine width.
 the :class:`TimingEngine` protocol, registered on the same
 :class:`repro.sim.registry.Registry` helper the execution backends use:
 
-* ``"generic"`` -- the reference per-entry interpreter
+* ``"generic"`` -- the reference per-entry scheduler loop
   (:mod:`repro.sim.timing.generic`); handles every config and trace shape.
 * ``"specialized"`` -- per-(program, config) generated schedulers over the
   static timing IR (:mod:`repro.sim.timing.ir`,
-  :mod:`repro.sim.timing.specialized`); bit-identical to ``"generic"``
-  (``tests/sim/test_timing_engines.py``) and several times faster on the
-  streaming path.
+  :mod:`repro.sim.timing.specialized`), falling back to the generic loop;
+  bit-identical to ``"generic"`` (``tests/sim/test_timing_engines.py``)
+  and about twice as fast on long sessions.
 
 Engines differ only in how fast they advance the stage state; every
 result above -- including the stall account -- is engine-invariant.

@@ -1,12 +1,19 @@
-"""The ``"generic"`` timing engine: one interpreter loop for any program.
+"""The ``"generic"`` timing engine: the per-entry scheduler loop.
 
 This is the reference implementation of the timing model -- a single flat
 loop over trace entries that re-examines every instruction's class,
 sources and latencies per dynamic instance.  It handles every machine
 configuration and every trace shape (including synthetic chunks with
 explicit ``taken`` flags), and its output defines correctness for every
-other engine: the ``"specialized"`` engine must match it bit for bit
-(``tests/sim/test_timing_engines.py`` is the oracle).
+other engine.  The ``"specialized"`` engine subclasses it: it runs this
+loop until it tiers up and for every window its generated code cannot
+take, and must match it bit for bit (``tests/sim/test_timing_engines.py``
+is the oracle).
+
+The loop reads and writes the stage components' state directly (see
+:mod:`repro.sim.timing.stages`): a store-queue probe costs one byte-map
+lookup per accessed byte and a retirement one frontier comparison, so the
+per-entry cost does not grow with the load/store queue depth.
 """
 
 from __future__ import annotations
@@ -55,8 +62,7 @@ class GenericPipeline(PipelineBase):
 
         The body is one flat loop over the entries with all carried state
         rebound to locals on entry and scalar state written back on exit --
-        the dict/list state is mutated in place.  This keeps the streaming
-        path within noise of the old monolithic pass.
+        the dict/list state is mutated in place.
         """
         config = self.config
         static = self.static
@@ -86,14 +92,13 @@ class GenericPipeline(PipelineBase):
         mul_used = scheduler.mul_used
         dport_used = scheduler.dport_used
         sport_used = scheduler.sport_used
-        retire_used = scheduler.retire_used
         _no_fu = scheduler.no_fu
         reg_ready = scheduler.reg_ready
         retire_ring = scheduler.retire_ring
         retire_prev = scheduler.retire_prev
+        retire_count = scheduler.retire_count
         max_complete = scheduler.max_complete
         prune_mark = scheduler.prune_mark
-        trim_mark = scheduler.trim_mark
 
         issue_width = self._issue_width
         num_ialu = self._num_ialu
@@ -104,6 +109,19 @@ class GenericPipeline(PipelineBase):
         sbox_ports = self._sbox_ports
         track_issue = self._track_issue
         attribute = self._attribute
+        if track_issue:
+            # A cost-1 pool at least as wide as issue can never be the
+            # binding constraint (per-cycle pool use <= issue use, which
+            # the issue check keeps below the pool limit), so skip its
+            # checks and bookkeeping -- same elision as the generated code.
+            if num_ialu >= issue_width:
+                num_ialu = _UNLIMITED
+            if num_rot >= issue_width:
+                num_rot = _UNLIMITED
+            if dports >= issue_width:
+                dports = _UNLIMITED
+            if sbox_ports >= issue_width:
+                sbox_ports = _UNLIMITED
         window = config.window_size
         frontend_depth = config.frontend_depth
         alu_lat = config.alu_latency
@@ -123,13 +141,14 @@ class GenericPipeline(PipelineBase):
         break_on_taken = config.fetch_break_on_taken
 
         last_store_addr_known = memorder.last_store_addr_known
-        recent_stores = memorder.recent_stores
+        store_map = memorder.store_map
+        store_map_get = store_map.get
+        store_count = memorder.store_count
         sync_barrier = memorder.sync_barrier
 
         bumps: list[int] = []
         if attribute:
-            reason_at = attribution.reason_at
-            wait_totals = attribution.wait_totals
+            label_append = attribution.labels.append
             frontier = attribution.frontier
             hot = attribution.hot
             exec_counts = attribution.exec_counts
@@ -216,11 +235,15 @@ class GenericPipeline(PipelineBase):
                     addr_ready = last_store_addr_known
                 addr = addrs[j]
                 size = mem_size[s]
+                # Latest live overlapping store: the byte entry with the
+                # greatest store order above the queue's age barrier.
+                barrier_order = store_count - lsq_size
                 forward = 0
-                for start, end, data_ready in reversed(recent_stores):
-                    if addr < end and start < addr + size:
-                        forward = data_ready
-                        break
+                for byte in range(addr, addr + size):
+                    entry = store_map_get(byte)
+                    if entry is not None and entry[0] > barrier_order:
+                        barrier_order = entry[0]
+                        forward = entry[1]
                 if forward:
                     request = max(addr_ready, forward)
                     issued = issue_at(request, _no_fu, _UNLIMITED)
@@ -252,9 +275,10 @@ class GenericPipeline(PipelineBase):
                 complete = issued + store_lat
                 if not perfect_alias and addr_known > last_store_addr_known:
                     last_store_addr_known = addr_known
-                recent_stores.append((addr, addr + mem_size[s], complete))
-                if len(recent_stores) > lsq_size:
-                    recent_stores.pop(0)
+                store_count += 1
+                entry = (store_count, complete)
+                for byte in range(addr, addr + mem_size[s]):
+                    store_map[byte] = entry
                 stats.stores += 1
             elif k == "sbox":
                 aliased = sbox_aliased[s]
@@ -269,10 +293,12 @@ class GenericPipeline(PipelineBase):
                     access_ready = sync_barrier
                 forward = 0
                 if aliased:
-                    for start, end, data_ready in reversed(recent_stores):
-                        if addr < end and start < addr + 4:
-                            forward = data_ready
-                            break
+                    barrier_order = store_count - lsq_size
+                    for byte in range(addr, addr + 4):
+                        entry = store_map_get(byte)
+                        if entry is not None and entry[0] > barrier_order:
+                            barrier_order = entry[0]
+                            forward = entry[1]
                 if forward:
                     request = max(access_ready, forward)
                     issued = issue_at(request, _no_fu, _UNLIMITED)
@@ -352,7 +378,7 @@ class GenericPipeline(PipelineBase):
                             cat = _C_ALIAS
                         else:
                             cat = bumps[cycle - request]
-                        reason_at[cycle] = cat
+                        label_append(cat)
                     frontier = issued
                 # Instruction view: cycles *this* instruction spent blocked.
                 window_wait = dispatch_floor - enter
@@ -365,12 +391,8 @@ class GenericPipeline(PipelineBase):
                     row[_C_WINDOW - _C_WINDOW] += window_wait
                     row[_C_OPERAND - _C_WINDOW] += operand_wait
                     row[_C_ALIAS - _C_WINDOW] += alias_wait
-                    wait_totals[0] += window_wait
-                    wait_totals[1] += operand_wait
-                    wait_totals[2] += alias_wait
                     for cat in bumps:
                         row[cat - _C_WINDOW] += 1
-                        wait_totals[cat - _C_WINDOW] += 1
 
             # ---- branch resolution / fetch redirect -----------------------
             if is_branch[s]:
@@ -415,10 +437,19 @@ class GenericPipeline(PipelineBase):
             if r < retire_prev:
                 r = retire_prev
             if retire_width != _UNLIMITED:
-                while retire_used.get(r, 0) >= retire_width:
-                    r += 1
-                retire_used[r] = retire_used.get(r, 0) + 1
-            retire_prev = r
+                # Only the frontier cycle can fill (SchedulerState).
+                if r == retire_prev:
+                    if retire_count >= retire_width:
+                        r += 1
+                        retire_prev = r
+                        retire_count = 1
+                    else:
+                        retire_count += 1
+                else:
+                    retire_prev = r
+                    retire_count = 1
+            else:
+                retire_prev = r
             if window:
                 retire_ring[pos % window] = r
             if schedule is not None and sched_start <= pos < sched_end:
@@ -429,38 +460,15 @@ class GenericPipeline(PipelineBase):
             # ---- prune resource maps --------------------------------------
             if pos - prune_mark >= prune_interval:
                 prune_mark = pos
+                if attribute:
+                    attribution.frontier = frontier
                 # ``dispatch_floor`` is monotone in ``pos`` (fetch cycles
                 # and in-order retirement both only move forward) and every
                 # resource probe of every later instruction starts at or
-                # above it, so cycles below it are final.  ``retire_prev``
-                # guards the retirement map the same way.
-                horizon = min(dispatch_floor, retire_prev) - 8192
-                # Slot attribution for cycles below the horizon is final (no
-                # later instruction can issue there): fold it into the
-                # totals before the usage counts are trimmed away.
-                if attribute and horizon > attribution.flushed_until:
-                    attribution.frontier = frontier
-                    self._flush_attribution(horizon)
-                if horizon > trim_mark:
-                    span = horizon - trim_mark
-                    for counters in (issue_used, ialu_used, rot_used,
-                                     mul_used, dport_used, retire_used,
-                                     *sport_used):
-                        if not counters:
-                            continue
-                        if len(counters) * 4 > span:
-                            # Dense map: walk the dead cycle range (cycles
-                            # are monotone, so each is visited once ever).
-                            pop = counters.pop
-                            for cycle in range(trim_mark, horizon):
-                                pop(cycle, None)
-                        else:
-                            # Sparse map: scanning its keys is cheaper than
-                            # walking the range.
-                            for cycle in [c for c in counters
-                                          if c < horizon]:
-                                del counters[cycle]
-                    trim_mark = horizon
+                # above it, so cycles below it are final.
+                self._prune_maps(
+                    min(dispatch_floor, retire_prev) - 8192, store_count
+                )
 
         # ---- write carried scalar state back to the stage components ------
         frontend.fetch_cycle = fetch_cycle
@@ -468,14 +476,60 @@ class GenericPipeline(PipelineBase):
         frontend.fetch_groups_used = fetch_groups_used
         frontend.mispredict_until = mispredict_until
         scheduler.retire_prev = retire_prev
+        scheduler.retire_count = retire_count
         scheduler.max_complete = max_complete
         scheduler.prune_mark = prune_mark
-        scheduler.trim_mark = trim_mark
         memorder.last_store_addr_known = last_store_addr_known
+        memorder.store_count = store_count
         memorder.sync_barrier = sync_barrier
         if attribute:
             attribution.frontier = frontier
         self._count += hi - lo
+
+    def _prune_maps(self, horizon: int, store_count: int) -> None:
+        """Fold finalized cycles and drop dead map entries.
+
+        Stats are invariant to *when* pruning happens.  Mutates the
+        resource dicts in place, so callers' pinned references (the
+        specialized engine's generated code calls this too) stay valid.
+        """
+        scheduler = self.scheduler
+        if (self._attribute
+                and horizon > self.attribution.flushed_until):
+            # Slot attribution below the horizon is final (no later
+            # instruction can issue there); the flush also trims
+            # ``issue_used``, which is never populated without it.
+            self.attribution.flush(horizon, scheduler.issue_used,
+                                   self._issue_width)
+        trim_mark = scheduler.trim_mark
+        if horizon > trim_mark:
+            span = horizon - trim_mark
+            for counters in (scheduler.ialu_used,
+                             scheduler.rot_used, scheduler.mul_used,
+                             scheduler.dport_used, *scheduler.sport_used):
+                if not counters:
+                    continue
+                if len(counters) * 4 > span:
+                    # Dense map: walk the dead cycle range (cycles are
+                    # monotone, so each is visited once ever).
+                    pop = counters.pop
+                    for cycle in range(trim_mark, horizon):
+                        pop(cycle, None)
+                else:
+                    # Sparse map: scanning its keys is cheaper than
+                    # walking the range.
+                    for cycle in [c for c in counters if c < horizon]:
+                        del counters[cycle]
+            scheduler.trim_mark = horizon
+        # Drop byte entries aged out of the queue once the map has grown
+        # well past its live size.
+        store_map = self.memorder.store_map
+        lsq_size = self.config.lsq_size
+        if len(store_map) > 16 * lsq_size:
+            cutoff = store_count - lsq_size
+            for address in [a for a, entry in store_map.items()
+                            if entry[0] <= cutoff]:
+                del store_map[address]
 
 
 class GenericEngine:

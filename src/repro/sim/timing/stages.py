@@ -5,10 +5,12 @@ The timing model is organized as four stage components --
 :class:`AttributionState` -- that carry all inter-instruction state across
 :class:`~repro.sim.trace.TraceChunk` boundaries, plus a
 :class:`PipelineBase` that owns chunk deferral (the one entry of branch
-lookahead) and final statistics assembly.  Engines subclass
-:class:`PipelineBase` and implement ``_advance`` only; everything an
-engine computes lives in the stage components, which is what makes the
-engines interchangeable mid-stream and bit-identical at the end.
+lookahead) and final statistics assembly.  The generic engine's
+per-entry scheduler loop implements ``_advance``; the specialized engine
+subclasses it and runs generated code over the same stage state.  Each
+piece of state has one representation (a byte-map store queue, a scalar
+retire frontier, an append-only stall-label list), which is what makes
+the two paths interchangeable mid-stream and bit-identical at the end.
 
 See the package docstring (:mod:`repro.sim.timing`) for the model's
 scheduling and stall-attribution contracts.
@@ -61,16 +63,14 @@ class SchedulerState:
     ``reg_ready`` is sized lazily from the static metadata (interleaved
     multi-thread traces remap each thread into its own 32-register window).
 
-    ``retire_prev``/``retire_count`` track the in-order retirement
-    frontier: because retirement cycles are non-decreasing, only the
-    frontier cycle can ever receive another retirement, so a scalar count
-    at that cycle is equivalent to the per-cycle ``retire_used`` map (the
-    generic engine keeps the map, the specialized engine the scalar; both
-    produce the same retirement cycles).
+    ``retire_prev``/``retire_count`` are the in-order retirement
+    frontier: retirement cycles are non-decreasing, so only the frontier
+    cycle can ever receive another retirement, and a count of the
+    retirements already placed there replaces a per-cycle map.
     """
 
     __slots__ = ("issue_used", "ialu_used", "rot_used", "mul_used",
-                 "dport_used", "sport_used", "retire_used", "no_fu",
+                 "dport_used", "sport_used", "no_fu",
                  "reg_ready", "retire_ring", "retire_prev", "retire_count",
                  "max_complete", "prune_mark", "trim_mark")
 
@@ -81,7 +81,6 @@ class SchedulerState:
         self.mul_used: dict[int, int] = {}
         self.dport_used: dict[int, int] = {}
         self.sport_used = [dict() for _ in range(config.sbox_caches or 0)]
-        self.retire_used: dict[int, int] = {}
         self.no_fu: dict[int, int] = {}
         max_reg = 31
         for d in static.dest:
@@ -104,19 +103,17 @@ class SchedulerState:
 class MemoryOrderState:
     """Memory-ordering/alias stage: store queue, sync barrier, hierarchies.
 
-    The store queue exists in two equivalent representations: the generic
-    engine's ``recent_stores`` list of ``(start, end, data_ready)``
-    intervals (capacity ``lsq_size``, oldest popped first) and the
-    specialized engine's ``store_map`` byte map of
+    The store queue is a byte map, ``store_map``, of
     ``address -> (store_order, data_ready)`` entries plus a running
-    ``store_count``, where an entry is live iff its order is within the
-    last ``lsq_size`` stores.  A load consults whichever its engine
-    maintains; both yield the data-ready cycle of the *latest* overlapping
-    live store.
+    ``store_count``.  An entry is live iff its order is within the last
+    ``lsq_size`` stores, and a load forwards from the live entry with the
+    greatest order among its bytes: the *latest* overlapping store still
+    in the queue.  Each probe costs one lookup per accessed byte, however
+    deep the queue.
     """
 
     __slots__ = ("hierarchy", "sbox_array", "last_store_addr_known",
-                 "recent_stores", "store_map", "store_count", "sync_barrier")
+                 "store_map", "store_count", "sync_barrier")
 
     def __init__(
         self,
@@ -141,26 +138,59 @@ class MemoryOrderState:
             SBoxCacheArray(config.sbox_caches) if config.sbox_caches else None
         )
         self.last_store_addr_known = 0
-        self.recent_stores: list[tuple[int, int, int]] = []
         self.store_map: dict[int, tuple[int, int]] = {}
         self.store_count = 0
         self.sync_barrier = 0
 
 
 class AttributionState:
-    """Stall-attribution stage: cycle labels and the running slot account."""
+    """Stall-attribution stage: cycle labels and the running slot account.
 
-    __slots__ = ("reason_at", "stall_slots", "wait_totals", "frontier",
+    The machine-view ``frontier`` only ever advances and labels each
+    cycle exactly once, so the labels are an append-only list:
+    ``labels[i]`` is the category of cycle ``labels_base + i``.
+    :meth:`flush` folds the finalized prefix into ``stall_slots`` and
+    drops it.  Per-instruction waits accumulate in the ``hot`` rows only;
+    the category totals are their column sums, taken at finish.
+    """
+
+    __slots__ = ("labels", "labels_base", "stall_slots", "frontier",
                  "flushed_until", "hot", "exec_counts")
 
     def __init__(self, static: StaticInfo):
-        self.reason_at: dict[int, int] = {}
+        self.labels: list[int] = []
+        self.labels_base = 0
         self.stall_slots = [0] * len(STALL_CATEGORIES)
-        self.wait_totals = [0] * _N_WAIT
         self.frontier = 0
         self.flushed_until = 0
         self.hot: dict[int, list[int]] = {}
         self.exec_counts = [0] * len(static.klass)
+
+    def flush(self, until: int, issue_used: dict, issue_width: int) -> None:
+        """Finalize slot counts for cycles below ``until``.
+
+        Safe once no future instruction can issue there (every cycle below
+        the prune horizon, and everything at the end of the run).  Cycles
+        past the last label are retirement drain.  Flushed ``issue_used``
+        entries are popped as they are read, which doubles as the trim of
+        that map below the horizon.
+        """
+        labels = self.labels
+        base = self.labels_base
+        pop_used = issue_used.pop
+        stall_slots = self.stall_slots
+        flushed = self.flushed_until
+        split = max(flushed, min(until, base + len(labels)))
+        cycle = flushed
+        for cat in labels[flushed - base:split - base]:
+            stall_slots[cat] += issue_width - pop_used(cycle, 0)
+            cycle += 1
+        for cycle in range(split, until):
+            stall_slots[_C_DRAIN] += issue_width - pop_used(cycle, 0)
+        self.flushed_until = until
+        if until > base:
+            del labels[:until - base]
+            self.labels_base = until
 
 
 class PipelineBase:
@@ -178,7 +208,8 @@ class PipelineBase:
     (synthetic interleavings) need no deferral.
 
     One pipeline consumes one trace; build a fresh pipeline per run.
-    Subclasses (the engines) implement ``_advance`` only.
+    Subclasses implement ``_advance``
+    (:class:`~repro.sim.timing.generic.GenericPipeline`).
     """
 
     #: Registry name of the engine that built this pipeline.
@@ -300,16 +331,16 @@ class PipelineBase:
 
         if self._attribute:
             attribution = self.attribution
-            self._flush_attribution(stats.cycles)
+            attribution.flush(stats.cycles, scheduler.issue_used,
+                              self._issue_width)
             stats.issue_slots = stats.cycles * self._issue_width
             stats.stall_slots = {
                 name: attribution.stall_slots[index]
                 for index, name in enumerate(STALL_CATEGORIES)
             }
-            stats.wait_cycles = {
-                name: attribution.wait_totals[index]
-                for index, name in enumerate(WAIT_CATEGORIES)
-            }
+            wait_totals = [sum(column) for column
+                           in zip(*attribution.hot.values())] or [0] * _N_WAIT
+            stats.wait_cycles = dict(zip(WAIT_CATEGORIES, wait_totals))
             stats.hotspots = _hotspot_table(
                 self.program, attribution.hot, attribution.exec_counts
             )
@@ -320,24 +351,6 @@ class PipelineBase:
                 # category totals; diff reports read this to say so.
                 stats.extra["hotspots_truncated"] = True
         return stats
-
-    def _flush_attribution(self, until: int) -> None:
-        """Finalize slot counts for cycles below ``until``.
-
-        Safe once no future instruction can issue there (every cycle below
-        the prune horizon, and everything at the end of the run).  Cycles
-        past the last labeled one are retirement drain.
-        """
-        attribution = self.attribution
-        issue_width = self._issue_width
-        pop_reason = attribution.reason_at.pop
-        get_used = self.scheduler.issue_used.get
-        stall_slots = attribution.stall_slots
-        for cycle in range(attribution.flushed_until, until):
-            stall_slots[pop_reason(cycle, _C_DRAIN)] += (
-                issue_width - get_used(cycle, 0)
-            )
-        attribution.flushed_until = until
 
     def _finalize_engine(self) -> None:
         """Hook: fold engine-private accumulators into the stage state.
@@ -356,7 +369,7 @@ class PipelineBase:
         hi: int,
         next_s,
     ) -> None:  # pragma: no cover - abstract
-        """Process trace entries ``seq[lo:hi]``; implemented per engine."""
+        """Process trace entries ``seq[lo:hi]``."""
         raise NotImplementedError
 
 

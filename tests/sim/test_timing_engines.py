@@ -184,6 +184,20 @@ def test_specialized_handles_taken_branch_slow_path():
                                  run.warm_ranges) == baseline, point
 
 
+def test_engines_agree_on_full_length_dataflow_session():
+    """DF over a whole RC4 16 KiB session (~330k entries) in both engines.
+
+    DF's load/store queue is unbounded, so a long session checks store
+    forwarding at a depth the short grid above never reaches; the
+    byte-map queue keeps the generic leg well under a second.
+    """
+    run = make_kernel("RC4").encrypt(bytes(16384))
+    baseline = _stats(run, DATAFLOW, "generic", 4096)
+    specialized = _stats(run, DATAFLOW, "specialized", 4096)
+    assert specialized == baseline, explain_stats_delta(
+        baseline, specialized, "generic", "specialized")
+
+
 # -- registry ---------------------------------------------------------------
 
 def test_engine_registry_names_and_default():

@@ -20,11 +20,14 @@ generation: the code cache is cleared first, so the reported speedup is
 what a cold run actually sees.
 
 The floor, 1.6x at any session length, sits below the measured aggregate
-speedups over two runs each: 1.92-2.11x at 1 MiB (DF 2.8-3.0x) and
-2.22-2.34x at 64 KiB, on a 2-vCPU Xeon whose speed drifts by 10-80% over
-minutes.  The floors were 5x (1 MiB) and 2.5x (64 KiB) while the generic
-engine scanned the whole store history per load, which made its DF leg
-quadratic in session length and most of the generic total.
+speedups: 1.68x at 1 MiB (DF 2.8x) and 1.70-1.77x at 64 KiB over two
+runs, on a 2-vCPU Xeon whose speed drifts by 10-80% over minutes.  The
+ratio shrinks as the generic per-entry loop gets cheaper: it was
+1.92-2.11x at 1 MiB and 2.16-2.34x at 64 KiB before the loop's per-static
+op table, inline uncontended issue and flat cache-hierarchy access.  The
+floors were 5x (1 MiB) and 2.5x (64 KiB) while the generic engine scanned
+the whole store history per load, which made its DF leg quadratic in
+session length and most of the generic total.
 """
 
 import json

@@ -76,7 +76,7 @@ the :class:`TimingEngine` protocol, registered on the same
   static timing IR (:mod:`repro.sim.timing.ir`,
   :mod:`repro.sim.timing.specialized`), falling back to the generic loop;
   bit-identical to ``"generic"`` (``tests/sim/test_timing_engines.py``)
-  and about twice as fast on long sessions.
+  and about 1.7x as fast on long sessions.
 
 Engines differ only in how fast they advance the stage state; every
 result above -- including the stall account -- is engine-invariant.

@@ -1,14 +1,20 @@
 """The ``"generic"`` timing engine: the per-entry scheduler loop.
 
 This is the reference implementation of the timing model -- a single flat
-loop over trace entries that re-examines every instruction's class,
-sources and latencies per dynamic instance.  It handles every machine
-configuration and every trace shape (including synthetic chunks with
-explicit ``taken`` flags), and its output defines correctness for every
-other engine.  The ``"specialized"`` engine subclasses it: it runs this
-loop until it tiers up and for every window its generated code cannot
-take, and must match it bit for bit (``tests/sim/test_timing_engines.py``
-is the oracle).
+loop over trace entries.  It handles every machine configuration and
+every trace shape (including synthetic chunks with explicit ``taken``
+flags), and its output defines correctness for every other engine.  The
+``"specialized"`` engine subclasses it: it runs this loop until it tiers
+up and for every window its generated code cannot take, and must match it
+bit for bit (``tests/sim/test_timing_engines.py`` is the oracle).
+
+What can be decided per static instruction is decided once, at
+construction, in an op table: each instruction's kind, functional-unit
+pool (already elided where it can never bind), slot cost, contention
+category and latency.  Per entry the loop resolves a memory access's
+unit and latency (store forward, d-cache, SBox cache) before issue, then
+every kind shares one issue block whose uncontended case -- one issue-slot
+probe and one unit probe -- runs inline.
 
 The loop reads and writes the stage components' state directly (see
 :mod:`repro.sim.timing.stages`): a store-queue probe costs one byte-map
@@ -31,16 +37,99 @@ from repro.sim.timing.stages import (
     _C_MISPREDICT,
     _C_OPERAND,
     _C_WINDOW,
-    _N_WAIT,
     _UNLIMITED,
     PipelineBase,
 )
+
+# Op-table kinds.  Every class whose issue needs only its operands and a
+# unit (IALU, rotator, the multiplies, anything unclassified) is _K_EXEC;
+# the others carry memory-order or SBox-cache work.  Kinds from _K_STORE
+# on also have work after issue.
+(_K_EXEC, _K_LOAD, _K_SBOX, _K_SBOX_CACHE, _K_STORE, _K_SYNC) = range(6)
 
 
 class GenericPipeline(PipelineBase):
     """Per-entry interpreter over the stage components."""
 
     engine_name = "generic"
+
+    def __init__(self, config, static, program, warm_ranges=None,
+                 schedule_range=None):
+        super().__init__(config, static, program, warm_ranges=warm_ranges,
+                         schedule_range=schedule_range)
+        self._ops = self._op_table()
+
+    def _op_table(self) -> list[tuple]:
+        """``(kind, unit map, unit limit, cost, category, latency)`` per
+        static instruction.
+
+        The unit map is ``None`` for a unit pool that can never bind: an
+        unlimited one, or -- with tracked issue -- a cost-1 pool at least
+        as wide as issue (per-cycle pool use <= issue use, which the issue
+        check keeps below the pool limit), so its checks and bookkeeping
+        are skipped, the same elision as the generated code.  The latency
+        of a memory access is its hit latency; the loop adds the
+        hierarchy's extra cycles, or replaces it when the access forwards.
+        """
+        config = self.config
+        static = self.static
+        scheduler = self.scheduler
+        issue_width = self._issue_width
+        track_issue = self._track_issue
+
+        def pool(used, size, cost, category, width_bound=True):
+            if size is None or (width_bound and track_issue
+                                and size >= issue_width):
+                return None, _UNLIMITED, cost, category
+            return used, size, cost, category
+
+        ialu = pool(scheduler.ialu_used, config.num_ialu, 1, _C_FU_IALU)
+        rotator = pool(scheduler.rot_used, config.num_rotator, 1, _C_FU_ROT)
+        dport = pool(scheduler.dport_used, config.dcache_ports, 1, _C_FU_MEM)
+        no_unit = (None, _UNLIMITED, 1, _C_ISSUE)
+        multiply = {
+            "mul32": (config.mul32_cost, config.mul32_latency),
+            "mul64": (config.mul64_cost, config.mul64_latency),
+            "mulmod": (config.mulmod_cost, config.mulmod_latency),
+        }
+        sbox_caches = config.sbox_caches
+        ops = []
+        for s, klass in enumerate(static.klass):
+            if klass == "ialu":
+                op = (_K_EXEC, *ialu, config.alu_latency)
+            elif klass == "rotator":
+                op = (_K_EXEC, *rotator, config.rotator_latency)
+            elif klass in multiply:
+                # The multiplier pool is shared by ops of different costs,
+                # so it is never elided.
+                cost, latency = multiply[klass]
+                unit = pool(scheduler.mul_used, config.mul_slots, cost,
+                            _C_FU_MUL, width_bound=False)
+                op = (_K_EXEC, *unit, latency)
+            elif klass == "load":
+                op = (_K_LOAD, *dport, config.load_latency - 1)
+            elif klass == "store":
+                op = (_K_STORE, *dport, config.store_latency)
+            elif klass == "sbox":
+                table = static.sbox_table[s]
+                if (sbox_caches and not static.sbox_aliased[s]
+                        and table < sbox_caches):
+                    # The table designator schedules this access onto a
+                    # dedicated SBox cache; ids beyond the cache count
+                    # (e.g. 3DES's eight logical tables) deliberately stay
+                    # on the d-cache path so a single-tag sector cache is
+                    # not thrashed between tables.
+                    unit = pool(scheduler.sport_used[table % sbox_caches],
+                                config.sbox_cache_ports, 1, _C_FU_SBOX)
+                    op = (_K_SBOX_CACHE, *unit, config.sbox_cache_latency)
+                else:
+                    op = (_K_SBOX, *dport, config.sbox_dcache_latency)
+            elif klass == "sync":
+                op = (_K_SYNC, *no_unit, 1)
+            else:
+                op = (_K_EXEC, *no_unit, config.alu_latency)
+            ops.append(op)
+        return ops
 
     def _advance(
         self,
@@ -61,8 +150,9 @@ class GenericPipeline(PipelineBase):
         next chunk), else taken (``next_s is None`` = end of trace).
 
         The body is one flat loop over the entries with all carried state
-        rebound to locals on entry and scalar state written back on exit --
-        the dict/list state is mutated in place.
+        rebound to locals on entry and scalar state (the stat counters
+        included) written back on exit -- the dict/list state is mutated
+        in place.
         """
         config = self.config
         static = self.static
@@ -72,7 +162,7 @@ class GenericPipeline(PipelineBase):
         memorder = self.memorder
         attribution = self.attribution
 
-        klass = static.klass
+        ops = self._ops
         dest = static.dest
         srcs = static.srcs
         addr_srcs = static.addr_srcs
@@ -84,15 +174,11 @@ class GenericPipeline(PipelineBase):
 
         predictor = frontend.predictor
         hierarchy = memorder.hierarchy
+        hierarchy_access = hierarchy.access if hierarchy is not None else None
         sbox_array = memorder.sbox_array
 
         issue_used = scheduler.issue_used
-        ialu_used = scheduler.ialu_used
-        rot_used = scheduler.rot_used
-        mul_used = scheduler.mul_used
-        dport_used = scheduler.dport_used
-        sport_used = scheduler.sport_used
-        _no_fu = scheduler.no_fu
+        issue_get = issue_used.get
         reg_ready = scheduler.reg_ready
         retire_ring = scheduler.retire_ring
         retire_prev = scheduler.retire_prev
@@ -101,36 +187,15 @@ class GenericPipeline(PipelineBase):
         prune_mark = scheduler.prune_mark
 
         issue_width = self._issue_width
-        num_ialu = self._num_ialu
-        num_rot = self._num_rot
-        mul_slots = self._mul_slots
-        dports = self._dports
         retire_width = self._retire_width
-        sbox_ports = self._sbox_ports
         track_issue = self._track_issue
         attribute = self._attribute
-        if track_issue:
-            # A cost-1 pool at least as wide as issue can never be the
-            # binding constraint (per-cycle pool use <= issue use, which
-            # the issue check keeps below the pool limit), so skip its
-            # checks and bookkeeping -- same elision as the generated code.
-            if num_ialu >= issue_width:
-                num_ialu = _UNLIMITED
-            if num_rot >= issue_width:
-                num_rot = _UNLIMITED
-            if dports >= issue_width:
-                dports = _UNLIMITED
-            if sbox_ports >= issue_width:
-                sbox_ports = _UNLIMITED
         window = config.window_size
         frontend_depth = config.frontend_depth
-        alu_lat = config.alu_latency
-        rot_lat = config.rotator_latency
-        load_lat = config.load_latency
-        store_lat = config.store_latency
         perfect_alias = config.perfect_alias
         lsq_size = config.lsq_size
         prune_interval = config.prune_interval
+        sbox_miss_latency = config.sbox_dcache_latency
 
         fetch_cycle = frontend.fetch_cycle
         fetch_slots_used = frontend.fetch_slots_used
@@ -146,7 +211,11 @@ class GenericPipeline(PipelineBase):
         store_count = memorder.store_count
         sync_barrier = memorder.sync_barrier
 
+        n_loads = n_stores = n_sbox = n_sbox_misses = n_forwards = 0
+        n_branches = n_mispredicts = 0
+
         bumps: list[int] = []
+        bumps_append = bumps.append
         if attribute:
             label_append = attribution.labels.append
             frontier = attribution.frontier
@@ -155,27 +224,29 @@ class GenericPipeline(PipelineBase):
         else:
             frontier = 0
 
-        def issue_at(cycle: int, fu_used: dict, fu_limit: int,
-                     cost: int = 1, fu_cat: int = _C_ISSUE) -> int:
-            """First cycle >= ``cycle`` with an issue slot and FU room."""
+        def issue_at(cycle: int, fu_used, fu_limit: int, cost: int,
+                     fu_cat: int) -> int:
+            """First cycle >= ``cycle`` with an issue slot and unit room.
+
+            The contended path: the issue block has found ``cycle`` itself
+            full.  Records in ``bumps`` what blocked each cycle passed.
+            """
             if attribute:
                 bumps.clear()
             while True:
-                if track_issue and issue_used.get(cycle, 0) >= issue_width:
+                if track_issue and issue_get(cycle, 0) >= issue_width:
                     if attribute:
-                        bumps.append(_C_ISSUE)
-                    cycle += 1
-                    continue
-                if (fu_limit != _UNLIMITED
-                        and fu_used.get(cycle, 0) + cost > fu_limit):
+                        bumps_append(_C_ISSUE)
+                elif (fu_used is not None
+                      and fu_used.get(cycle, 0) + cost > fu_limit):
                     if attribute:
-                        bumps.append(fu_cat)
-                    cycle += 1
-                    continue
-                break
+                        bumps_append(fu_cat)
+                else:
+                    break
+                cycle += 1
             if track_issue:
-                issue_used[cycle] = issue_used.get(cycle, 0) + 1
-            if fu_limit != _UNLIMITED:
+                issue_used[cycle] = issue_get(cycle, 0) + 1
+            if fu_used is not None:
                 fu_used[cycle] = fu_used.get(cycle, 0) + cost
             return cycle
 
@@ -187,7 +258,7 @@ class GenericPipeline(PipelineBase):
         for j in range(lo, hi):
             pos = base_pos + j
             s = seq[j]
-            k = klass[s]
+            kind, fu_used, fu_limit, cost, fu_cat, latency = ops[s]
 
             # ---- fetch ----------------------------------------------------
             this_fetch = fetch_cycle
@@ -212,150 +283,121 @@ class GenericPipeline(PipelineBase):
                 if t > earliest:
                     earliest = t
 
-            # ---- issue + execute ------------------------------------------
+            # ---- memory order: resolve the unit and latency ---------------
             # ``operand_end`` / ``request`` bound the attribution segments:
             # [dispatch_floor, operand_end) is operand wait (incl. address
             # generation), [operand_end, request) is memory-ordering/alias
             # stall, [request, issued) is issue/FU contention per ``bumps``.
-            if k == "ialu":
+            # Cache and SBox-cache state depends on program order only,
+            # never on the issue cycle, so accesses resolve before issue.
+            if not kind:
                 operand_end = request = earliest
-                issued = issue_at(request, ialu_used, num_ialu,
-                                  fu_cat=_C_FU_IALU)
-                complete = issued + alu_lat
-            elif k == "rotator":
-                operand_end = request = earliest
-                issued = issue_at(request, rot_used, num_rot,
-                                  fu_cat=_C_FU_ROT)
-                complete = issued + rot_lat
-            elif k == "load":
-                # Address generation, then ordered cache access.
-                addr_ready = earliest + 1
-                operand_end = addr_ready
-                if not perfect_alias and last_store_addr_known > addr_ready:
-                    addr_ready = last_store_addr_known
+            elif kind == _K_LOAD or kind == _K_SBOX:
                 addr = addrs[j]
-                size = mem_size[s]
-                # Latest live overlapping store: the byte entry with the
-                # greatest store order above the queue's age barrier.
-                barrier_order = store_count - lsq_size
                 forward = 0
-                for byte in range(addr, addr + size):
-                    entry = store_map_get(byte)
-                    if entry is not None and entry[0] > barrier_order:
-                        barrier_order = entry[0]
-                        forward = entry[1]
-                if forward:
-                    request = max(addr_ready, forward)
-                    issued = issue_at(request, _no_fu, _UNLIMITED)
-                    complete = issued + 1
-                    stats.store_forwards += 1
+                if kind == _K_LOAD:
+                    n_loads += 1
+                    # Address generation, then ordered cache access.
+                    operand_end = request = earliest + 1
+                    ordered = True
+                    size = mem_size[s]
                 else:
-                    request = addr_ready
-                    issued = issue_at(request, dport_used, dports,
-                                      fu_cat=_C_FU_MEM)
-                    extra = 0
-                    if hierarchy is not None:
-                        extra = hierarchy.access(addr)
-                    complete = issued + (load_lat - 1) + extra
-                stats.loads += 1
-            elif k == "store":
+                    # An SBOX read on the d-cache path: only the aliased
+                    # form is ordered against stores.
+                    n_sbox += 1
+                    operand_end = request = earliest
+                    ordered = sbox_aliased[s]
+                    size = 4
+                    if not ordered and sync_barrier > request:
+                        request = sync_barrier
+                if ordered:
+                    if not perfect_alias and last_store_addr_known > request:
+                        request = last_store_addr_known
+                    # Latest live overlapping store: the byte entry with
+                    # the greatest store order above the queue's age
+                    # barrier.
+                    barrier_order = store_count - lsq_size
+                    for byte in range(addr, addr + size):
+                        entry = store_map_get(byte)
+                        if entry is not None and entry[0] > barrier_order:
+                            barrier_order = entry[0]
+                            forward = entry[1]
+                if forward:
+                    if forward > request:
+                        request = forward
+                    fu_used = None
+                    latency = 1
+                    n_forwards += 1
+                elif hierarchy is not None:
+                    latency += hierarchy_access(addr)
+            elif kind == _K_SBOX_CACHE:
+                n_sbox += 1
+                operand_end = request = earliest
+                if sync_barrier > request:
+                    request = sync_barrier
+                if not sbox_array.access(sbox_table[s], addrs[j]):
+                    n_sbox_misses += 1
+                    latency += sbox_miss_latency
+            elif kind == _K_STORE:
                 # The address resolves when the base register is ready.
+                addr = addrs[j]
+                n_stores += 1
                 addr_known = dispatch_floor
                 for r in addr_srcs[s]:
                     t = reg_ready[r]
                     if t > addr_known:
                         addr_known = t
                 addr_known += 1
-                operand_end = request = max(earliest, addr_known)
-                issued = issue_at(request, dport_used, dports,
-                                  fu_cat=_C_FU_MEM)
-                addr = addrs[j]
+                operand_end = request = (earliest if earliest > addr_known
+                                         else addr_known)
                 if hierarchy is not None:
-                    hierarchy.access(addr, is_store=True)
-                complete = issued + store_lat
+                    hierarchy_access(addr, True)
                 if not perfect_alias and addr_known > last_store_addr_known:
                     last_store_addr_known = addr_known
-                store_count += 1
-                entry = (store_count, complete)
-                for byte in range(addr, addr + mem_size[s]):
-                    store_map[byte] = entry
-                stats.stores += 1
-            elif k == "sbox":
-                aliased = sbox_aliased[s]
-                addr = addrs[j]
-                stats.sbox_accesses += 1
-                operand_end = earliest
-                access_ready = earliest
-                if (aliased and not perfect_alias
-                        and last_store_addr_known > access_ready):
-                    access_ready = last_store_addr_known
-                if not aliased and sync_barrier > access_ready:
-                    access_ready = sync_barrier
-                forward = 0
-                if aliased:
-                    barrier_order = store_count - lsq_size
-                    for byte in range(addr, addr + 4):
-                        entry = store_map_get(byte)
-                        if entry is not None and entry[0] > barrier_order:
-                            barrier_order = entry[0]
-                            forward = entry[1]
-                if forward:
-                    request = max(access_ready, forward)
-                    issued = issue_at(request, _no_fu, _UNLIMITED)
-                    complete = issued + 1
-                    stats.store_forwards += 1
-                elif (sbox_array is not None and not aliased
-                      and sbox_table[s] < sbox_array.count):
-                    # The table designator schedules this access onto a
-                    # dedicated SBox cache; ids beyond the cache count (e.g.
-                    # 3DES's eight logical tables) deliberately stay on the
-                    # d-cache path so a single-tag sector cache is not
-                    # thrashed between tables.
-                    table = sbox_table[s]
-                    port = table % sbox_array.count
-                    request = access_ready
-                    issued = issue_at(request, sport_used[port], sbox_ports,
-                                      fu_cat=_C_FU_SBOX)
-                    if sbox_array.access(table, addr):
-                        complete = issued + config.sbox_cache_latency
-                    else:
-                        stats.sbox_cache_misses += 1
-                        complete = (issued + config.sbox_cache_latency
-                                    + config.sbox_dcache_latency)
-                else:
-                    request = access_ready
-                    issued = issue_at(request, dport_used, dports,
-                                      fu_cat=_C_FU_MEM)
-                    extra = 0
-                    if hierarchy is not None:
-                        extra = hierarchy.access(addr)
-                    complete = issued + config.sbox_dcache_latency + extra
-            elif k == "mul32":
-                operand_end = request = earliest
-                issued = issue_at(request, mul_used, mul_slots,
-                                  config.mul32_cost, fu_cat=_C_FU_MUL)
-                complete = issued + config.mul32_latency
-            elif k == "mul64":
-                operand_end = request = earliest
-                issued = issue_at(request, mul_used, mul_slots,
-                                  config.mul64_cost, fu_cat=_C_FU_MUL)
-                complete = issued + config.mul64_latency
-            elif k == "mulmod":
-                operand_end = request = earliest
-                issued = issue_at(request, mul_used, mul_slots,
-                                  config.mulmod_cost, fu_cat=_C_FU_MUL)
-                complete = issued + config.mulmod_latency
-            elif k == "sync":
-                operand_end = request = earliest
-                issued = issue_at(request, _no_fu, _UNLIMITED)
-                complete = issued + 1
-                if sbox_array is not None:
-                    sbox_array.sync(sbox_table[s])
-                sync_barrier = complete
             else:
                 operand_end = request = earliest
-                issued = issue_at(request, _no_fu, _UNLIMITED)
-                complete = issued + alu_lat
+                if sbox_array is not None:
+                    sbox_array.sync(sbox_table[s])
+
+            # ---- issue + execute ------------------------------------------
+            # The uncontended case inline: one issue-slot probe and one unit
+            # probe at the request cycle; ``issue_at`` walks contention.
+            if track_issue:
+                used = issue_get(request, 0)
+                if used >= issue_width:
+                    issued = issue_at(request, fu_used, fu_limit, cost,
+                                      fu_cat)
+                elif fu_used is None:
+                    issue_used[request] = used + 1
+                    issued = request
+                else:
+                    fu = fu_used.get(request, 0) + cost
+                    if fu > fu_limit:
+                        issued = issue_at(request, fu_used, fu_limit, cost,
+                                          fu_cat)
+                    else:
+                        issue_used[request] = used + 1
+                        fu_used[request] = fu
+                        issued = request
+            elif fu_used is None:
+                issued = request
+            else:
+                fu = fu_used.get(request, 0) + cost
+                if fu > fu_limit:
+                    issued = issue_at(request, fu_used, fu_limit, cost,
+                                      fu_cat)
+                else:
+                    fu_used[request] = fu
+                    issued = request
+            complete = issued + latency
+            if kind >= _K_STORE:
+                if kind == _K_STORE:
+                    store_count += 1
+                    entry = (store_count, complete)
+                    for byte in range(addr, addr + mem_size[s]):
+                        store_map[byte] = entry
+                else:
+                    sync_barrier = complete
 
             # ---- stall attribution ----------------------------------------
             if attribute:
@@ -380,19 +422,17 @@ class GenericPipeline(PipelineBase):
                             cat = bumps[cycle - request]
                         label_append(cat)
                     frontier = issued
-                # Instruction view: cycles *this* instruction spent blocked.
-                window_wait = dispatch_floor - enter
-                operand_wait = operand_end - dispatch_floor
-                alias_wait = request - operand_end
-                if window_wait or operand_wait or alias_wait or bumps:
-                    row = hot.get(s)
-                    if row is None:
-                        row = hot[s] = [0] * _N_WAIT
-                    row[_C_WINDOW - _C_WINDOW] += window_wait
-                    row[_C_OPERAND - _C_WINDOW] += operand_wait
-                    row[_C_ALIAS - _C_WINDOW] += alias_wait
-                    for cat in bumps:
-                        row[cat - _C_WINDOW] += 1
+                # Instruction view: cycles *this* instruction spent blocked
+                # (enter <= dispatch_floor <= operand_end <= request <=
+                # issued).  ``bumps`` is fresh only when issue was contended.
+                if issued != enter:
+                    row = hot[s]
+                    row[_C_WINDOW - _C_WINDOW] += dispatch_floor - enter
+                    row[_C_OPERAND - _C_WINDOW] += operand_end - dispatch_floor
+                    row[_C_ALIAS - _C_WINDOW] += request - operand_end
+                    if issued != request:
+                        for cat in bumps:
+                            row[cat - _C_WINDOW] += 1
 
             # ---- branch resolution / fetch redirect -----------------------
             if is_branch[s]:
@@ -406,12 +446,12 @@ class GenericPipeline(PipelineBase):
                         taken = True
                     else:
                         taken = next_s != s + 1
-                stats.branches += 1
+                n_branches += 1
                 correct = True
                 if predictor is not None and is_cond[s]:
                     correct = predictor.predict_and_update(s, taken)
                 if not correct:
-                    stats.mispredictions += 1
+                    n_mispredicts += 1
                     redirect = complete + config.mispredict_penalty
                     if redirect > fetch_cycle:
                         fetch_cycle = redirect
@@ -484,6 +524,13 @@ class GenericPipeline(PipelineBase):
         memorder.sync_barrier = sync_barrier
         if attribute:
             attribution.frontier = frontier
+        stats.loads += n_loads
+        stats.stores += n_stores
+        stats.sbox_accesses += n_sbox
+        stats.sbox_cache_misses += n_sbox_misses
+        stats.store_forwards += n_forwards
+        stats.branches += n_branches
+        stats.mispredictions += n_mispredicts
         self._count += hi - lo
 
     def _prune_maps(self, horizon: int, store_count: int) -> None:

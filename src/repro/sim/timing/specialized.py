@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from repro.sim.config import MachineConfig
 from repro.sim.timing.ir import TimingIR, timing_ir
 from repro.sim.timing.generic import GenericPipeline
-from repro.sim.timing.stages import _N_WAIT, _UNLIMITED
+from repro.sim.timing.stages import _UNLIMITED
 from repro.sim.trace import SEQ_TYPECODE
 
 #: Optimization counters incremented by the code generator (the
@@ -103,7 +103,9 @@ class SpecializationReport:
 #: Each is the measured break-even of one-time codegen against the
 #: per-entry path (docs/timing.md, "Tiered specialization"): codegen
 #: costs ~0.5 ms per static instruction attributed (finite issue width)
-#: and ~0.12 ms plain, and saves ~0.65 and ~0.47 us per entry.
+#: and ~0.12 ms plain, and saves ~0.65 and ~0.47 us per entry.  Since
+#: the per-entry loop got cheaper the single-cell break-even is higher,
+#: but the end-to-end optimum still spans 400/100 to 1500/400.
 #: Count-based, never time-based, so the tier point is deterministic.
 TIER_UP_ATTRIBUTED = 800
 TIER_UP_PLAIN = 250
@@ -465,16 +467,12 @@ def _generate(ir: TimingIR, static, config: MachineConfig, func_name: str):
         w(1, "bexec = self._block_execs")
         w(1, "bumps = []")
         w(1, "ba = bumps.append")
-        # Pin one wait row per static instruction.  Creating a row that
-        # this call never touches is harmless: all-zero rows are skipped
-        # by the hotspot table and cannot displace a non-zero row.
+        # Pin the wait row of every static instruction in a block.
         for s in sorted({
             s for b in ir.blocks
             for s in range(b.leader, b.leader + b.length)
         }):
-            w(1, f"row{s} = hot.get({s})")
-            w(1, f"if row{s} is None:")
-            w(2, f"row{s} = hot[{s}] = [0] * {_N_WAIT}")
+            w(1, f"row{s} = hot[{s}]")
     else:
         count("attribution_elided", ir.n_instructions)
     w(1, "st = self.stats")
@@ -1021,9 +1019,9 @@ class SpecializedPipeline(GenericPipeline):
     ``_advance`` hands each trace window to the generated scheduler, which
     consumes whole matched blocks; whenever the window stops matching (a
     chunk boundary mid-block, a synthetic trace, a static index outside
-    the program) one entry is stepped through the inherited per-entry
-    loop and the fast path resumes.  Chunks with explicit ``taken`` flags
-    go entirely through that loop.
+    the program) the inherited per-entry loop steps up to the next block
+    leader in one call and the fast path resumes.  Chunks with explicit
+    ``taken`` flags go entirely through that loop.
 
     Tiered: until the pipeline has fed its tier-up count of entries
     (``TIER_UP_*`` per static instruction) every window goes through the
@@ -1066,6 +1064,7 @@ class SpecializedPipeline(GenericPipeline):
                 # still yields an exact entry count.
                 self._tier_at = int(per_static * ir.n_instructions)
         self._block_execs = [0] * len(ir.blocks)
+        self._leaders = frozenset(block.leader for block in ir.blocks)
 
     def _tier_up(self) -> None:
         """Switch to the generated scheduler (from the code cache if there)."""
@@ -1093,15 +1092,19 @@ class SpecializedPipeline(GenericPipeline):
         if taken_arr is not None or fast is None:
             step(seq, addrs, taken_arr, base_pos, lo, hi, next_s)
             return
+        leaders = self._leaders
         j = lo
         while j < hi:
             stop = fast(self, seq, addrs, base_pos, j, hi, next_s)
             self._count += stop - j
             if stop >= hi:
                 break
-            # The window at ``stop`` matches no block: step one entry.
-            step(seq, addrs, None, base_pos, stop, stop + 1, next_s)
+            # The window at ``stop`` matches no block: step the per-entry
+            # loop up to the next block leader in one call.
             j = stop + 1
+            while j < hi and seq[j] not in leaders:
+                j += 1
+            step(seq, addrs, None, base_pos, stop, j, next_s)
 
     def _finalize_engine(self):
         if self._tier_at is not None:

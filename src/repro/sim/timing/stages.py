@@ -9,8 +9,9 @@ lookahead) and final statistics assembly.  The generic engine's
 per-entry scheduler loop implements ``_advance``; the specialized engine
 subclasses it and runs generated code over the same stage state.  Each
 piece of state has one representation (a byte-map store queue, a scalar
-retire frontier, an append-only stall-label list), which is what makes
-the two paths interchangeable mid-stream and bit-identical at the end.
+retire frontier, an append-only stall-label list, one pre-created wait row
+per static instruction), which is what makes the two paths
+interchangeable mid-stream and bit-identical at the end.
 
 See the package docstring (:mod:`repro.sim.timing`) for the model's
 scheduling and stall-attribution contracts.
@@ -70,9 +71,9 @@ class SchedulerState:
     """
 
     __slots__ = ("issue_used", "ialu_used", "rot_used", "mul_used",
-                 "dport_used", "sport_used", "no_fu",
-                 "reg_ready", "retire_ring", "retire_prev", "retire_count",
-                 "max_complete", "prune_mark", "trim_mark")
+                 "dport_used", "sport_used", "reg_ready", "retire_ring",
+                 "retire_prev", "retire_count", "max_complete", "prune_mark",
+                 "trim_mark")
 
     def __init__(self, config: MachineConfig, static: StaticInfo):
         self.issue_used: dict[int, int] = {}
@@ -81,7 +82,6 @@ class SchedulerState:
         self.mul_used: dict[int, int] = {}
         self.dport_used: dict[int, int] = {}
         self.sport_used = [dict() for _ in range(config.sbox_caches or 0)]
-        self.no_fu: dict[int, int] = {}
         max_reg = 31
         for d in static.dest:
             if d > max_reg:
@@ -150,8 +150,10 @@ class AttributionState:
     cycle exactly once, so the labels are an append-only list:
     ``labels[i]`` is the category of cycle ``labels_base + i``.
     :meth:`flush` folds the finalized prefix into ``stall_slots`` and
-    drops it.  Per-instruction waits accumulate in the ``hot`` rows only;
-    the category totals are their column sums, taken at finish.
+    drops it.  Per-instruction waits accumulate in the ``hot`` rows only,
+    one pre-created row per static instruction (``hot[s]``; rows that stay
+    all zero never reach the hot-spot table); the category totals are
+    their column sums, taken at finish.
     """
 
     __slots__ = ("labels", "labels_base", "stall_slots", "frontier",
@@ -163,7 +165,7 @@ class AttributionState:
         self.stall_slots = [0] * len(STALL_CATEGORIES)
         self.frontier = 0
         self.flushed_until = 0
-        self.hot: dict[int, list[int]] = {}
+        self.hot = [[0] * _N_WAIT for _ in static.klass]
         self.exec_counts = [0] * len(static.klass)
 
     def flush(self, until: int, issue_used: dict, issue_width: int) -> None:
@@ -232,12 +234,7 @@ class PipelineBase:
             return _UNLIMITED if value is None else value
 
         self._issue_width = limit(config.issue_width)
-        self._num_ialu = limit(config.num_ialu)
-        self._num_rot = limit(config.num_rotator)
-        self._mul_slots = limit(config.mul_slots)
-        self._dports = limit(config.dcache_ports)
         self._retire_width = limit(config.retire_width)
-        self._sbox_ports = limit(config.sbox_cache_ports)
         self._track_issue = self._issue_width != _UNLIMITED
         # Slot accounting is defined only when issue bandwidth is finite;
         # with unlimited width there is no fixed slot budget to attribute.
@@ -339,13 +336,12 @@ class PipelineBase:
                 for index, name in enumerate(STALL_CATEGORIES)
             }
             wait_totals = [sum(column) for column
-                           in zip(*attribution.hot.values())] or [0] * _N_WAIT
+                           in zip(*attribution.hot)] or [0] * _N_WAIT
             stats.wait_cycles = dict(zip(WAIT_CATEGORIES, wait_totals))
             stats.hotspots = _hotspot_table(
                 self.program, attribution.hot, attribution.exec_counts
             )
-            ranked = sum(1 for waits in attribution.hot.values()
-                         if sum(waits))
+            ranked = sum(1 for waits in attribution.hot if sum(waits))
             if ranked > len(stats.hotspots):
                 # Per-static deltas over a clipped table can't sum to the
                 # category totals; diff reports read this to say so.
@@ -373,7 +369,7 @@ class PipelineBase:
         raise NotImplementedError
 
 
-def _hotspot_table(program: Program, hot: dict, exec_counts: list) -> list[dict]:
+def _hotspot_table(program: Program, hot: list, exec_counts: list) -> list[dict]:
     """Rank static instructions by accumulated wait cycles (top N).
 
     Window-entry waits rank last: they measure the machine's dispatch
@@ -381,13 +377,12 @@ def _hotspot_table(program: Program, hot: dict, exec_counts: list) -> list[dict]
     so operand/alias/contention waits -- the paper's actual per-operation
     bottlenecks -- are the primary sort key.
     """
-    # The static index breaks ties deterministically: engines accumulate
-    # rows in different orders (the specialized engine pre-creates every
-    # block's rows), so a stable sort alone would leak insertion order
-    # into the table.
+    # ``hot`` holds one row per static instruction in index order, so the
+    # stable sort breaks ties by static index; all-zero rows sort last
+    # and are skipped below.
     ranked = sorted(
-        hot.items(),
-        key=lambda item: (-sum(item[1][1:]), -sum(item[1]), item[0]),
+        enumerate(hot),
+        key=lambda item: (-sum(item[1][1:]), -sum(item[1])),
     )[:_HOTSPOT_LIMIT]
     # Synthetic traces (e.g. the multisession interleaver) carry static
     # entries beyond their nominal program's instruction list.

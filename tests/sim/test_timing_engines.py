@@ -22,6 +22,7 @@ from repro.kernels.registry import make_kernel
 from repro.obs import MetricsRegistry
 from repro.obs.diffing import explain_stats_delta
 from repro.sim import DATAFLOW, EIGHTW_PLUS, FOURW, Machine, Memory
+from repro.sim.config import bottleneck_config
 from repro.sim.backends import get_backend
 from repro.sim.timing import (
     DEFAULT_ENGINE,
@@ -39,6 +40,11 @@ from repro.sim.trace import StaticInfo
 from .test_timing_properties import random_programs
 
 CONFIGS = (FOURW, EIGHTW_PLUS, DATAFLOW)
+#: The grid adds two Figure 5 machines for the issue paths {4W, 8W+, DF}
+#: never reach: finite unit pools with untracked issue (``res``), and
+#: tracked issue with unlimited pools (``issue``).
+GRID_CONFIGS = CONFIGS + (bottleneck_config("res"),
+                          bottleneck_config("issue"))
 CHUNK_SIZES = (1, 7, 4096, None)
 TIER_POINTS = ("entry-0", "mid-block", "chunk-seam", "never")
 
@@ -131,7 +137,7 @@ def kernel_runs():
 # -- engine equivalence -----------------------------------------------------
 
 @pytest.mark.parametrize("cipher", KERNEL_NAMES)
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+@pytest.mark.parametrize("config", GRID_CONFIGS, ids=lambda c: c.name)
 def test_engines_bit_identical_every_cipher(kernel_runs, cipher, config):
     run = kernel_runs[cipher]
     baseline = _stats(run, config, "generic")
@@ -175,13 +181,38 @@ def test_random_programs_engines_agree(program, chunk_size, point):
 
 def test_specialized_handles_taken_branch_slow_path():
     """A loopy trace exercises the generated code's branch lookahead and
-    the single-entry slow-path repairs around mispredictions."""
+    the per-entry loop's repairs around mispredictions."""
     run = make_kernel("RC4").encrypt(bytes(256))
     for config in CONFIGS:
         baseline = _stats(run, config, "generic")
         for point in TIER_POINTS:
             assert _tiered_stats(run.trace, config, 1, point,
                                  run.warm_ranges) == baseline, point
+
+
+def test_unmatched_windows_take_one_loop_call_per_chunk_seam(monkeypatch):
+    """Once tiered up, a chunk seam costs at most three per-entry loop
+    calls -- the carried entry, the head of the block the seam split and
+    the tail the next chunk's end cuts off -- not one call per entry."""
+    run = make_kernel("RC4").encrypt(bytes(2048))
+    chunk_size = 4096
+    chunks = -(-len(run.trace) // chunk_size)
+    calls = []
+    step = GenericPipeline._advance
+
+    def spy(pipeline, *args):
+        calls.append(args)
+        step(pipeline, *args)
+
+    for config in CONFIGS:
+        baseline = _stats(run, config, "generic", chunk_size)
+        monkeypatch.setattr(GenericPipeline, "_advance", spy)
+        stats = _tiered_stats(run.trace, config, chunk_size, "entry-0",
+                              run.warm_ranges)
+        monkeypatch.undo()
+        assert stats == baseline
+        assert 0 < len(calls) <= 3 * chunks, (config.name, len(calls))
+        calls.clear()
 
 
 def test_engines_agree_on_full_length_dataflow_session():

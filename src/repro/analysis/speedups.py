@@ -13,7 +13,8 @@ normalized to the original code *with rotates* on the 4W machine:
 The section 6 headline numbers -- mean optimized speedup versus the
 rotate baseline and versus the no-rotate baseline -- fall out of the same
 measurements (:func:`summary`).  Each cipher needs three functional traces
-(ROT, NOROT, OPT) and six timing runs; the runner dedups and caches them.
+(ROT, NOROT, OPT) and six timing runs; the runner dedups and caches them,
+and for a kernel without rotates the NOROT and ROT 4W runs are one.
 """
 
 from __future__ import annotations

@@ -5,6 +5,11 @@ One :class:`Runner` serves every analysis harness and CLI tool:
 * **Functional dedup** -- one dynamic trace per distinct
   :class:`~repro.runner.experiment.ExperimentOptions` value is generated
   once (in-process memo) and shared across all timing configurations.
+  Experiment identity is content only: options that build the same
+  program over the same inputs (e.g. two feature levels of a kernel
+  without rotates) share one cache key, and with the cache enabled a
+  batch simulates such a run once and serves the other copies from its
+  record.
 * **Fan-out** -- cache-missing work is grouped by options and dispatched
   across a ``multiprocessing`` pool when ``jobs > 1``; each worker runs the
   group's functional simulation once, then every timing config against the
@@ -72,6 +77,9 @@ class RunResult:
     #: Functional instruction count of the underlying kernel run.
     instructions: int
     session_bytes: int
+    #: Served from a record rather than simulated for this result: a disk
+    #: cache hit, or a copy of an experiment with the same key that ran
+    #: earlier in the same batch.
     cached: bool = False
     wall_time: float = 0.0
 
@@ -266,6 +274,11 @@ class Runner:
     def fingerprint(self, options: ExperimentOptions) -> str:
         """Content hash of one functional run: program bytes + inputs.
 
+        Only what determines the run is hashed.  The feature label is not:
+        the program digest covers the code a level selects, so two levels
+        that emit the same program are one run.  That relies on a kernel's
+        memory image being a function of the hashed fields, which
+        ``tests/runner/test_engine.py`` checks for every kernel.
         ``record_values`` is deliberately excluded -- recording destination
         values changes what the trace carries in memory, not any simulated
         result.
@@ -291,7 +304,6 @@ class Runner:
             "runner_version": RUNNER_VERSION,
             "kind": options.kind,
             "cipher": options.cipher,
-            "features": options.features.label,
             "session_bytes": options.session_bytes,
             "base_offset": options.base_offset,
             "key": key,
@@ -430,17 +442,26 @@ class Runner:
 
         Cache hits are served from disk; misses are grouped by options (one
         functional run per group) and executed serially or across the
-        process pool.
+        process pool.  With the cache enabled, an experiment whose key is
+        already pending earlier in the batch is a hit on that pending
+        result: it waits for the first copy's record and comes back with
+        ``cached=True``.
         """
         experiments = list(experiments)
         results: list[RunResult | None] = [None] * len(experiments)
         pending: dict[ExperimentOptions, list[tuple[int, Experiment, str]]]
         pending = {}
+        # Key of each pending experiment -> later copies served from it.
+        followers: dict[str, list[tuple[int, Experiment]]] = {}
         probe_start = time.perf_counter()
         with self._span("cache-probe", "cache",
                         {"experiments": len(experiments)}) as span_args:
             for index, experiment in enumerate(experiments):
                 key = self.experiment_key(experiment)
+                if key in followers:
+                    self.stats.cache_hits += 1
+                    followers[key].append((index, experiment))
+                    continue
                 result = self._lookup(experiment, key)
                 if result is not None:
                     self.stats.cache_hits += 1
@@ -453,6 +474,8 @@ class Runner:
                     pending.setdefault(experiment.options, []).append(
                         (index, experiment, key)
                     )
+                    if self.cache.enabled:
+                        followers[key] = []
             span_args["hits"] = len(experiments) - sum(
                 len(entries) for entries in pending.values()
             )
@@ -464,7 +487,7 @@ class Runner:
                 span_args["misses"]
             )
         if pending:
-            self._execute_pending(pending, results)
+            self._execute_pending(pending, followers, results)
         return results  # type: ignore[return-value]
 
     def run_one(self, experiment: Experiment) -> RunResult:
@@ -498,7 +521,7 @@ class Runner:
     def _group_label(options: ExperimentOptions) -> str:
         return f"{options.cipher}/{options.kind}:{options.session_bytes}B"
 
-    def _execute_pending(self, pending, results) -> None:
+    def _execute_pending(self, pending, followers, results) -> None:
         # Groups whose trace already lives in this process run locally; cold
         # groups are eligible for the pool.
         local = {opts: entries for opts, entries in pending.items()
@@ -538,6 +561,13 @@ class Runner:
                 self._publish_result(result)
                 if self.stats_hook is not None:
                     self.stats_hook(result)
+                for position, copy in followers.get(key, ()):
+                    served = self._result_from_record(copy, record,
+                                                      cached=True)
+                    results[position] = served
+                    self._publish_result(served)
+                    if self.stats_hook is not None:
+                        self.stats_hook(served)
 
     def _publish_result(self, result: RunResult) -> None:
         """One ledger event per experiment result, with the slot account.

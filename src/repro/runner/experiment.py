@@ -36,6 +36,12 @@ class ExperimentOptions:
     instead of the encryption kernel (``session_bytes``/``plaintext`` are
     ignored there).
 
+    ``features`` selects the kernel; the runner's content fingerprint
+    hashes the program that kernel emits, not the level's label, so two
+    levels that emit the same program over the same inputs (NOROT and ROT
+    for a cipher without rotates) are one run with one set of cache
+    records.
+
     ``stream``, ``chunk_size``, ``backend`` and ``timing_engine``
     control *how* the runner executes the experiment -- overlapped
     functional/timing streaming versus materialize-then-simulate, the

@@ -97,9 +97,6 @@ class MachineConfig:
     #: stay at O(prune_interval + window) entries -- the bound that keeps
     #: streaming simulation at constant memory.
     prune_interval: int = 8192
-    #: Retained for compatibility; the prune pass now picks its trim
-    #: strategy (range walk vs key scan) from map density automatically.
-    prune_entries: int = 200_000
     #: Hard cap on rows captured by the ``schedule_range`` hook per run
     #: (``None`` = unbounded).  A truncated capture sets
     #: ``stats.extra["schedule_truncated"]``.

@@ -1,11 +1,16 @@
 """The unified experiment runner: dedup, caching, parallel fan-out."""
 
+import itertools
+import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.analysis import speedups
+from repro.ciphers.suite import SUITE_BY_NAME
 from repro.isa import Features
 from repro.isa import opcodes as op
 from repro.isa.instruction import Instruction
@@ -136,6 +141,40 @@ def test_corrupted_cache_recovers_with_correct_results(tmp_path):
         assert a.stats == b.stats
     # And the rewritten records serve the next runner.
     assert all(r.cached for r in make_runner(tmp_path).run(grid()))
+
+
+def _truncate(blob):
+    whole = blob.read_bytes()
+    blob.write_bytes(whole[:len(whole) // 2])
+
+
+def _drop_addrs(blob):
+    record = pickle.loads(blob.read_bytes())
+    del record["addrs"]
+    blob.write_bytes(pickle.dumps(record))
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _drop_addrs],
+                         ids=["truncated", "missing-addrs"])
+def test_bad_trace_blob_is_rerun_with_correct_results(tmp_path, corrupt):
+    experiments = grid()
+    expected = Runner(cache=ResultCache.disabled()).run(experiments)
+    make_runner(tmp_path).run(experiments)
+    # Only the trace blob is left to serve the next run.
+    for path in (tmp_path / "cache").rglob("*.json"):
+        path.unlink()
+    (blob,) = (tmp_path / "cache").rglob("*.bin")
+    corrupt(blob)
+
+    runner = make_runner(tmp_path)
+    results = runner.run(experiments)
+    assert runner.cache.errors == 1
+    assert runner.stats.functional_runs == 1
+    assert [(r.stats, r.instructions) for r in results] \
+        == [(r.stats, r.instructions) for r in expected]
+    # The re-execution wrote a whole blob back in its place.
+    record = pickle.loads(blob.read_bytes())
+    assert record["key"] == blob.stem and "addrs" in record
 
 
 @pytest.mark.parametrize("jobs", [4])
@@ -339,3 +378,115 @@ def test_cached_records_round_trip_stall_attribution(tmp_path):
     assert cached.stall_slots == baseline.stall_slots
     assert cached.wait_cycles == baseline.wait_cycles
     assert cached.hotspots == baseline.hotspots
+
+
+#: Feature levels whose kernels emit the same program: NOROT and ROT for
+#: the ciphers without rotates, and RC6's ROT and OPT decryption.
+SHARED_PROGRAMS = {
+    ("Blowfish", "encrypt", Features.NOROT, Features.ROT),
+    ("Blowfish", "decrypt", Features.NOROT, Features.ROT),
+    ("IDEA", "encrypt", Features.NOROT, Features.ROT),
+    ("IDEA", "decrypt", Features.NOROT, Features.ROT),
+    ("RC4", "encrypt", Features.NOROT, Features.ROT),
+    ("RC4", "decrypt", Features.NOROT, Features.ROT),
+    ("Rijndael", "encrypt", Features.NOROT, Features.ROT),
+    ("Rijndael", "decrypt", Features.NOROT, Features.ROT),
+    ("RC6", "decrypt", Features.ROT, Features.OPT),
+}
+
+
+@pytest.mark.parametrize("cipher", KERNEL_NAMES)
+def test_fingerprint_names_content_not_feature_label(cipher):
+    """The fingerprint leaves out the feature label, which is sound only
+    while equal programs run over equal memory images: a kernel that
+    wrote feature-dependent tables under identical code would share a
+    wrong result."""
+    runner = Runner(cache=ResultCache.disabled())
+    key_bytes = SUITE_BY_NAME[cipher].key_bytes
+    keys = (bytes(range(key_bytes)),
+            random.Random(cipher).randbytes(key_bytes))
+    shared = set()
+    for kind, session_bytes, key in itertools.product(
+            ("encrypt", "decrypt"), (128, 512), keys):
+        decrypt = kind == "decrypt"
+        seen = {}
+        for features in Features:
+            kernel = KERNELS[cipher](key, features)
+            if decrypt and not kernel.supports_decrypt:
+                break
+            options = ExperimentOptions(
+                cipher=cipher, features=features, kind=kind,
+                session_bytes=session_bytes, key=key,
+            )
+            iv = bytes(kernel.block_bytes) if kernel.block_bytes > 1 else None
+            data = options.resolved_plaintext()
+            if decrypt:
+                data = kernel.reference_encrypt(data, iv or b"")
+            program, memory, _ = kernel.prepare(data, iv, decrypt=decrypt)
+            seen[features] = (program.digest(), bytes(memory.data),
+                              runner.fingerprint(options))
+        for low, high in itertools.combinations(seen, 2):
+            digest, image, fingerprint = seen[low]
+            if digest == seen[high][0]:
+                shared.add((cipher, kind, low, high))
+                assert image == seen[high][1], (kind, low, high)
+                assert fingerprint == seen[high][2], (kind, low, high)
+            else:
+                assert fingerprint != seen[high][2], (kind, low, high)
+    assert shared >= {pair for pair in SHARED_PROGRAMS if pair[0] == cipher}
+
+
+def test_batch_simulates_each_distinct_run_once(tmp_path):
+    """Figure 10's NOROT and ROT 4W cells of a kernel without rotates are
+    one run: with the cache on, the later copy is a hit on the first."""
+    options = speedups.default_options(256, ("RC4", "Blowfish", "RC6"))
+
+    def figure10(runner):
+        cells = {}
+
+        def record(result):
+            cells[(result.cipher, result.experiment.options.features,
+                   result.config_name)] = result
+
+        runner.stats_hook = record
+        return speedups.run(options, runner=runner), cells
+
+    from repro.obs import EventBus, MetricsRegistry, RingBufferSink
+
+    metrics, bus, ledger = MetricsRegistry(), EventBus(), RingBufferSink()
+    bus.subscribe(ledger)
+    shared = make_runner(tmp_path, metrics=metrics, bus=bus,
+                         heartbeat_interval=0)
+    rows, cells = figure10(shared)
+    stats = shared.stats
+    assert (stats.timing_runs, stats.functional_runs, stats.cache_hits) \
+        == (16, 7, 2)
+    assert metrics.counter("runner.cache.hits").value == 2
+    assert len(cells) == 18
+    assert sorted((c, f) for (c, f, _), r in cells.items() if r.cached) \
+        == [("Blowfish", Features.NOROT), ("RC4", Features.NOROT)]
+    published = [event["data"]["cached"] for event in ledger.events
+                 if (event["source"], event["type"]) == ("runner", "result")]
+    assert (len(published), sum(published)) == (18, 2)
+
+    alone = Runner(cache=ResultCache.disabled())
+    alone_rows, alone_cells = figure10(alone)
+    stats = alone.stats
+    assert (stats.timing_runs, stats.functional_runs, stats.cache_hits) \
+        == (18, 9, 0)
+    assert rows == alone_rows
+    assert {cell: r.stats for cell, r in cells.items()} \
+        == {cell: r.stats for cell, r in alone_cells.items()}
+
+    warm = make_runner(tmp_path)
+    assert figure10(warm)[0] == rows
+    assert warm.stats.cache_hits == 18
+    assert warm.stats.functional_runs == 0
+
+    # A pool run (or its serial fallback) shares the same way.
+    pooled = Runner(cache=ResultCache(tmp_path / "pooled"), jobs=2)
+    pooled_rows, pooled_cells = figure10(pooled)
+    assert pooled_rows == rows
+    assert {cell: r.stats for cell, r in pooled_cells.items()} \
+        == {cell: r.stats for cell, r in cells.items()}
+    assert pooled.stats.timing_runs == 16

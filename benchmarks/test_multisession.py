@@ -19,7 +19,7 @@ THREADS = (1, 2, 4, 8)
 def _measure(session_bytes):
     return {
         name: multisession.measure(
-            name, thread_counts=THREADS, session_bytes=session_bytes
+            cipher=name, thread_counts=THREADS, session_bytes=session_bytes
         )
         for name in CIPHERS
     }

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.rows import Row, coerce_options, warn_deprecated
+from repro.analysis.rows import Row, coerce_options
 from repro.isa import Features
 from repro.kernels import KERNEL_NAMES
 from repro.runner import ExperimentOptions, Runner, default_runner
@@ -160,12 +160,12 @@ def run(
         for threads in thread_counts:
             merged = interleave_traces([run.trace for run in runs[:threads]])
             warm = [r for run in runs[:threads] for r in run.warm_ranges]
-            stats = runner.simulate_trace(
+            stats = runner.simulate(
                 merged,
-                config,
+                [config],
                 warm,
                 key_parts=["multisession", fingerprints[:threads], threads],
-            )
+            )[0]
             total_bytes = threads * opt.session_bytes
             rate = stats.bytes_per_kilocycle(total_bytes)
             if base_rate is None:
@@ -182,36 +182,15 @@ def run(
 
 
 def measure(
-    *args,
-    cipher: str | None = None,
+    *,
+    cipher: str,
     thread_counts: tuple[int, ...] = DEFAULT_THREAD_COUNTS,
     session_bytes: int = DEFAULT_SESSION_BYTES,
     config: MachineConfig = EIGHTW_PLUS,
     features: Features = Features.OPT,
     runner: Runner | None = None,
 ) -> list[MultisessionRow]:
-    """Aggregate throughput of N interleaved sessions of one cipher.
-
-    Positional use (``measure(name, ...)``) is deprecated; pass
-    ``cipher=...`` instead.
-    """
-    if args:
-        warn_deprecated(
-            "multisession.measure(name, ...)",
-            "multisession.measure(cipher=...)",
-        )
-        if cipher is not None or len(args) > 5:
-            raise TypeError("measure() got conflicting positional arguments")
-        names = ("cipher", "thread_counts", "session_bytes", "config",
-                 "features")
-        positional = dict(zip(names, args))
-        cipher = positional.get("cipher", cipher)
-        thread_counts = positional.get("thread_counts", thread_counts)
-        session_bytes = positional.get("session_bytes", session_bytes)
-        config = positional.get("config", config)
-        features = positional.get("features", features)
-    if cipher is None:
-        raise TypeError("measure() requires a cipher")
+    """Aggregate throughput of N interleaved sessions of one cipher."""
     return run(
         ExperimentOptions(
             cipher=cipher, features=features, session_bytes=session_bytes

@@ -9,7 +9,6 @@ their historical metric-only shape).
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 
 class Row:
@@ -40,12 +39,3 @@ def coerce_options(options, default_factory) -> list:
     if isinstance(options, ExperimentOptions):
         return [options]
     return list(options)
-
-
-def warn_deprecated(old: str, new: str) -> None:
-    """Emit the suite's standard deprecation message for a legacy helper."""
-    warnings.warn(
-        f"{old} is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -16,8 +16,8 @@ Index ``len(program)`` is modeled as a virtual "off-the-end" exit so a
 branch past the last instruction (legal to :meth:`Program.finalize`, fatal
 to the functional machine) is visible to the checkers.
 
-Home of the shared analysis framework: the verifier re-exports this
-module as :mod:`repro.isa.verify.cfg` for compatibility.
+Home of the shared analysis framework; :mod:`repro.isa.verify` exports
+``CFG`` and ``BasicBlock`` from here.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ Writes to ``r31`` are architecturally discarded and reads of it are
 constant zero, so ``r31`` is excluded from both defs and uses.
 
 Both fixpoints run on :func:`repro.isa.analysis.solver.iterate`, the
-shared FIFO worklist; the verifier re-exports this module as
-:mod:`repro.isa.verify.dataflow` for compatibility.
+shared FIFO worklist; :mod:`repro.isa.verify` exports ``ReachingDefs``,
+``Liveness`` and ``ENTRY`` from here.
 """
 
 from __future__ import annotations

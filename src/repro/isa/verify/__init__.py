@@ -21,17 +21,17 @@ any diagnostic meets it.
 
 from __future__ import annotations
 
+from repro.isa.analysis.cfg import CFG, BasicBlock
+from repro.isa.analysis.dataflow import ENTRY, Liveness, ReachingDefs
 from repro.isa.analysis.passes import analyses_for
 from repro.isa.features import Features
 from repro.isa.program import Program
-from repro.isa.verify.cfg import CFG, BasicBlock
 from repro.isa.verify.checkers import CHECKERS, VerifyContext
 from repro.isa.verify.critical_path import (
     CriticalPath,
     critical_path,
     min_latencies,
 )
-from repro.isa.verify.dataflow import ENTRY, Liveness, ReachingDefs
 from repro.isa.verify.diagnostics import (
     LINT_SCHEMA,
     SEVERITIES,

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.isa.analysis.cfg import CFG
+from repro.isa.analysis.dataflow import ENTRY, ReachingDefs, defs_of, uses_of
 from repro.isa.program import Program
-from repro.isa.verify.cfg import CFG
-from repro.isa.verify.dataflow import ENTRY, ReachingDefs, defs_of, uses_of
 from repro.sim.config import DATAFLOW, MachineConfig
 
 

@@ -205,13 +205,26 @@ def publish_event(source: str, type: str, data: dict | None = None) -> dict | No
 # -- reading a recorded ledger back ---------------------------------------
 
 def load_ledger(path) -> list[dict]:
-    """Parse a JSONL run ledger into its event dicts (blank lines skipped)."""
+    """Parse a JSONL run ledger into its event dicts (blank lines skipped).
+
+    A final line that lacks its newline and does not parse was cut
+    mid-write; it is dropped, as ``dash --follow`` drops a partial
+    trailing line, so every complete event is kept.  Any other malformed
+    line raises :class:`ValueError` naming ``path:line``.
+    """
     events = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
+        for number, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
                 events.append(json.loads(line))
+            except ValueError as error:
+                # Only the final line of a file can lack its newline.
+                if not line.endswith("\n"):
+                    break
+                raise ValueError(f"{path}:{number}: malformed ledger line "
+                                 f"({error})") from None
     return events
 
 

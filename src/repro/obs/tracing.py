@@ -63,11 +63,17 @@ class Tracer:
         try:
             yield args
         finally:
-            self.add_event({
-                "name": name, "cat": category, "ph": "X",
-                "ts": start, "dur": self.now_us() - start,
-                "pid": self.pid, "tid": tid, "args": args,
-            })
+            self.complete(name, category, start, self.now_us() - start,
+                          args, tid)
+
+    def complete(self, name: str, category: str, ts: float, dur: float,
+                 args: dict | None = None, tid: int = 0) -> None:
+        """Record a complete event the caller timed (``ts``/``dur`` in
+        microseconds), e.g. one phase's share of interleaved work."""
+        self.add_event({
+            "name": name, "cat": category, "ph": "X", "ts": ts, "dur": dur,
+            "pid": self.pid, "tid": tid, "args": dict(args or {}),
+        })
 
     def instant(self, name: str, category: str = "runner",
                 args: dict | None = None, tid: int = 0) -> None:

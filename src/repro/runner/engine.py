@@ -10,12 +10,18 @@ One :class:`Runner` serves every analysis harness and CLI tool:
   without rotates) share one cache key, and with the cache enabled a
   batch simulates such a run once and serves the other copies from its
   record.
+* **One feed loop** -- every timing run builds one pipeline per machine
+  config and feeds each chunk of a :class:`~repro.sim.trace.TraceSource`
+  to every pipeline.  A group picks its source from what the process can
+  observe: the trace already in memory, else the trace blob in the cache,
+  else a live kernel stream that executes the kernel chunk by chunk at
+  bounded trace memory.
 * **Fan-out** -- cache-missing work is grouped by options and dispatched
-  across a ``multiprocessing`` pool when ``jobs > 1``; each worker runs the
-  group's functional simulation once, then every timing config against the
-  shared trace.  Timing simulation is deterministic, so parallel results
-  are bit-identical to serial ones.  If a pool cannot be created (restricted
-  sandboxes) the runner falls back to serial execution.
+  across a process pool when ``jobs > 1``; each worker runs the group's
+  functional simulation once, feeding every timing config.  Timing
+  simulation is deterministic, so parallel results are bit-identical to
+  serial ones.  If a pool cannot be created (restricted sandboxes) or a
+  worker dies, the runner falls back to serial execution.
 * **Result caching** -- per-(experiment, config) :class:`SimStats` records
   persist in a :class:`~repro.runner.cache.ResultCache` keyed by a content
   hash of the kernel program bytes, functional inputs, machine config and
@@ -37,7 +43,7 @@ walkthrough.
 
 from __future__ import annotations
 
-import multiprocessing
+import itertools
 import time
 import warnings
 from array import array
@@ -55,13 +61,13 @@ from repro.runner.telemetry import (
     DEFAULT_STUCK_AFTER,
     FleetMonitor,
 )
-from repro.sim.config import MachineConfig
 from repro.sim.stats import SimStats
-from repro.sim.timing import make_pipeline, record_sim_metrics, simulate
+from repro.sim.timing import make_pipeline, record_sim_metrics
 from repro.sim.trace import (
     ADDR_TYPECODE,
     DEFAULT_CHUNK_SIZE,
     SEQ_TYPECODE,
+    VALUE_TYPECODE,
     StaticInfo,
     Trace,
     TraceSource,
@@ -119,7 +125,9 @@ class RunnerStats:
     wall_time_timing: float = 0.0
     wall_time_cache: float = 0.0
     #: Largest dynamic-trace payload held in memory at once (bytes): one
-    #: chunk on the streaming path, the whole trace on the batch path.
+    #: chunk of a live kernel stream (or, with the cache on, the compact
+    #: columns it writes through as a trace blob), the whole trace when it
+    #: is materialized.
     peak_trace_bytes: int = 0
 
     def note_trace_bytes(self, nbytes: int) -> None:
@@ -178,7 +186,6 @@ class Runner:
         stats_hook=None,
         metrics=None,
         tracer=None,
-        stream: bool = True,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         backend: str | None = None,
         timing_engine: str | None = None,
@@ -205,10 +212,8 @@ class Runner:
         self.heartbeat_hook = heartbeat_hook
         self.heartbeat_interval = heartbeat_interval
         self.stuck_after = stuck_after
-        #: Overlap functional execution and timing through the chunked
-        #: trace stream (bounded memory).  Per-experiment
-        #: ``ExperimentOptions.stream`` overrides; results are identical.
-        self.stream = stream
+        #: Trace entries per chunk of a live kernel stream; results are
+        #: identical at any size.
         self.chunk_size = max(1, int(chunk_size))
         #: Default execution backend for functional runs; per-experiment
         #: ``ExperimentOptions.backend`` overrides.  Never part of cache
@@ -357,6 +362,54 @@ class Runner:
             warm_ranges=[tuple(pair) for pair in blob["warm_ranges"]],
         )
 
+    def _put_trace_blob(self, key: str, run, seq, addrs, values) -> None:
+        """Persist one kernel run's compact trace columns as a blob."""
+        self.cache.put_blob(key, {
+            "version": RUNNER_VERSION,
+            "seq": seq,
+            "addrs": addrs,
+            "values": values,
+            "instructions": run.instructions,
+            "ciphertext": run.ciphertext,
+            "session_bytes": run.session_bytes,
+            "warm_ranges": run.warm_ranges,
+        })
+
+    def _count_functional(self, options: ExperimentOptions, start_us: float,
+                          seconds: float) -> None:
+        """Account one functional execution, materialized or streamed.
+
+        A streamed execution interleaves with timing, so its span reports
+        the measured functional share from ``start_us`` on.
+        """
+        self.stats.functional_runs += 1
+        self.stats.wall_time_functional += seconds
+        if self.metrics is not None:
+            self.metrics.counter("runner.functional_runs").inc()
+            self.metrics.histogram(
+                "runner.functional.seconds", {"cipher": options.cipher}
+            ).observe(seconds)
+        if self.tracer is not None:
+            self.tracer.complete(
+                f"functional:{options.cipher}", "functional", start_us,
+                seconds * 1e6,
+                {"cipher": options.cipher, "kind": options.kind,
+                 "session_bytes": options.session_bytes})
+
+    def _kernel_input(self, kernel, options: ExperimentOptions,
+                      backend: str | None) -> bytes:
+        """The bytes a kernel run consumes.
+
+        A decrypt run consumes the encryption of the plaintext; that
+        preliminary encryption records no trace.
+        """
+        data = options.resolved_plaintext()
+        if options.kind == "decrypt":
+            data = kernel.encrypt(
+                data, options.iv, record_trace=False, backend=backend
+            ).ciphertext
+        return data
+
     def functional(self, options: ExperimentOptions):
         """Run (or reuse) the functional simulation for ``options``.
 
@@ -374,64 +427,34 @@ class Runner:
             probe_start = time.perf_counter()
             blob = self.cache.get_blob(blob_key)
             self.stats.wall_time_cache += time.perf_counter() - probe_start
-            if blob is not None:
-                try:
-                    run = self._run_from_blob(options, blob)
-                except (KeyError, TypeError, ValueError):
-                    self.cache.errors += 1
-                    run = None
-                if run is not None:
-                    self.stats.note_trace_bytes(run.trace.nbytes)
-                    self._functional[options] = run
-                    return run
+            run = self._parsed(blob, lambda blob: (
+                self._run_from_blob(options, blob)
+            ))
+            if run is not None:
+                self.stats.note_trace_bytes(run.trace.nbytes)
+                self._functional[options] = run
+                return run
+        start_us = self.tracer.now_us() if self.tracer is not None else 0.0
         start = time.perf_counter()
-        with self._span(f"functional:{options.cipher}", "functional",
-                        {"cipher": options.cipher, "kind": options.kind,
-                         "session_bytes": options.session_bytes}):
-            backend = self._resolved_backend(options)
-            if options.kind == "setup":
-                run = make_setup(
-                    options.cipher, self._resolved_key(options)
-                ).run(backend=backend)
-            else:
-                kernel = self._kernel(options)
-                data = options.resolved_plaintext()
-                if options.kind == "decrypt":
-                    ciphertext = kernel.encrypt(
-                        data, options.iv, record_trace=False, backend=backend
-                    ).ciphertext
-                    run = kernel.decrypt(
-                        ciphertext, options.iv,
-                        record_values=options.record_values,
-                        backend=backend,
-                    )
-                else:
-                    run = kernel.encrypt(
-                        data, options.iv,
-                        record_values=options.record_values,
-                        backend=backend,
-                    )
-        elapsed = time.perf_counter() - start
-        self.stats.functional_runs += 1
-        self.stats.wall_time_functional += elapsed
-        if self.metrics is not None:
-            self.metrics.counter("runner.functional_runs").inc()
-            self.metrics.histogram(
-                "runner.functional.seconds", {"cipher": options.cipher}
-            ).observe(elapsed)
+        backend = self._resolved_backend(options)
+        if options.kind == "setup":
+            run = make_setup(
+                options.cipher, self._resolved_key(options)
+            ).run(backend=backend)
+        else:
+            kernel = self._kernel(options)
+            execute = (kernel.decrypt if options.kind == "decrypt"
+                       else kernel.encrypt)
+            run = execute(
+                self._kernel_input(kernel, options, backend), options.iv,
+                record_values=options.record_values, backend=backend,
+            )
+        self._count_functional(options, start_us, time.perf_counter() - start)
         if run.trace is not None:
             self.stats.note_trace_bytes(run.trace.nbytes)
             if blob_key is not None:
-                self.cache.put_blob(blob_key, {
-                    "version": RUNNER_VERSION,
-                    "seq": run.trace.seq,
-                    "addrs": run.trace.addrs,
-                    "values": run.trace.values,
-                    "instructions": run.instructions,
-                    "ciphertext": run.ciphertext,
-                    "session_bytes": run.session_bytes,
-                    "warm_ranges": run.warm_ranges,
-                })
+                self._put_trace_blob(blob_key, run, run.trace.seq,
+                                     run.trace.addrs, run.trace.values)
         self._functional[options] = run
         return run
 
@@ -462,7 +485,9 @@ class Runner:
                     self.stats.cache_hits += 1
                     followers[key].append((index, experiment))
                     continue
-                result = self._lookup(experiment, key)
+                result = self._parsed(self.cache.get(key), lambda record: (
+                    self._result_from_record(experiment, record, cached=True)
+                ))
                 if result is not None:
                     self.stats.cache_hits += 1
                     results[index] = result
@@ -493,14 +518,17 @@ class Runner:
     def run_one(self, experiment: Experiment) -> RunResult:
         return self.run([experiment])[0]
 
-    def _lookup(self, experiment: Experiment, key: str) -> RunResult | None:
-        record = self.cache.get(key)
+    def _parsed(self, record: dict | None, parse):
+        """``parse(record)``, or ``None`` when the cache had no record.
+
+        A record that no longer parses (schema drift in an old record)
+        counts as a cache error and is recomputed.
+        """
         if record is None:
             return None
         try:
-            return self._result_from_record(experiment, record, cached=True)
+            return parse(record)
         except (KeyError, TypeError, ValueError):
-            # Schema drift in an old record: recompute.
             self.cache.errors += 1
             return None
 
@@ -592,29 +620,35 @@ class Runner:
         self.bus.publish("runner", "result", data)
 
     def _run_groups_parallel(self, pending, monitor: FleetMonitor):
+        # Imported on first use: it adds ~25 ms to every process's start-up
+        # (multiprocessing, logging), and most runs are serial.
+        from concurrent.futures import ProcessPoolExecutor
+
         specs = [
             (options, [entry[1].config for entry in entries],
-             self.stream, self.chunk_size, self.backend, self.timing_engine)
+             self.chunk_size, self.backend, self.timing_engine)
             for options, entries in pending.items()
         ]
         labels = [self._group_label(spec[0]) for spec in specs]
         try:
             with self._span("parallel-fanout", "timing",
                             {"groups": len(specs), "jobs": self.jobs}):
-                with multiprocessing.Pool(min(self.jobs, len(specs))) as pool:
-                    # apply_async (not map) so each group's completion is
-                    # observed live by the fleet monitor: the callback runs
-                    # on the pool's result thread the moment a worker
-                    # finishes, keeping heartbeats/ETA accurate.
-                    handles = []
+                with ProcessPoolExecutor(min(self.jobs, len(specs))) as pool:
+                    # One future per group, so the fleet monitor observes
+                    # each completion live: the callback reports a group
+                    # the moment its worker succeeds, keeping heartbeats/ETA
+                    # accurate.  A worker that dies breaks the pool, and
+                    # every future it leaves unfinished raises
+                    # BrokenProcessPool.
+                    futures = []
                     for spec, label in zip(specs, labels):
                         monitor.dispatch(label)
-                        handles.append(pool.apply_async(
-                            _worker_run_group, (spec,),
-                            callback=lambda _out, label=label:
-                                monitor.complete(label),
-                        ))
-                    outputs = [handle.get() for handle in handles]
+                        future = pool.submit(_worker_run_group, spec)
+                        future.add_done_callback(
+                            lambda done, label=label: done.exception()
+                            or monitor.complete(label))
+                        futures.append(future)
+                    outputs = [future.result() for future in futures]
         except Exception as error:  # pool unavailable or worker died
             # Keep the dispatched groups accounted (the serial fallback
             # runs exactly those; its dispatch() calls are idempotent),
@@ -641,42 +675,46 @@ class Runner:
             (output["records"] for output in outputs),
         ))
 
-    def _should_stream(self, options: ExperimentOptions) -> bool:
-        """Streaming eligibility for one experiment group.
-
-        Streaming is skipped when the trace is already materialized in
-        this process (or sitting in the blob cache -- reusing it beats
-        re-executing), when the caller asked for recorded values (the
-        value-prediction study reads the trace directly), and for setup
-        runs (tiny traces, separate harness).
-        """
-        if options.kind == "setup" or options.record_values:
-            return False
-        enabled = options.stream if options.stream is not None else self.stream
-        if not enabled:
-            return False
-        if options in self._functional:
-            return False
-        blob_key = self._trace_blob_key(options)
-        return blob_key is None or not self.cache.has_blob(blob_key)
-
     def _run_group_records(self, options, configs) -> list[dict]:
-        if self._should_stream(options):
-            return self._stream_group_records(options, configs)
-        run = self.functional(options)
-        warm = None if options.kind == "setup" else run.warm_ranges
+        """Time one functional run on every config of its group.
+
+        The source is what this process can observe: the trace already in
+        memory, else the trace blob in the cache, else a live kernel
+        stream (setup runs always materialize through :meth:`functional`).
+        A live stream executes the kernel once, chunk by chunk, while every
+        pipeline consumes it, so peak trace memory is one chunk.  With the
+        cache on, its compact columns are written through as the trace
+        blob, so a later :meth:`functional` call (this process or another)
+        deserializes instead of re-executing.
+        """
+        blob_key = self._trace_blob_key(options)
+        stream = columns = None
+        if (blob_key is None or options in self._functional
+                or self.cache.has_blob(blob_key)):
+            run = self.functional(options)
+            source = run.trace
+            warm = None if options.kind == "setup" else run.warm_ranges
+        else:
+            stream = self.kernel_stream(options)
+            source, warm = stream.source, stream.warm_ranges
+            if self.cache.enabled:
+                columns = (array(SEQ_TYPECODE), array(ADDR_TYPECODE),
+                           array(VALUE_TYPECODE) if options.record_values
+                           else None)
+        start_us = self.tracer.now_us() if self.tracer is not None else 0.0
+        stats_list, seconds, functional_time = self._feed(
+            source, configs, warm, self._resolved_timing_engine(options),
+            options.cipher, columns,
+        )
+        if stream is not None:
+            t0 = time.perf_counter()
+            run = stream.finalize()
+            functional_time += time.perf_counter() - t0
+            if columns is not None:
+                self._put_trace_blob(blob_key, run, *columns)
+            self._count_functional(options, start_us, functional_time)
         records = []
-        for config in configs:
-            start = time.perf_counter()
-            with self._span(f"timing:{options.cipher}:{config.name}",
-                            "timing",
-                            {"cipher": options.cipher,
-                             "config": config.name}) as span_args:
-                stats = simulate(run.trace, config, warm,
-                                 metrics=self.metrics,
-                                 engine=self._resolved_timing_engine(options))
-                span_args["cycles"] = stats.cycles
-            elapsed = time.perf_counter() - start
+        for config, stats, elapsed in zip(configs, stats_list, seconds):
             if self.metrics is not None:
                 self.metrics.histogram(
                     "runner.timing.seconds",
@@ -696,14 +734,14 @@ class Runner:
     def kernel_stream(self, options, chunk_size: int | None = None):
         """A live single-pass kernel stream for one experiment's options.
 
-        The streaming execution path and the trace bisector
+        The runner's live source and the trace bisector
         (``repro.tools.diff bisect``) both need "the trace this
         experiment would produce" without materializing it; this builds
-        exactly the stream the runner itself feeds to its pipelines --
-        same backend resolution, same decrypt pre-encryption, same chunk
-        sizing (``chunk_size`` overrides the experiment's, then the
-        runner's).  Setup traces are short and always materialized, so
-        they have no streaming form.
+        exactly that stream -- same backend resolution, same decrypt
+        pre-encryption, destination values when the options record them,
+        and the runner's chunk size unless ``chunk_size`` overrides it.
+        Setup traces are short and always materialized, so they have no
+        streaming form.
         """
         if options.kind == "setup":
             raise ValueError(
@@ -711,160 +749,87 @@ class Runner:
                 "functional(options).trace"
             )
         kernel = self._kernel(options)
-        data = options.resolved_plaintext()
-        if chunk_size is None:
-            chunk_size = (options.chunk_size
-                          if options.chunk_size is not None
-                          else self.chunk_size)
         backend = self._resolved_backend(options)
-        if options.kind == "decrypt":
-            # The preliminary encryption only provides the input bytes; no
-            # trace is recorded for it.
-            payload = kernel.encrypt(
-                data, options.iv, record_trace=False, backend=backend
-            ).ciphertext
-            return kernel.stream(payload, options.iv, decrypt=True,
-                                 chunk_size=chunk_size, backend=backend)
-        return kernel.stream(data, options.iv, chunk_size=chunk_size,
-                             backend=backend)
+        return kernel.stream(
+            self._kernel_input(kernel, options, backend), options.iv,
+            decrypt=options.kind == "decrypt",
+            chunk_size=self.chunk_size if chunk_size is None else chunk_size,
+            record_values=options.record_values, backend=backend,
+        )
 
-    def _stream_group_records(self, options, configs) -> list[dict]:
-        """One machine stream feeding one timing pipeline per config.
+    def _feed(self, source: TraceSource, configs, warm_ranges, engine,
+              label: str, columns=None):
+        """The feed loop every timing run goes through.
 
-        The functional interpreter advances chunk by chunk and every
-        pipeline consumes each chunk as it is produced, so peak trace
-        memory is one chunk regardless of session length, and functional
-        work is still done once per group (the same dedup as the batch
-        path).  Produces records identical to :meth:`_run_group_records`.
+        Builds one pipeline per config, feeds each chunk of ``source`` to
+        every pipeline as it is produced, and finishes them.  Returns the
+        stats, each pipeline's seconds (build, feeds and finish: timing
+        work) and the seconds spent producing chunks, which for a live
+        stream is the functional machine running.  ``columns`` -- ``seq``,
+        ``addrs`` and ``values`` arrays (``values`` may be ``None``) --
+        collect the chunks for a trace-blob write-through.  Tracer spans
+        are ``chunk:<label>`` per chunk and ``timing:<label>:<config>``.
         """
-        stream = self.kernel_stream(options)
-        engine = self._resolved_timing_engine(options)
         perf = time.perf_counter
-        # Building a pipeline is timing work: it counts in the timing phase.
+        tracer = self.tracer
+        start_us = tracer.now_us() if tracer is not None else 0.0
         pipelines = []
-        timing_times = []
+        seconds = []
         for config in configs:
             t0 = perf()
             pipelines.append(make_pipeline(
-                config, stream.source.static, stream.source.program,
-                warm_ranges=stream.warm_ranges, engine=engine))
-            timing_times.append(perf() - t0)
-        # With the disk cache on, accumulate the compact columns so the
-        # trace blob can be written through -- a later functional() call
-        # (same process or another) then deserializes instead of
-        # re-executing.  Bounded peak memory is the --no-cache (or
-        # already-cached) regime; the write-through costs one compact
-        # trace, never the full Trace object graph.
-        blob_key = self._trace_blob_key(options)
-        keep = blob_key is not None and self.cache.enabled
-        seq_acc = array(SEQ_TYPECODE) if keep else None
-        addrs_acc = array(ADDR_TYPECODE) if keep else None
-        tracer = self.tracer
-        functional_time = 0.0
+                config, source.static, source.program,
+                warm_ranges=warm_ranges, engine=engine))
+            seconds.append(perf() - t0)
+        producing = 0.0
         peak = 0
-        chunks = 0
-        span_start = tracer.now_us() if tracer is not None else 0.0
-        generator = stream.source.chunks()
-        while True:
+        chunks = source.chunks()
+        for index in itertools.count():
             chunk_ts = tracer.now_us() if tracer is not None else 0.0
             t0 = perf()
-            chunk = next(generator, None)
-            functional_time += perf() - t0
+            chunk = next(chunks, None)
+            producing += perf() - t0
             if chunk is None:
                 break
-            chunks += 1
-            if keep:
-                seq_acc.extend(chunk.seq)
-                addrs_acc.extend(chunk.addrs)
+            if columns is not None:
+                parts = (chunk.seq, chunk.addrs, chunk.values)
+                for column, part in zip(columns, parts):
+                    if column is not None:
+                        column.extend(part)
             nbytes = chunk.nbytes
             if nbytes > peak:
                 peak = nbytes
-            for index, pipeline in enumerate(pipelines):
+            for position, pipeline in enumerate(pipelines):
                 t0 = perf()
                 pipeline.feed(chunk)
-                timing_times[index] += perf() - t0
+                seconds[position] += perf() - t0
             if tracer is not None:
-                tracer.add_event({
-                    "name": f"chunk:{options.cipher}", "cat": "stream",
-                    "ph": "X", "ts": chunk_ts,
-                    "dur": tracer.now_us() - chunk_ts,
-                    "pid": tracer.pid, "tid": 0,
-                    "args": {"index": chunks - 1, "entries": len(chunk),
-                             "bytes": nbytes},
-                })
-        t0 = perf()
-        fin = stream.finalize()
-        functional_time += perf() - t0
-        if keep:
-            held = (seq_acc.itemsize * len(seq_acc)
-                    + addrs_acc.itemsize * len(addrs_acc))
-            if held > peak:
-                peak = held
-            self.cache.put_blob(blob_key, {
-                "version": RUNNER_VERSION,
-                "seq": seq_acc,
-                "addrs": addrs_acc,
-                "values": None,
-                "instructions": fin.instructions,
-                "ciphertext": fin.ciphertext,
-                "session_bytes": fin.session_bytes,
-                "warm_ranges": fin.warm_ranges,
-            })
-
-        self.stats.functional_runs += 1
-        self.stats.wall_time_functional += functional_time
+                tracer.complete(f"chunk:{label}", "stream", chunk_ts,
+                                tracer.now_us() - chunk_ts,
+                                {"index": index, "entries": len(chunk),
+                                 "bytes": nbytes})
+        if columns is not None:
+            # The write-through holds one compact trace at the end.
+            peak = max(peak, sum(column.itemsize * len(column)
+                                 for column in columns if column is not None))
         self.stats.note_trace_bytes(peak)
+        stats_list = []
+        for position, (config, pipeline) in enumerate(zip(configs, pipelines)):
+            t0 = perf()
+            stats = pipeline.finish()
+            seconds[position] += perf() - t0
+            if self.metrics is not None:
+                record_sim_metrics(self.metrics, config, stats)
+            if tracer is not None:
+                tracer.complete(f"timing:{label}:{config.name}", "timing",
+                                start_us, seconds[position] * 1e6,
+                                {"config": config.name, "cycles": stats.cycles})
+            stats_list.append(stats)
         if self.metrics is not None:
-            self.metrics.counter("runner.functional_runs").inc()
-            self.metrics.histogram(
-                "runner.functional.seconds", {"cipher": options.cipher}
-            ).observe(functional_time)
             self.metrics.gauge("runner.peak_trace_bytes").set(
                 self.stats.peak_trace_bytes
             )
-        if tracer is not None:
-            # The phases ran interleaved; report each with its measured
-            # share so span names and totals match the batch path.
-            tracer.add_event({
-                "name": f"functional:{options.cipher}", "cat": "functional",
-                "ph": "X", "ts": span_start, "dur": functional_time * 1e6,
-                "pid": tracer.pid, "tid": 0,
-                "args": {"cipher": options.cipher, "kind": options.kind,
-                         "session_bytes": options.session_bytes,
-                         "streamed": True, "chunks": chunks},
-            })
-
-        records = []
-        for index, (config, pipeline) in enumerate(zip(configs, pipelines)):
-            t0 = perf()
-            stats = pipeline.finish()
-            elapsed = timing_times[index] + (perf() - t0)
-            if self.metrics is not None:
-                record_sim_metrics(self.metrics, config, stats)
-                self.metrics.histogram(
-                    "runner.timing.seconds",
-                    {"cipher": options.cipher, "config": config.name},
-                ).observe(elapsed)
-            if tracer is not None:
-                tracer.add_event({
-                    "name": f"timing:{options.cipher}:{config.name}",
-                    "cat": "timing", "ph": "X",
-                    "ts": span_start, "dur": elapsed * 1e6,
-                    "pid": tracer.pid, "tid": 0,
-                    "args": {"cipher": options.cipher,
-                             "config": config.name,
-                             "cycles": stats.cycles, "streamed": True},
-                })
-            records.append({
-                "version": RUNNER_VERSION,
-                "cipher": options.cipher,
-                "config": config.name,
-                "instructions": fin.instructions,
-                "session_bytes": options.session_bytes,
-                "stats": _stats_to_dict(stats),
-                "wall_time": elapsed,
-            })
-        return records
+        return stats_list, seconds, producing
 
     def _result_from_record(
         self, experiment: Experiment, record: dict, cached: bool
@@ -880,150 +845,63 @@ class Runner:
 
     # -- generic cached channels (synthetic traces, derived metrics) -------
 
-    def simulate_trace(
-        self,
-        trace: Trace,
-        config: MachineConfig,
-        warm_ranges=None,
-        *,
-        key_parts=None,
-    ) -> SimStats:
-        """Timing-simulate an arbitrary trace, optionally disk-cached.
-
-        ``key_parts`` must content-identify the trace (e.g. the component
-        fingerprints of a multisession interleaving, or a program digest);
-        without it the simulation runs uncached.
-        """
-        key = None
-        if key_parts is not None:
-            key = content_key({
-                "record": "trace-sim",
-                "version": RUNNER_VERSION,
-                "parts": key_parts,
-                "config": asdict(config),
-                "warm": warm_ranges,
-            })
-            record = self.cache.get(key)
-            if record is not None:
-                try:
-                    stats = _stats_from_dict(record["stats"])
-                except (KeyError, TypeError, ValueError):
-                    self.cache.errors += 1
-                else:
-                    self.stats.cache_hits += 1
-                    return stats
-            self.stats.cache_misses += 1
-        start = time.perf_counter()
-        self.stats.note_trace_bytes(getattr(trace, "nbytes", 0))
-        with self._span(f"trace-sim:{config.name}", "timing",
-                        {"config": config.name}):
-            stats = simulate(trace, config, warm_ranges,
-                             metrics=self.metrics,
-                             engine=self.timing_engine)
-        self.stats.timing_runs += 1
-        self.stats.instructions_simulated += stats.instructions
-        self.stats.wall_time_timing += time.perf_counter() - start
-        if key is not None:
-            self.cache.put(key, {
-                "version": RUNNER_VERSION,
-                "stats": _stats_to_dict(stats),
-            })
-        return stats
-
-    def simulate_stream(
+    def simulate(
         self,
         source: TraceSource,
         configs,
         warm_ranges=None,
         *,
         key_parts=None,
-        chunk_size: int | None = None,
     ) -> list[SimStats]:
-        """Timing-simulate a single-pass trace source on several configs.
+        """Timing-simulate any trace source on several configs.
 
-        The streaming twin of :meth:`simulate_trace`: one pipeline per
-        config consumes each chunk as the source produces it, so a live
-        :class:`~repro.sim.machine.StreamingTrace` is executed exactly
-        once and never materialized.  Cache records are shared with
-        :meth:`simulate_trace` (same ``trace-sim`` keys -- the results are
-        bit-identical), keyed per config by ``key_parts``; when *every*
-        config hits, the source is left untouched (the machine never
-        runs).
+        ``source`` is a materialized :class:`~repro.sim.trace.Trace` or a
+        live single-pass :class:`~repro.sim.machine.StreamingTrace`; both
+        go through the runner's one feed loop, so a stream is executed
+        once and never materialized.  ``key_parts`` must content-identify
+        the trace (e.g. the component fingerprints of a multisession
+        interleaving, or a program digest); with it each config's result
+        is cached under its own ``trace-sim`` key, and when every config
+        hits the source is never read (a live machine never runs).
+        Without it the simulation runs uncached.
         """
         configs = list(configs)
         stats_list: list[SimStats | None] = [None] * len(configs)
         keys: list[str | None] = [None] * len(configs)
         if key_parts is not None:
             for index, config in enumerate(configs):
-                key = content_key({
+                keys[index] = content_key({
                     "record": "trace-sim",
                     "version": RUNNER_VERSION,
                     "parts": key_parts,
                     "config": asdict(config),
                     "warm": warm_ranges,
                 })
-                keys[index] = key
-                record = self.cache.get(key)
-                if record is not None:
-                    try:
-                        stats_list[index] = _stats_from_dict(record["stats"])
-                    except (KeyError, TypeError, ValueError):
-                        self.cache.errors += 1
-                if stats_list[index] is not None:
-                    self.stats.cache_hits += 1
-                else:
-                    self.stats.cache_misses += 1
+                stats_list[index] = self._parsed(
+                    self.cache.get(keys[index]),
+                    lambda record: _stats_from_dict(record["stats"]),
+                )
+            hits = sum(stats is not None for stats in stats_list)
+            self.stats.cache_hits += hits
+            self.stats.cache_misses += len(configs) - hits
         missing = [i for i, stats in enumerate(stats_list) if stats is None]
         if not missing:
             return stats_list  # type: ignore[return-value]
-
-        perf = time.perf_counter
-        t0 = perf()
-        pipelines = {
-            index: make_pipeline(configs[index], source.static,
-                                 source.program, warm_ranges=warm_ranges,
-                                 engine=self.timing_engine)
-            for index in missing
-        }
-        timing_time = perf() - t0
-        functional_time = 0.0
-        peak = 0
-        with self._span("stream-sim", "timing",
-                        {"configs": [configs[i].name for i in missing]}):
-            generator = source.chunks(chunk_size)
-            while True:
-                t0 = perf()
-                chunk = next(generator, None)
-                functional_time += perf() - t0
-                if chunk is None:
-                    break
-                if chunk.nbytes > peak:
-                    peak = chunk.nbytes
-                t0 = perf()
-                for pipeline in pipelines.values():
-                    pipeline.feed(chunk)
-                timing_time += perf() - t0
-        self.stats.wall_time_functional += functional_time
-        self.stats.note_trace_bytes(peak)
-        for index, pipeline in pipelines.items():
-            t0 = perf()
-            stats = pipeline.finish()
-            timing_time += perf() - t0
+        simulated, seconds, producing = self._feed(
+            source, [configs[i] for i in missing], warm_ranges,
+            self.timing_engine, "trace-sim",
+        )
+        self.stats.wall_time_functional += producing
+        self.stats.wall_time_timing += sum(seconds)
+        for index, stats in zip(missing, simulated):
             stats_list[index] = stats
             self.stats.timing_runs += 1
             self.stats.instructions_simulated += stats.instructions
-            if self.metrics is not None:
-                record_sim_metrics(self.metrics, configs[index], stats)
             if keys[index] is not None:
                 self.cache.put(keys[index], {
                     "version": RUNNER_VERSION,
                     "stats": _stats_to_dict(stats),
                 })
-        self.stats.wall_time_timing += timing_time
-        if self.metrics is not None:
-            self.metrics.gauge("runner.peak_trace_bytes").set(
-                self.stats.peak_trace_bytes
-            )
         return stats_list  # type: ignore[return-value]
 
     def cached_value(self, key_parts, compute):
@@ -1063,9 +941,9 @@ def _worker_run_group(spec):
     trace memory so the parent runner's accounting covers out-of-process
     work.
     """
-    options, configs, stream, chunk_size, backend, timing_engine = spec
+    options, configs, chunk_size, backend, timing_engine = spec
     worker = Runner(cache=ResultCache.disabled(), jobs=1,
-                    stream=stream, chunk_size=chunk_size, backend=backend,
+                    chunk_size=chunk_size, backend=backend,
                     timing_engine=timing_engine)
     records = worker._run_group_records(options, configs)
     return {

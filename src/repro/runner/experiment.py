@@ -42,10 +42,8 @@ class ExperimentOptions:
     for a cipher without rotates) are one run with one set of cache
     records.
 
-    ``stream``, ``chunk_size``, ``backend`` and ``timing_engine``
-    control *how* the runner executes the experiment -- overlapped
-    functional/timing streaming versus materialize-then-simulate, the
-    trace-chunk granularity, which execution backend
+    ``backend`` and ``timing_engine`` control *how* the runner executes
+    the experiment -- which execution backend
     (``"interpreter"``/``"compiled"``) runs the functional machine, and
     which timing engine (``"generic"``/``"specialized"``) runs the
     cycle-accurate pipeline.  ``None`` defers to the runner's defaults.
@@ -62,16 +60,12 @@ class ExperimentOptions:
     base_offset: int = 0
     record_values: bool = False
     kind: str = "encrypt"
-    stream: bool | None = None
-    chunk_size: int | None = None
     backend: str | None = None
     timing_engine: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, not {self.kind!r}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
 
     def resolved_plaintext(self) -> bytes:
         if self.plaintext is not None:

@@ -189,8 +189,8 @@ def simulate(
     """Run the timing model over a trace source; returns cycle statistics.
 
     ``trace`` -- any :class:`~repro.sim.trace.TraceSource`: a materialized
-    :class:`~repro.sim.trace.Trace` (the batch path; the default
-    ``chunk_size=None`` consumes it as one zero-copy chunk) or a live
+    :class:`~repro.sim.trace.Trace` (the default ``chunk_size=None``
+    consumes it as one zero-copy chunk) or a live
     :class:`~repro.sim.machine.StreamingTrace`, which interleaves
     functional execution with timing at bounded memory.
 

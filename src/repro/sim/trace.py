@@ -245,7 +245,7 @@ class Trace:
         """Yield the trace as :class:`TraceChunk` slices of ``chunk_size``.
 
         ``chunk_size=None`` yields one zero-copy chunk over the whole trace
-        (the batch path).  Chunks carry explicit ``taken`` flags only when
+        (how the runner feeds a materialized trace).  Chunks carry explicit ``taken`` flags only when
         the trace itself does; otherwise consumers infer outcomes from
         adjacency exactly as :meth:`taken` would.
         """

@@ -136,11 +136,6 @@ def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         help="trace entries per streamed chunk (default "
              f"{DEFAULT_CHUNK_SIZE}); results are identical at any size",
     )
-    parser.add_argument(
-        "--no-stream", action="store_true",
-        help="materialize each functional trace before timing simulation "
-             "instead of streaming it chunk by chunk",
-    )
     add_backend_argument(parser)
     add_timing_engine_argument(parser)
     add_observability_arguments(parser)
@@ -247,7 +242,6 @@ def runner_from_args(
         kwargs.setdefault("bus", obs.bus)
     if getattr(args, "progress", False):
         kwargs.setdefault("heartbeat_hook", ProgressReporter())
-    kwargs.setdefault("stream", not getattr(args, "no_stream", False))
     chunk_size = getattr(args, "chunk_size", None)
     if chunk_size is not None:
         if chunk_size < 1:

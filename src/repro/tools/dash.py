@@ -95,7 +95,10 @@ def replay(path: str, *, run_id: str | None = None, once: bool = False,
            width: int = DEFAULT_WIDTH, stream=None) -> int:
     """Render a recorded ledger; deterministic final frame with ``once``."""
     stream = stream or sys.stdout
-    events = _select_run(load_ledger(path), run_id)
+    try:
+        events = _select_run(load_ledger(path), run_id)
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
     if once:
         print(render(build_state(events), width), file=stream)
         return 0

@@ -136,15 +136,26 @@ def check_file(path: str) -> int:
     ``repro.obs.events/1`` stamp on JSONL lines means a run ledger, a
     ``repro.isa.verify/1`` stamp means a lint report, a
     ``repro.isa.analysis/1`` stamp means a static cost-bound report,
-    anything else is checked as Chrome/Perfetto trace events.  Returns 0
-    iff valid.
+    anything else is checked as Chrome/Perfetto trace events.  A JSONL
+    line that does not parse (a torn final write included) is an error.
+    Returns 0 iff valid.
     """
+    errors: list[str] = []
     with open(path) as handle:
         if path.endswith(".jsonl"):
-            document = [json.loads(line) for line in handle if line.strip()]
+            document = []
+            for number, line in enumerate(handle, 1):
+                if not line.strip():
+                    continue
+                try:
+                    document.append(json.loads(line))
+                except ValueError as error:
+                    errors.append(f"line {number}: not valid JSON ({error})")
         else:
             document = json.load(handle)
-    if isinstance(document, dict) \
+    if errors:
+        kind = "JSONL"
+    elif isinstance(document, dict) \
             and document.get("schema") == LINT_SCHEMA:
         errors, kind = validate_lint(document), "lint"
     elif isinstance(document, dict) \

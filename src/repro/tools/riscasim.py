@@ -120,28 +120,20 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     memory = Memory(args.memory)
+    machine = Machine(program, memory)
     key_base = ["riscasim", program.digest(), args.memory]
-    # --view/--bottlenecks replay the trace several times and --dump needs
-    # the post-run memory image, so those paths materialize; the plain
-    # stats run streams chunk by chunk (bounded trace memory).
-    needs_trace = bool(args.view or args.bottlenecks or args.dump)
+    # --view/--bottlenecks replay the trace and --dump needs the post-run
+    # memory image, so those runs materialize; a plain stats run streams
+    # chunk by chunk (bounded trace memory).
     with obs:
-        if runner.stream and not needs_trace:
-            source = Machine(program, memory).execute(
-                stream=True, backend=runner.backend,
-                chunk_size=runner.chunk_size,
-            )
-            stats = runner.simulate_stream(
-                source, [config], key_parts=key_base
-            )[0]
-            instructions = stats.instructions
-            trace = None
+        if args.view or args.bottlenecks or args.dump:
+            trace = source = machine.execute(backend=runner.backend).trace
         else:
-            result = Machine(program, memory).execute(backend=runner.backend)
-            trace = result.trace
-            stats = runner.simulate_trace(trace, config, key_parts=key_base)
-            instructions = result.instructions
-    print(f"{instructions} instructions; {stats.summary()}")
+            trace = None
+            source = machine.execute(stream=True, backend=runner.backend,
+                                     chunk_size=runner.chunk_size)
+        stats = runner.simulate(source, [config], key_parts=key_base)[0]
+    print(f"{stats.instructions} instructions; {stats.summary()}")
     _print_slots(stats)
 
     if args.dump:
@@ -157,14 +149,14 @@ def main(argv: list[str] | None = None) -> int:
                         for k, v in stall_summary(schedule).items()))
 
     if args.bottlenecks:
-        dataflow = runner.simulate_trace(
-            trace, DATAFLOW_BASEISA, key_parts=key_base
-        ).cycles
+        configs = [DATAFLOW_BASEISA,
+                   *(bottleneck_config(which) for which in BOTTLENECKS)]
+        dataflow, *limited = (
+            result.cycles
+            for result in runner.simulate(trace, configs, key_parts=key_base)
+        )
         print(f"{'bottleneck':<10} rel-to-DF")
-        for which in BOTTLENECKS:
-            cycles = runner.simulate_trace(
-                trace, bottleneck_config(which), key_parts=key_base
-            ).cycles
+        for which, cycles in zip(BOTTLENECKS, limited):
             print(f"{which:<10} {dataflow / cycles:.3f}")
 
     if args.explain:

@@ -124,14 +124,71 @@ def test_table_renderers():
     assert "SBox caches" in t2 and "inf" in t2
 
 
+def _cell_key(result) -> str:
+    """The cell naming of ``benchmarks/perf/workloads.py:cell_key``."""
+    options = result.experiment.options
+    return (f"{options.cipher}/{options.kind}/{options.features.label}/"
+            f"{options.session_bytes}B/{result.config_name}")
+
+
+def _moved_cells(golden: dict, cells: dict) -> list[str]:
+    """One line per cell that differs from its golden value."""
+    lines = []
+    for key in sorted(golden.keys() | cells.keys()):
+        want, got = golden.get(key), cells.get(key)
+        if want == got:
+            continue
+        if want is None or got is None:
+            lines.append(f"{key}: " + ("not in the golden file"
+                                       if want is None else "never simulated"))
+            continue
+        slots = {name: got["slots"].get(name, 0) - want["slots"].get(name, 0)
+                 for name in want["slots"].keys() | got["slots"].keys()}
+        lines.append(
+            f"{key}: cycles {want['cycles']} -> {got['cycles']}, "
+            f"instructions {want['instructions']} -> {got['instructions']}, "
+            "slots " + (", ".join(f"{name} {delta:+d}"
+                                  for name, delta in sorted(slots.items())
+                                  if delta) or "unchanged")
+        )
+    return lines
+
+
 def test_report_runs_end_to_end(tmp_path):
+    """The paper report at 128 B, simulated from scratch, reproduces every
+    figure cell of ``benchmarks/perf/golden.json`` exactly -- cycles,
+    instructions and the issue-slot account -- and its report digest."""
+    import hashlib
     import io
+    import json
+    from pathlib import Path
 
     from repro.analysis.report import full_report
+    from repro.runner import ResultCache, Runner
 
+    golden = json.loads((Path(__file__).resolve().parents[2] / "benchmarks"
+                         / "perf" / "golden.json").read_text())
+    cells: dict[str, dict] = {}
+    conflicts = []
+
+    def record(result) -> None:
+        stats = result.stats
+        cell = {"cycles": stats.cycles, "instructions": stats.instructions,
+                "slots": {k: v for k, v in stats.stall_slots.items() if v}}
+        if cells.setdefault(_cell_key(result), cell) != cell:
+            conflicts.append(_cell_key(result))
+
+    runner = Runner(cache=ResultCache(tmp_path / "cache"), stats_hook=record)
     buffer = io.StringIO()
-    full_report(session_bytes=128, stream=buffer)
+    full_report(session_bytes=128, stream=buffer, runner=runner)
     text = buffer.getvalue()
     for marker in ("Table 1", "Figure 2", "Figure 4", "Figure 5",
                    "Figure 6", "Figure 7", "Table 2", "Figure 10"):
         assert marker in text
+    assert runner.stats.timing_runs > 0 and runner.stats.functional_runs > 0
+    moved = _moved_cells(golden["cells"]["figures"], cells)
+    assert not moved, "figure cells moved:\n" + "\n".join(moved)
+    assert not conflicts
+    body = text.rsplit("[report generated", 1)[0]
+    assert hashlib.sha256(body.encode()).hexdigest() == \
+        golden["reports"]["figures-default"]

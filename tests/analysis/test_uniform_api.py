@@ -65,17 +65,6 @@ def test_static_modules_have_rows_too():
 
 
 
-def test_multisession_positional_shim_warns_and_matches(runner):
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        old = multisession.measure("RC4", (1, 2), 128, runner=runner)
-    new = multisession.measure(
-        cipher="RC4", thread_counts=(1, 2), session_bytes=128, runner=runner
-    )
-    assert [row.as_tuple() for row in old] == [
-        row.as_tuple() for row in new
-    ]
-
-
 def test_multisession_requires_a_cipher():
     with pytest.raises(TypeError):
         multisession.measure(thread_counts=(1,))

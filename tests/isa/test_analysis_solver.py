@@ -1,9 +1,8 @@
 """The shared worklist solver and lattice fixpoints (`repro.isa.analysis`).
 
 Covers the generic :func:`iterate` worklist, the array-level block
-decomposition, the generic :func:`infer_dataflow` driver with each
-shipped lattice, and the compatibility shims that keep the historical
-``repro.isa.verify.cfg`` / ``repro.isa.verify.dataflow`` paths alive.
+decomposition, and the generic :func:`infer_dataflow` driver with each
+shipped lattice.
 """
 
 from repro.isa import Features, Imm, KernelBuilder, assemble
@@ -173,21 +172,6 @@ def test_ranges_join_is_the_interval_hull():
     blocks, block_of, succs = decompose(arrays)
     entry = infer_ranges(blocks, block_of, succs, make_range_step(arrays))
     assert entry[block_of[5]][1] == (10, 90)
-
-
-# -- compatibility shims ----------------------------------------------------
-
-def test_verify_cfg_and_dataflow_shims_reexport_analysis():
-    import repro.isa.analysis.cfg as analysis_cfg
-    import repro.isa.analysis.dataflow as analysis_dataflow
-    import repro.isa.verify.cfg as verify_cfg
-    import repro.isa.verify.dataflow as verify_dataflow
-
-    assert verify_cfg.CFG is analysis_cfg.CFG
-    assert verify_cfg.BasicBlock is analysis_cfg.BasicBlock
-    assert verify_dataflow.ReachingDefs is analysis_dataflow.ReachingDefs
-    assert verify_dataflow.Liveness is analysis_dataflow.Liveness
-    assert verify_dataflow.ENTRY is analysis_dataflow.ENTRY
 
 
 def test_compiled_backend_shares_the_analysis_lattices():

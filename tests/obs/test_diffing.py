@@ -7,7 +7,7 @@ to the whole-run SimStats deltas -- the per-instruction view is a
 decomposition of the aggregate, not an approximation of it.
 """
 
-import multiprocessing
+import concurrent.futures
 import warnings
 
 import pytest
@@ -260,7 +260,7 @@ def test_serial_pool_fallback_ledger_diffs_identical(monkeypatch):
     def no_pool(*args, **kwargs):
         raise OSError("pools forbidden in this test")
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         fallback = run_grid_ledger(jobs=2)

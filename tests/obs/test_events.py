@@ -228,3 +228,48 @@ def test_split_runs_orders_by_first_seen(tmp_path):
         bus.close()
     runs = split_runs(load_ledger(path))
     assert [run_id for run_id, _ in runs] == ["first", "second"]
+
+
+def _written_ledger(path):
+    bus = EventBus()
+    bus.subscribe(JsonlSink(path))
+    for done in range(3):
+        bus.publish("runner", "group-done", {"done": done})
+    bus.close()
+    return path.read_text()
+
+
+def test_torn_final_line_is_dropped_losslessly(tmp_path):
+    """A run killed mid-append leaves its last line without a newline;
+    loading keeps every complete event and drops only that line."""
+    path = tmp_path / "events.jsonl"
+    text = _written_ledger(path)
+    complete = load_ledger(path)
+    path.write_text(text + text.splitlines()[-1][:25])
+    assert load_ledger(path) == complete
+    # Cut inside the last event instead: the two before it survive.
+    path.write_text(text[:-20])
+    assert load_ledger(path) == complete[:-1]
+
+
+@pytest.mark.parametrize("line", [2, 3])
+def test_malformed_ledger_line_names_path_and_line(tmp_path, line):
+    """Any other unparseable line -- mid-file, or a final line that
+    ends with its newline -- is an error naming ``path:line``."""
+    path = tmp_path / "events.jsonl"
+    lines = _written_ledger(path).splitlines(keepends=True)
+    lines[line - 1] = "{not json\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"events.jsonl:{line}: malformed"):
+        load_ledger(path)
+
+
+def test_obs_check_reports_unparseable_jsonl_lines(tmp_path, capsys):
+    from repro.tools.obs import check_file
+
+    path = tmp_path / "events.jsonl"
+    text = _written_ledger(path)
+    assert check_file(str(path)) == 0
+    path.write_text(text + text.splitlines()[-1][:25])
+    assert check_file(str(path)) == 1
+    assert "line 4: not valid JSON" in capsys.readouterr().out

@@ -88,10 +88,11 @@ def test_options_backend_overrides_runner_backend(tmp_path):
 
 
 def test_streamed_backend_runs_match_batch(tmp_path):
-    streamed = make_runner(tmp_path, "a", backend="compiled",
-                           stream=True).run(grid())
-    batch = make_runner(tmp_path, "b", backend="compiled",
-                        stream=False).run(grid())
+    streamed = make_runner(tmp_path, "a", backend="compiled").run(grid())
+    runner = make_runner(tmp_path, "b", backend="compiled")
+    for experiment in grid():
+        runner.functional(experiment.options)
+    batch = runner.run(grid())
     assert [_result_key(r) for r in streamed] == \
         [_result_key(r) for r in batch]
 

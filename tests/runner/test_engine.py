@@ -1,6 +1,7 @@
 """The unified experiment runner: dedup, caching, parallel fan-out."""
 
 import itertools
+import json
 import pickle
 import random
 import subprocess
@@ -177,6 +178,118 @@ def test_bad_trace_blob_is_rerun_with_correct_results(tmp_path, corrupt):
     assert record["key"] == blob.stem and "addrs" in record
 
 
+def _outcomes(results):
+    return [(r.cipher, r.config_name, r.instructions, r.stats)
+            for r in results]
+
+
+def test_interrupted_stream_propagates_and_caches_nothing(tmp_path,
+                                                         monkeypatch):
+    """A pipeline that raises mid-stream leaves no record and no blob, so
+    a rerun on the same cache equals an uncached run."""
+    from repro.sim.timing import PipelineBase
+
+    experiments = grid()
+    expected = Runner(cache=ResultCache.disabled()).run(experiments)
+    feeds = itertools.count(1)
+    feed = PipelineBase.feed
+
+    def interrupted(self, chunk):
+        if next(feeds) == 3:
+            raise KeyboardInterrupt
+        return feed(self, chunk)
+
+    monkeypatch.setattr(PipelineBase, "feed", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        make_runner(tmp_path, chunk_size=64).run(experiments)
+    monkeypatch.undo()
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+    rerun = make_runner(tmp_path, chunk_size=64)
+    assert _outcomes(rerun.run(experiments)) == _outcomes(expected)
+    assert rerun.stats.cache_hits == 0
+
+
+def test_runner_version_skew_serves_no_record_or_blob(tmp_path,
+                                                      monkeypatch):
+    """Records and trace blobs written under another RUNNER_VERSION are
+    never served: the run re-executes and its results are identical."""
+    import repro.runner.engine as engine
+
+    experiments = grid()
+    expected = Runner(cache=ResultCache.disabled()).run(experiments)
+    monkeypatch.setattr(engine, "RUNNER_VERSION", engine.RUNNER_VERSION + 1)
+    make_runner(tmp_path).run(experiments)
+    monkeypatch.undo()
+    assert list((tmp_path / "cache").rglob("*.bin"))
+
+    runner = make_runner(tmp_path)
+    results = runner.run(experiments)
+    assert runner.cache.hits == 0
+    assert runner.stats.cache_hits == 0
+    assert runner.stats.functional_runs == 1
+    assert not any(result.cached for result in results)
+    assert _outcomes(results) == _outcomes(expected)
+
+
+KILLED_WORKER = """
+import json
+import os
+import warnings
+
+import repro.runner.engine as engine
+from repro.runner import ResultCache, Runner, experiment_grid
+from repro.sim import DATAFLOW, FOURW
+
+run_group = engine._worker_run_group
+
+
+def dying_worker(spec):
+    if spec[0].cipher == "RC4":
+        os._exit(1)
+    return run_group(spec)
+
+
+def outcomes(results):
+    return [[r.cipher, r.config_name, r.instructions, r.stats.cycles,
+             r.stats.stall_slots] for r in results]
+
+
+if __name__ == "__main__":
+    experiments = experiment_grid(("RC4", "RC6", "Blowfish"),
+                                  (FOURW, DATAFLOW), session_bytes=64)
+    serial = Runner(cache=ResultCache.disabled()).run(experiments)
+    engine._worker_run_group = dying_worker
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pooled = Runner(cache=ResultCache.disabled(), jobs=2).run(experiments)
+    print(json.dumps({
+        "identical": outcomes(pooled) == outcomes(serial)
+                     and [r.stats for r in pooled] == [r.stats for r in serial],
+        "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+    }))
+"""
+
+
+def test_killed_pool_worker_falls_back_to_serial(tmp_path):
+    """A pool worker that exits abruptly must not hang ``Runner.run``: the
+    broken pool falls back to serial execution with a RuntimeWarning and
+    results equal to ``jobs=1``.  Run in a subprocess so a hang fails the
+    test by timeout instead of stalling the suite."""
+    script = tmp_path / "killed_worker.py"
+    script.write_text(KILLED_WORKER)
+    done = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True,
+        timeout=120, env={"PYTHONPATH": SRC, "PATH": "/usr/bin"},
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["identical"]
+    assert any(warning.startswith("RuntimeWarning")
+               and "falling back to serial" in warning
+               for warning in report["warnings"]), report["warnings"]
+
+
 @pytest.mark.parametrize("jobs", [4])
 def test_parallel_identical_to_serial_full_suite(tmp_path, jobs):
     """Acceptance: jobs>1 and serial produce identical SimStats for the
@@ -193,12 +306,13 @@ def test_parallel_identical_to_serial_full_suite(tmp_path, jobs):
 
 
 def test_parallel_falls_back_to_serial_on_pool_failure(tmp_path, monkeypatch):
-    import repro.runner.engine as engine
+    import concurrent.futures
 
     def broken_pool(*args, **kwargs):
         raise OSError("no processes in this sandbox")
 
-    monkeypatch.setattr(engine.multiprocessing, "Pool", broken_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        broken_pool)
     runner = make_runner(tmp_path, jobs=4)
     with pytest.warns(RuntimeWarning, match="falling back to serial"):
         results = runner.run(grid(ciphers=("RC4", "RC6")))
@@ -276,17 +390,17 @@ def test_simulate_trace_cached_by_key_parts(tmp_path):
     runner = make_runner(tmp_path)
     options = ExperimentOptions(cipher="RC6", session_bytes=128)
     run = runner.functional(options)
-    first = runner.simulate_trace(
-        run.trace, FOURW, run.warm_ranges, key_parts=["probe-trace"]
+    first = runner.simulate(
+        run.trace, [FOURW], run.warm_ranges, key_parts=["probe-trace"]
     )
     warm_runner = make_runner(tmp_path)
-    second = warm_runner.simulate_trace(
-        run.trace, FOURW, run.warm_ranges, key_parts=["probe-trace"]
+    second = warm_runner.simulate(
+        run.trace, [FOURW], run.warm_ranges, key_parts=["probe-trace"]
     )
     assert first == second
     assert warm_runner.stats.timing_runs == 0
     # Without key_parts the simulation always runs live.
-    third = warm_runner.simulate_trace(run.trace, FOURW, run.warm_ranges)
+    third = warm_runner.simulate(run.trace, [FOURW], run.warm_ranges)
     assert third == first
     assert warm_runner.stats.timing_runs == 1
 
@@ -337,7 +451,7 @@ def test_simulate_trace_counts_timing_phase(tmp_path):
     runner = make_runner(tmp_path)
     options = ExperimentOptions(cipher="RC6", session_bytes=128)
     run = runner.functional(options)
-    runner.simulate_trace(run.trace, FOURW, run.warm_ranges)
+    runner.simulate(run.trace, [FOURW], run.warm_ranges)
     assert runner.stats.wall_time_timing > 0
 
 

@@ -1,4 +1,6 @@
-"""Streaming runner path: identical results, bounded memory, blob reuse."""
+"""The runner's one feed loop: a live kernel stream and a materialized
+trace give identical results; streams stay chunk-bounded and write
+their trace blob through."""
 
 from pathlib import Path
 
@@ -28,39 +30,45 @@ def _result_key(result):
             result.stats)
 
 
+def run_materialized(runner, experiments):
+    """Run ``experiments`` over traces materialized up front."""
+    for experiment in experiments:
+        runner.functional(experiment.options)
+    return runner.run(experiments)
+
+
 def test_stream_and_batch_results_are_identical(tmp_path):
-    streamed = make_runner(tmp_path, "a", stream=True).run(grid())
-    batch = make_runner(tmp_path, "b", stream=False).run(grid())
+    streamed = make_runner(tmp_path, "a").run(grid())
+    batch = run_materialized(make_runner(tmp_path, "b"), grid())
     assert [_result_key(r) for r in streamed] == \
         [_result_key(r) for r in batch]
 
 
 def test_stream_results_identical_across_chunk_sizes(tmp_path):
-    baseline = make_runner(tmp_path, "a", stream=False).run(grid())
+    baseline = run_materialized(make_runner(tmp_path, "a"), grid())
     for index, chunk_size in enumerate((1, 7, 100000)):
-        runner = make_runner(tmp_path, f"c{index}", stream=True,
-                             chunk_size=chunk_size)
+        runner = make_runner(tmp_path, f"c{index}", chunk_size=chunk_size)
         assert [_result_key(r) for r in runner.run(grid())] == \
             [_result_key(r) for r in baseline]
 
 
 def test_decrypt_streams_identically(tmp_path):
     experiments = grid(kind="decrypt")
-    streamed = make_runner(tmp_path, "a", stream=True).run(experiments)
-    batch = make_runner(tmp_path, "b", stream=False).run(experiments)
+    streamed = make_runner(tmp_path, "a").run(experiments)
+    batch = run_materialized(make_runner(tmp_path, "b"), experiments)
     assert [_result_key(r) for r in streamed] == \
         [_result_key(r) for r in batch]
 
 
 def test_streaming_still_dedups_functional_work(tmp_path):
-    runner = make_runner(tmp_path, stream=True)
+    runner = make_runner(tmp_path)
     runner.run(grid(configs=(FOURW, DATAFLOW)))
     assert runner.stats.functional_runs == 1
     assert runner.stats.timing_runs == 2
 
 
 def test_streaming_writes_trace_blob_for_later_functional(tmp_path):
-    runner = make_runner(tmp_path, stream=True)
+    runner = make_runner(tmp_path)
     options = ExperimentOptions(cipher="RC6", session_bytes=128)
     runner.run(grid())
     assert runner.stats.functional_runs == 1
@@ -75,38 +83,20 @@ def test_streaming_writes_trace_blob_for_later_functional(tmp_path):
 def test_streaming_without_cache_is_chunk_bounded(tmp_path):
     session_bytes = 512
     chunk_size = 64
-    runner = Runner(cache=ResultCache.disabled(), stream=True,
-                    chunk_size=chunk_size)
+    runner = Runner(cache=ResultCache.disabled(), chunk_size=chunk_size)
     runner.run(grid(configs=(FOURW,), session_bytes=session_bytes))
     assert 0 < runner.stats.peak_trace_bytes <= chunk_size * 16
 
-    batch = Runner(cache=ResultCache.disabled(), stream=False)
-    batch.run(grid(configs=(FOURW,), session_bytes=session_bytes))
+    batch = Runner(cache=ResultCache.disabled())
+    run_materialized(batch, grid(configs=(FOURW,),
+                                 session_bytes=session_bytes))
     assert batch.stats.peak_trace_bytes > runner.stats.peak_trace_bytes
 
 
-def test_per_experiment_stream_override(tmp_path):
-    runner = Runner(cache=ResultCache.disabled(), stream=True)
-    runner.run(grid(configs=(FOURW,), stream=False))
-    # The batch path materializes, so its trace is memoized in-process.
-    options = ExperimentOptions(cipher="RC6", session_bytes=128,
-                                stream=False)
-    assert runner.functional(options).trace is not None
-    assert runner.stats.functional_runs == 1
-
-
-def test_per_experiment_chunk_size_override(tmp_path):
-    wide = make_runner(tmp_path, "a", stream=True, chunk_size=4096)
-    narrow_grid = grid(configs=(FOURW,), chunk_size=8)
-    baseline = make_runner(tmp_path, "b", stream=True).run(
-        grid(configs=(FOURW,))
-    )
-    results = wide.run(narrow_grid)
-    assert results[0].stats == baseline[0].stats
-
-
 def test_record_values_falls_back_to_batch(tmp_path):
-    runner = make_runner(tmp_path, stream=True)
+    """A ``record_values`` group streams too; its blob write-through keeps
+    the values, so a later functional() call reads them back."""
+    runner = make_runner(tmp_path)
     options = ExperimentOptions(cipher="RC4", session_bytes=64,
                                 record_values=True)
     runner.run([*experiment_grid(("RC4",), (FOURW,), session_bytes=64,
@@ -119,10 +109,8 @@ def test_record_values_falls_back_to_batch(tmp_path):
 
 def test_parallel_jobs_match_serial_streaming(tmp_path):
     experiments = grid(ciphers=("RC4", "RC6"), configs=(FOURW, DATAFLOW))
-    serial = make_runner(tmp_path, "a", stream=True).run(experiments)
-    parallel = make_runner(tmp_path, "b", stream=True, jobs=2).run(
-        experiments
-    )
+    serial = make_runner(tmp_path, "a").run(experiments)
+    parallel = make_runner(tmp_path, "b", jobs=2).run(experiments)
     assert [_result_key(r) for r in parallel] == \
         [_result_key(r) for r in serial]
 
@@ -142,10 +130,10 @@ def test_simulate_stream_matches_simulate_trace(tmp_path):
     program = assemble(LOOP)
     trace = Machine(program, Memory(1 << 12)).execute().trace
     runner = Runner(cache=ResultCache.disabled())
-    expected = [runner.simulate_trace(trace, config)
+    expected = [runner.simulate(trace, [config])[0]
                 for config in (FOURW, DATAFLOW)]
     source = Machine(program, Memory(1 << 12)).execute(stream=True, chunk_size=16)
-    streamed = runner.simulate_stream(source, [FOURW, DATAFLOW])
+    streamed = runner.simulate(source, [FOURW, DATAFLOW])
     assert streamed == expected
 
 
@@ -154,13 +142,13 @@ def test_simulate_stream_full_cache_hit_never_runs_machine(tmp_path):
     runner = make_runner(tmp_path)
     key = ["stream-test", program.digest()]
     cold = Machine(program, Memory(1 << 12))
-    first = runner.simulate_stream(
+    first = runner.simulate(
         cold.execute(stream=True), [FOURW], key_parts=key
     )
     assert cold.halted
 
     warm = Machine(program, Memory(1 << 12))
-    second = runner.simulate_stream(
+    second = runner.simulate(
         warm.execute(stream=True), [FOURW], key_parts=key
     )
     assert second == first
@@ -170,7 +158,7 @@ def test_simulate_stream_full_cache_hit_never_runs_machine(tmp_path):
 @pytest.mark.parametrize("path", ("group", "simulate_stream"))
 def test_pipeline_build_counts_in_timing_phase(monkeypatch, path):
     """Building pipelines is timing work: a slow ``make_pipeline`` shows
-    up in ``wall_time_timing`` on both streaming paths."""
+    up in ``wall_time_timing`` for a group and for a simulated stream."""
     import time
 
     import repro.runner.engine as engine_mod
@@ -183,12 +171,12 @@ def test_pipeline_build_counts_in_timing_phase(monkeypatch, path):
         return make_pipeline(*args, **kwargs)
 
     monkeypatch.setattr(engine_mod, "make_pipeline", slow_make_pipeline)
-    runner = Runner(cache=ResultCache.disabled(), stream=True)
+    runner = Runner(cache=ResultCache.disabled())
     if path == "group":
         runner.run(grid(ciphers=("RC4",), configs=(FOURW, DATAFLOW),
                         session_bytes=64))
     else:
         program = assemble(LOOP)
         source = Machine(program, Memory(1 << 12)).execute(stream=True)
-        runner.simulate_stream(source, [FOURW, DATAFLOW])
+        runner.simulate(source, [FOURW, DATAFLOW])
     assert runner.stats.wall_time_timing >= 2 * delay

@@ -304,7 +304,7 @@ def run_with_ledger(jobs):
 def test_pool_creation_failure_ledger_matches_serial(monkeypatch):
     """jobs=1 and a jobs=2 run whose pool never starts must write the
     same event sequence (modulo run_id and timestamps)."""
-    import multiprocessing
+    import concurrent.futures
     import warnings
 
     serial = run_with_ledger(jobs=1)
@@ -312,7 +312,7 @@ def test_pool_creation_failure_ledger_matches_serial(monkeypatch):
     def no_pool(*args, **kwargs):
         raise OSError("pools forbidden in this test")
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         fallback = run_with_ledger(jobs=2)
@@ -325,7 +325,7 @@ def test_pool_death_after_dispatch_ledger_matches_serial(monkeypatch):
     """A pool that dies mid-fanout leaves already-dispatched groups
     accounted; the serial fallback's redispatches are suppressed, so the
     ledger still shows each group dispatched exactly once."""
-    import multiprocessing
+    import concurrent.futures
     import warnings
 
     serial = run_with_ledger(jobs=1)
@@ -340,10 +340,11 @@ def test_pool_death_after_dispatch_ledger_matches_serial(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def apply_async(self, *args, **kwargs):
+        def submit(self, *args, **kwargs):
             raise OSError("worker died")
 
-    monkeypatch.setattr(multiprocessing, "Pool", DyingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        DyingPool)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         fallback = run_with_ledger(jobs=2)

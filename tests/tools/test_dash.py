@@ -2,6 +2,8 @@
 
 import io
 
+import pytest
+
 from repro.obs import EventBus, JsonlSink
 from repro.obs.dashboard import DashState, build_state, render
 from repro.obs.events import load_ledger
@@ -168,3 +170,23 @@ def test_live_sweep_ledger_replays_identically(tmp_path):
     assert live.finished and live.results == 1
     replayed = build_state(load_ledger(path))
     assert render(replayed) == render(live)
+
+
+def test_cli_replay_once_survives_torn_last_line(tmp_path):
+    path = synthetic_ledger(tmp_path / "events.jsonl")
+    intact = io.StringIO()
+    dash.replay(str(path), once=True, stream=intact)
+    text = path.read_text()
+    path.write_text(text + text.splitlines()[-1][:30])
+    torn = io.StringIO()
+    assert dash.replay(str(path), once=True, stream=torn) == 0
+    assert torn.getvalue() == intact.getvalue()
+
+
+def test_cli_replay_malformed_line_is_a_clean_exit(tmp_path):
+    path = synthetic_ledger(tmp_path / "events.jsonl")
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = "garbage\n"
+    path.write_text("".join(lines))
+    with pytest.raises(SystemExit, match="events.jsonl:2"):
+        dash.replay(str(path), once=True, stream=io.StringIO())

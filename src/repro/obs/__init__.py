@@ -45,104 +45,47 @@ category definitions and their mapping to the paper's terminology.
 
 from __future__ import annotations
 
-from repro.obs.bench import (
-    BenchHistory,
-    BenchRecord,
-    compare_history,
-    detect_regression,
-    environment_fingerprint,
-)
-from repro.obs.diffing import (
-    ProvenanceMismatch,
-    build_report,
-    diff_bench_records,
-    diff_ledger_runs,
-    diff_metrics_docs,
-    diff_stats,
-    explain_stats_delta,
-    render_report,
-)
-from repro.obs.events import (
-    EventBus,
-    JsonlSink,
-    MetricsSink,
-    RingBufferSink,
-    active_bus,
-    load_ledger,
-    new_run_id,
-    publish_event,
-    set_active_bus,
-    split_runs,
-)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.pipeline import schedule_spans, schedule_trace_events
-from repro.obs.profiler import SamplingProfiler
-from repro.obs.schema import (
-    ANALYSIS_SCHEMA,
-    BENCH_SCHEMA,
-    DIFF_SCHEMA,
-    EVENTS_SCHEMA,
-    LINT_SCHEMA,
-    METRICS_SCHEMA,
-    validate_analysis,
-    validate_bench,
-    validate_bench_history,
-    validate_diff,
-    validate_event,
-    validate_event_ledger,
-    validate_lint,
-    validate_metrics,
-    validate_trace_events,
-)
-from repro.obs.session import Observability
-from repro.obs.tracing import Tracer
+import importlib
 
-__all__ = [
-    "ANALYSIS_SCHEMA",
-    "BENCH_SCHEMA",
-    "BenchHistory",
-    "BenchRecord",
-    "Counter",
-    "DIFF_SCHEMA",
-    "EVENTS_SCHEMA",
-    "EventBus",
-    "Gauge",
-    "Histogram",
-    "JsonlSink",
-    "LINT_SCHEMA",
-    "METRICS_SCHEMA",
-    "MetricsRegistry",
-    "MetricsSink",
-    "Observability",
-    "ProvenanceMismatch",
-    "RingBufferSink",
-    "SamplingProfiler",
-    "Tracer",
-    "active_bus",
-    "build_report",
-    "compare_history",
-    "detect_regression",
-    "diff_bench_records",
-    "diff_ledger_runs",
-    "diff_metrics_docs",
-    "diff_stats",
-    "environment_fingerprint",
-    "explain_stats_delta",
-    "load_ledger",
-    "new_run_id",
-    "publish_event",
-    "render_report",
-    "schedule_spans",
-    "schedule_trace_events",
-    "set_active_bus",
-    "split_runs",
-    "validate_analysis",
-    "validate_bench",
-    "validate_bench_history",
-    "validate_diff",
-    "validate_event",
-    "validate_event_ledger",
-    "validate_lint",
-    "validate_metrics",
-    "validate_trace_events",
-]
+# Attributes load on first use (PEP 562): publishing a ledger event needs
+# only ``events`` and ``schema``, not ``bench``'s socket/subprocess/platform
+# imports or the rest of the stack.
+_SUBMODULE_EXPORTS = {
+    "bench": ("BenchHistory", "BenchRecord", "compare_history",
+              "detect_regression", "environment_fingerprint"),
+    "diffing": ("ProvenanceMismatch", "build_report", "diff_bench_records",
+                "diff_ledger_runs", "diff_metrics_docs", "diff_stats",
+                "explain_stats_delta", "render_report"),
+    "events": ("EventBus", "JsonlSink", "MetricsSink", "RingBufferSink",
+               "active_bus", "load_ledger", "new_run_id", "publish_event",
+               "set_active_bus", "split_runs"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "pipeline": ("schedule_spans", "schedule_trace_events"),
+    "profiler": ("SamplingProfiler",),
+    "schema": ("ANALYSIS_SCHEMA", "BENCH_SCHEMA", "DIFF_SCHEMA",
+               "EVENTS_SCHEMA", "LINT_SCHEMA", "METRICS_SCHEMA",
+               "validate_analysis", "validate_bench",
+               "validate_bench_history", "validate_diff", "validate_event",
+               "validate_event_ledger", "validate_lint", "validate_metrics",
+               "validate_trace_events"),
+    "session": ("Observability",),
+    "tracing": ("Tracer",),
+}
+_EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items()
+            for name in names}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
+
+__all__ = sorted(_EXPORTS)

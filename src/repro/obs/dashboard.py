@@ -65,6 +65,7 @@ class DashState:
         self.stall_cycles: Counter = Counter()   # category -> weighted cycles
         self.total_cycles = 0
         self.cached_results = 0
+        self.shared_results = 0
         self.cache = Counter()                   # hit / miss / write
         self.compile_programs = 0
         self.compile_seconds = 0.0
@@ -172,6 +173,8 @@ class DashState:
             self.results += 1
             if data.get("cached"):
                 self.cached_results += 1
+            if data.get("shared_with"):
+                self.shared_results += 1
             cycles = data.get("cycles") or 0
             self.total_cycles += cycles
             for key, value in data.items():
@@ -236,15 +239,23 @@ def render(state: DashState, width: int = DEFAULT_WIDTH) -> str:
     # experiments
     if state.results:
         lines.append("")
-        cached = (f" ({state.cached_results} cached)"
-                  if state.cached_results else "")
-        lines.append(f"experiments: {state.results} results{cached}")
+        notes = []
+        if state.cached_results:
+            notes.append(f"{state.cached_results} cached")
+        if state.shared_results:
+            notes.append(f"{state.shared_results} shared")
+        notes_text = f" ({', '.join(notes)})" if notes else ""
+        lines.append(f"experiments: {state.results} results{notes_text}")
         for data in state.recent:
             cipher = data.get("cipher", "?")
             config = data.get("config", "?")
             cycles = data.get("cycles")
             ipc = data.get("ipc")
-            flag = " [cache]" if data.get("cached") else ""
+            flag = ""
+            if data.get("cached"):
+                flag = " [cache]"
+            elif data.get("shared_with"):
+                flag = f" [shared {data['shared_with']}]"
             lines.append(
                 f"  {cipher:<10} {config:<6} "
                 f"{cycles if cycles is not None else '?':>12} cycles  "

@@ -10,18 +10,20 @@ One :class:`Runner` serves every analysis harness and CLI tool:
   without rotates) share one cache key, and with the cache enabled a
   batch simulates such a run once and serves the other copies from its
   record.
-* **One feed loop** -- every timing run builds one pipeline per machine
-  config and feeds each chunk of a :class:`~repro.sim.trace.TraceSource`
-  to every pipeline.  A group picks its source from what the process can
-  observe: the trace already in memory, else the trace blob in the cache,
-  else a live kernel stream that executes the kernel chunk by chunk at
-  bounded trace memory.
+* **One feed loop** -- every timing run builds one pipeline per distinct
+  machine and feeds each chunk of a
+  :class:`~repro.sim.trace.TraceSource` to every pipeline.  Configs the
+  program cannot tell apart (equal :func:`~repro.sim.timing.timing_view`)
+  share one pipeline, and each still gets its own result.  A group picks
+  its source from what the process can observe: the trace already in
+  memory, else the trace blob in the cache, else a live kernel stream
+  that executes the kernel chunk by chunk at bounded trace memory.
 * **Fan-out** -- cache-missing work is grouped by options and dispatched
   across a process pool when ``jobs > 1``; each worker runs the group's
   functional simulation once, feeding every timing config.  Timing
   simulation is deterministic, so parallel results are bit-identical to
   serial ones.  If a pool cannot be created (restricted sandboxes) or a
-  worker dies, the runner falls back to serial execution.
+  worker dies, the groups the pool did not finish run serially.
 * **Result caching** -- per-(experiment, config) :class:`SimStats` records
   persist in a :class:`~repro.runner.cache.ResultCache` keyed by a content
   hash of the kernel program bytes, functional inputs, machine config and
@@ -62,7 +64,12 @@ from repro.runner.telemetry import (
     FleetMonitor,
 )
 from repro.sim.stats import SimStats
-from repro.sim.timing import make_pipeline, record_sim_metrics
+from repro.sim.timing import (
+    group_by_view,
+    make_pipeline,
+    record_sim_metrics,
+    shared_stats,
+)
 from repro.sim.trace import (
     ADDR_TYPECODE,
     DEFAULT_CHUNK_SIZE,
@@ -85,7 +92,9 @@ class RunResult:
     session_bytes: int
     #: Served from a record rather than simulated for this result: a disk
     #: cache hit, or a copy of an experiment with the same key that ran
-    #: earlier in the same batch.
+    #: earlier in the same batch.  A result timed on the pipeline of an
+    #: equal-view config in its group (see ``Runner._feed``) is not cached:
+    #: nothing came from a record, and its ``wall_time`` is 0.0.
     cached: bool = False
     wall_time: float = 0.0
 
@@ -114,12 +123,17 @@ class RunnerStats:
     simulation, and cache probing (key hashing + disk lookups) -- and
     covers work done in pool workers too: workers report their functional
     time back with their results.  ``wall_time`` is the sum of the phases.
+
+    ``timing_runs`` and ``instructions_simulated`` count timing pipelines;
+    ``timing_shared`` counts results served by another config's pipeline
+    because the program cannot tell the two machines apart.
     """
 
     cache_hits: int = 0
     cache_misses: int = 0
     functional_runs: int = 0
     timing_runs: int = 0
+    timing_shared: int = 0
     instructions_simulated: int = 0
     wall_time_functional: float = 0.0
     wall_time_timing: float = 0.0
@@ -151,6 +165,7 @@ class RunnerStats:
             f"runner: {self.cache_hits} cache hits, "
             f"{self.cache_misses} misses, {self.functional_runs} functional "
             f"+ {self.timing_runs} timing runs, "
+            f"{self.timing_shared} results shared, "
             f"{self.instructions_simulated} instructions simulated, "
             f"{self.wall_time:.1f}s wall "
             f"(functional {self.wall_time_functional:.1f}s, "
@@ -551,33 +566,34 @@ class Runner:
 
     def _execute_pending(self, pending, followers, results) -> None:
         # Groups whose trace already lives in this process run locally; cold
-        # groups are eligible for the pool.
+        # groups are eligible for the pool, and whatever the pool does not
+        # finish runs here.
         local = {opts: entries for opts, entries in pending.items()
                  if opts in self._functional}
         cold = {opts: entries for opts, entries in pending.items()
                 if opts not in self._functional}
-        computed: dict[ExperimentOptions, list[dict]] = {}
+        computed: dict[ExperimentOptions, tuple] = {}
         with self._monitor(pending) as monitor:
             if cold and self.jobs > 1 and len(cold) > 1:
-                parallel = self._run_groups_parallel(cold, monitor)
-                if parallel is not None:
-                    computed.update(parallel)
-                    cold = {}
+                computed.update(self._run_groups_parallel(cold, monitor))
             for options, entries in {**local, **cold}.items():
+                if options in computed:
+                    continue
                 monitor.dispatch(self._group_label(options))
                 computed[options] = self._run_group_records(
                     options, [entry[1].config for entry in entries]
                 )
                 monitor.complete(self._group_label(options))
         for options, entries in pending.items():
-            records = computed[options]
-            for (index, experiment, key), record in zip(entries, records):
+            records, leaders = computed[options]
+            for position, ((index, experiment, key), record) in enumerate(
+                    zip(entries, records)):
                 self.cache.put(key, record)
                 result = self._result_from_record(
                     experiment, record, cached=False
                 )
-                self.stats.timing_runs += 1
-                self.stats.instructions_simulated += result.stats.instructions
+                leader = leaders[position]
+                self._count_timing(result.stats, leader == position)
                 self.stats.wall_time_timing += result.wall_time
                 if self.metrics is not None:
                     self.metrics.histogram(
@@ -586,22 +602,36 @@ class Runner:
                          "config": result.config_name},
                     ).observe(result.wall_time)
                 results[index] = result
-                self._publish_result(result)
+                self._publish_result(
+                    result, shared_with=(None if leader == position
+                                         else entries[leader][1].config.name)
+                )
                 if self.stats_hook is not None:
                     self.stats_hook(result)
-                for position, copy in followers.get(key, ()):
+                for copy_index, copy in followers.get(key, ()):
                     served = self._result_from_record(copy, record,
                                                       cached=True)
-                    results[position] = served
+                    results[copy_index] = served
                     self._publish_result(served)
                     if self.stats_hook is not None:
                         self.stats_hook(served)
 
-    def _publish_result(self, result: RunResult) -> None:
+    def _count_timing(self, stats: SimStats, own_pipeline: bool) -> None:
+        """Account one simulated result: a pipeline run, or a shared one."""
+        if own_pipeline:
+            self.stats.timing_runs += 1
+            self.stats.instructions_simulated += stats.instructions
+        else:
+            self.stats.timing_shared += 1
+
+    def _publish_result(self, result: RunResult,
+                        shared_with: str | None = None) -> None:
         """One ledger event per experiment result, with the slot account.
 
         The flattened ``slots.*`` fractions feed the dashboard's
         stall-category bars without it ever deserializing a SimStats.
+        A result timed on another config's pipeline names that config as
+        ``shared_with``.
         """
         if self.bus is None:
             return
@@ -615,11 +645,20 @@ class Runner:
             "cached": result.cached,
             "wall_time": round(result.wall_time, 6),
         }
+        if shared_with is not None:
+            data["shared_with"] = shared_with
         for category, fraction in result.stats.stall_fractions().items():
             data[f"slots.{category}"] = round(fraction, 6)
         self.bus.publish("runner", "result", data)
 
-    def _run_groups_parallel(self, pending, monitor: FleetMonitor):
+    def _run_groups_parallel(self, pending, monitor: FleetMonitor) -> dict:
+        """Run cold groups across the pool; returns the finished ones.
+
+        Maps each finished group's options to its records and leaders.  A
+        group the pool did not finish -- its worker died, or no pool could
+        be created -- is left out, still accounted as dispatched, for the
+        serial path to run.
+        """
         # Imported on first use: it adds ~25 ms to every process's start-up
         # (multiprocessing, logging), and most runs are serial.
         from concurrent.futures import ProcessPoolExecutor
@@ -629,7 +668,8 @@ class Runner:
              self.chunk_size, self.backend, self.timing_engine)
             for options, entries in pending.items()
         ]
-        labels = [self._group_label(spec[0]) for spec in specs]
+        futures = {}
+        failure = None
         try:
             with self._span("parallel-fanout", "timing",
                             {"groups": len(specs), "jobs": self.jobs}):
@@ -640,47 +680,54 @@ class Runner:
                     # accurate.  A worker that dies breaks the pool, and
                     # every future it leaves unfinished raises
                     # BrokenProcessPool.
-                    futures = []
-                    for spec, label in zip(specs, labels):
+                    for spec in specs:
+                        label = self._group_label(spec[0])
                         monitor.dispatch(label)
                         future = pool.submit(_worker_run_group, spec)
                         future.add_done_callback(
                             lambda done, label=label: done.exception()
                             or monitor.complete(label))
-                        futures.append(future)
-                    outputs = [future.result() for future in futures]
-        except Exception as error:  # pool unavailable or worker died
-            # Keep the dispatched groups accounted (the serial fallback
-            # runs exactly those; its dispatch() calls are idempotent),
-            # but restart their timers and the watchdog's progress clock
-            # so the ledger matches the pool path's event sequence.
+                        futures[spec[0]] = future
+        except Exception as error:  # no pool, or it broke while submitting
+            failure = error
+        # Leaving the executor waited for every submitted future.
+        outputs = {}
+        for options, future in futures.items():
+            error = future.exception()
+            if error is None:
+                outputs[options] = future.result()
+            elif failure is None:
+                failure = error
+        if len(outputs) < len(specs):
+            # The unfinished groups stay accounted as dispatched (the
+            # serial path's dispatch() calls are idempotent), but their
+            # timers and the watchdog's progress clock restart so the
+            # ledger matches the pool path's event sequence.
             monitor.requeue_all()
             warnings.warn(
-                f"parallel runner unavailable ({error!r}); "
-                "falling back to serial execution",
+                f"parallel runner unavailable ({failure!r}); falling back "
+                f"to serial execution for {len(specs) - len(outputs)} of "
+                f"{len(specs)} groups",
                 RuntimeWarning,
                 stacklevel=3,
             )
-            return None
         # Workers ran the functional simulations out of process; fold the
         # wall time (and peak trace memory) they report back.
-        self.stats.functional_runs += len(specs)
-        self.stats.wall_time_functional += sum(
-            output["functional_wall_time"] for output in outputs
-        )
-        for output in outputs:
-            self.stats.note_trace_bytes(output.get("peak_trace_bytes", 0))
-        return dict(zip(
-            (spec[0] for spec in specs),
-            (output["records"] for output in outputs),
-        ))
+        self.stats.functional_runs += len(outputs)
+        for output in outputs.values():
+            self.stats.wall_time_functional += output["functional_wall_time"]
+            self.stats.note_trace_bytes(output["peak_trace_bytes"])
+        return {options: (output["records"], output["leaders"])
+                for options, output in outputs.items()}
 
-    def _run_group_records(self, options, configs) -> list[dict]:
+    def _run_group_records(self, options, configs):
         """Time one functional run on every config of its group.
 
-        The source is what this process can observe: the trace already in
-        memory, else the trace blob in the cache, else a live kernel
-        stream (setup runs always materialize through :meth:`functional`).
+        Returns one record per config and, per config, the index of the
+        config whose pipeline served it (:meth:`_feed`).  The source is
+        what this process can observe: the trace already in memory, else
+        the trace blob in the cache, else a live kernel stream (setup runs
+        always materialize through :meth:`functional`).
         A live stream executes the kernel once, chunk by chunk, while every
         pipeline consumes it, so peak trace memory is one chunk.  With the
         cache on, its compact columns are written through as the trace
@@ -702,7 +749,7 @@ class Runner:
                            array(VALUE_TYPECODE) if options.record_values
                            else None)
         start_us = self.tracer.now_us() if self.tracer is not None else 0.0
-        stats_list, seconds, functional_time = self._feed(
+        stats_list, seconds, functional_time, leaders = self._feed(
             source, configs, warm, self._resolved_timing_engine(options),
             options.cipher, columns,
         )
@@ -714,8 +761,9 @@ class Runner:
                 self._put_trace_blob(blob_key, run, *columns)
             self._count_functional(options, start_us, functional_time)
         records = []
-        for config, stats, elapsed in zip(configs, stats_list, seconds):
-            if self.metrics is not None:
+        for index, (config, stats, elapsed) in enumerate(
+                zip(configs, stats_list, seconds)):
+            if self.metrics is not None and leaders[index] == index:
                 self.metrics.histogram(
                     "runner.timing.seconds",
                     {"cipher": options.cipher, "config": config.name},
@@ -729,7 +777,7 @@ class Runner:
                 "stats": _stats_to_dict(stats),
                 "wall_time": elapsed,
             })
-        return records
+        return records, leaders
 
     def kernel_stream(self, options, chunk_size: int | None = None):
         """A live single-pass kernel stream for one experiment's options.
@@ -761,30 +809,44 @@ class Runner:
               label: str, columns=None):
         """The feed loop every timing run goes through.
 
-        Builds one pipeline per config, feeds each chunk of ``source`` to
-        every pipeline as it is produced, and finishes them.  Returns the
-        stats, each pipeline's seconds (build, feeds and finish: timing
-        work) and the seconds spent producing chunks, which for a live
-        stream is the functional machine running.  ``columns`` -- ``seq``,
-        ``addrs`` and ``values`` arrays (``values`` may be ``None``) --
-        collect the chunks for a trace-blob write-through.  Tracer spans
-        are ``chunk:<label>`` per chunk and ``timing:<label>:<config>``.
+        Builds one pipeline per distinct machine -- configs whose
+        :func:`~repro.sim.timing.timing_view` over the source's program is
+        equal share the first one's pipeline -- feeds each chunk of
+        ``source`` to every pipeline as it is produced, and finishes them.
+        A config that shares (a follower) gets the stats its own pipeline
+        would have reported (:func:`~repro.sim.timing.shared_stats`).
+        Returns the stats per config, each config's seconds (its
+        pipeline's build, feeds and finish -- timing work -- and 0.0 for a
+        follower), the seconds spent producing chunks, which for a live
+        stream is the functional machine running, and the index of the
+        config whose pipeline served each config (its own for a leader).
+        ``columns`` -- ``seq``, ``addrs`` and ``values`` arrays (``values``
+        may be ``None``) -- collect the chunks for a trace-blob
+        write-through.  Tracer spans are ``chunk:<label>`` per chunk and
+        ``timing:<label>:<config>`` per pipeline.
         """
         perf = time.perf_counter
         tracer = self.tracer
         start_us = tracer.now_us() if tracer is not None else 0.0
+        seconds = [0.0] * len(configs)
         pipelines = []
-        seconds = []
-        for config in configs:
-            t0 = perf()
-            pipelines.append(make_pipeline(
-                config, source.static, source.program,
-                warm_ranges=warm_ranges, engine=engine))
-            seconds.append(perf() - t0)
+        t0 = perf()
+        plan = group_by_view(configs, source.static)
+        leaders = [leader for leader, _ in plan]
+        for index, config in enumerate(configs):
+            if leaders[index] == index:
+                pipelines.append((index, make_pipeline(
+                    config, source.static, source.program,
+                    warm_ranges=warm_ranges, engine=engine,
+                    ops=plan[index][1])))
+                # The first build also carries the grouping.
+                seconds[index] = perf() - t0
+                t0 = perf()
+        del plan  # each handed-over op table lives on, bound, in its pipeline
         producing = 0.0
         peak = 0
         chunks = source.chunks()
-        for index in itertools.count():
+        for chunk_index in itertools.count():
             chunk_ts = tracer.now_us() if tracer is not None else 0.0
             t0 = perf()
             chunk = next(chunks, None)
@@ -799,37 +861,42 @@ class Runner:
             nbytes = chunk.nbytes
             if nbytes > peak:
                 peak = nbytes
-            for position, pipeline in enumerate(pipelines):
+            for index, pipeline in pipelines:
                 t0 = perf()
                 pipeline.feed(chunk)
-                seconds[position] += perf() - t0
+                seconds[index] += perf() - t0
             if tracer is not None:
                 tracer.complete(f"chunk:{label}", "stream", chunk_ts,
                                 tracer.now_us() - chunk_ts,
-                                {"index": index, "entries": len(chunk),
+                                {"index": chunk_index, "entries": len(chunk),
                                  "bytes": nbytes})
         if columns is not None:
             # The write-through holds one compact trace at the end.
             peak = max(peak, sum(column.itemsize * len(column)
                                  for column in columns if column is not None))
         self.stats.note_trace_bytes(peak)
-        stats_list = []
-        for position, (config, pipeline) in enumerate(zip(configs, pipelines)):
+        stats_list = [None] * len(configs)
+        for index, pipeline in pipelines:
+            config = configs[index]
             t0 = perf()
             stats = pipeline.finish()
-            seconds[position] += perf() - t0
+            seconds[index] += perf() - t0
             if self.metrics is not None:
                 record_sim_metrics(self.metrics, config, stats)
             if tracer is not None:
                 tracer.complete(f"timing:{label}:{config.name}", "timing",
-                                start_us, seconds[position] * 1e6,
+                                start_us, seconds[index] * 1e6,
                                 {"config": config.name, "cycles": stats.cycles})
-            stats_list.append(stats)
+            stats_list[index] = stats
+        for index, leader in enumerate(leaders):
+            if leader != index:
+                stats_list[index] = shared_stats(stats_list[leader],
+                                                 configs[index])
         if self.metrics is not None:
             self.metrics.gauge("runner.peak_trace_bytes").set(
                 self.stats.peak_trace_bytes
             )
-        return stats_list, seconds, producing
+        return stats_list, seconds, producing, leaders
 
     def _result_from_record(
         self, experiment: Experiment, record: dict, cached: bool
@@ -887,16 +954,15 @@ class Runner:
         missing = [i for i, stats in enumerate(stats_list) if stats is None]
         if not missing:
             return stats_list  # type: ignore[return-value]
-        simulated, seconds, producing = self._feed(
+        simulated, seconds, producing, leaders = self._feed(
             source, [configs[i] for i in missing], warm_ranges,
             self.timing_engine, "trace-sim",
         )
         self.stats.wall_time_functional += producing
         self.stats.wall_time_timing += sum(seconds)
-        for index, stats in zip(missing, simulated):
+        for position, (index, stats) in enumerate(zip(missing, simulated)):
             stats_list[index] = stats
-            self.stats.timing_runs += 1
-            self.stats.instructions_simulated += stats.instructions
+            self._count_timing(stats, leaders[position] == position)
             if keys[index] is not None:
                 self.cache.put(keys[index], {
                     "version": RUNNER_VERSION,
@@ -937,17 +1003,18 @@ def _null_span(args: dict | None = None):
 def _worker_run_group(spec):
     """Pool entry point: one functional run + its timing configs.
 
-    Returns the records plus the worker's functional wall time and peak
-    trace memory so the parent runner's accounting covers out-of-process
-    work.
+    Returns the records, which config's pipeline served each, and the
+    worker's functional wall time and peak trace memory, so the parent
+    runner accounts out-of-process work exactly like its own.
     """
     options, configs, chunk_size, backend, timing_engine = spec
     worker = Runner(cache=ResultCache.disabled(), jobs=1,
                     chunk_size=chunk_size, backend=backend,
                     timing_engine=timing_engine)
-    records = worker._run_group_records(options, configs)
+    records, leaders = worker._run_group_records(options, configs)
     return {
         "records": records,
+        "leaders": leaders,
         "functional_wall_time": worker.stats.wall_time_functional,
         "peak_trace_bytes": worker.stats.peak_trace_bytes,
     }

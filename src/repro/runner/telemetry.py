@@ -193,10 +193,10 @@ class FleetMonitor:
     def requeue_all(self) -> None:
         """Re-time every in-flight dispatch (parallel-fallback recovery).
 
-        When the pool dies, its groups stay *accounted* as dispatched --
-        the serial fallback will run exactly those groups, and its
-        :meth:`dispatch` calls are idempotent, so the ledger shows each
-        group dispatched once, like the pool path.  Their timers restart
+        When the pool dies, the groups it did not finish stay *accounted*
+        as dispatched -- the serial fallback will run exactly those
+        groups, and its :meth:`dispatch` calls are idempotent, so the
+        ledger shows each group dispatched once, like the pool path.  Their timers restart
         here so ``group-done`` elapsed times measure the serial run, and
         the progress clock resets so the watchdog does not immediately
         call the first serial group stuck after a slow pool failure.

@@ -80,6 +80,13 @@ the :class:`TimingEngine` protocol, registered on the same
 
 Engines differ only in how fast they advance the stage state; every
 result above -- including the stall account -- is engine-invariant.
+
+**Views.**  A pipeline observes its config only through
+:func:`timing_view`: the program's op table plus every field the loop
+reads outside it.  Configs with equal views over a program time every
+trace of it alike, up to the name and whether the SBox-cache hit count is
+reported (:func:`shared_stats`), so the runner builds one pipeline per
+distinct view (:func:`group_by_view`).
 """
 
 from __future__ import annotations
@@ -90,7 +97,13 @@ from repro.isa.program import Program
 from repro.sim.config import MachineConfig
 from repro.sim.registry import Registry
 from repro.sim.stats import SimStats
-from repro.sim.timing.generic import GenericEngine, GenericPipeline
+from repro.sim.timing.generic import (
+    GenericEngine,
+    GenericPipeline,
+    group_by_view,
+    op_table,
+    timing_view,
+)
 from repro.sim.timing.specialized import (
     SpecializedEngine,
     SpecializedPipeline,
@@ -103,6 +116,7 @@ from repro.sim.timing.stages import (
     SchedulerState,
     _hotspot_table,
     record_sim_metrics,
+    shared_stats,
 )
 from repro.sim.trace import StaticInfo, TraceSource
 
@@ -131,6 +145,7 @@ class TimingEngine(Protocol):
         *,
         warm_ranges: "list[tuple[int, int]] | None" = None,
         schedule_range: "tuple[int, int] | None" = None,
+        ops: "list[tuple] | None" = None,
     ) -> PipelineBase:  # pragma: no cover - protocol signature
         ...
 
@@ -169,11 +184,16 @@ def make_pipeline(
     warm_ranges: "list[tuple[int, int]] | None" = None,
     schedule_range: "tuple[int, int] | None" = None,
     engine: "str | TimingEngine | None" = None,
+    ops: "list[tuple] | None" = None,
 ) -> PipelineBase:
-    """A fresh pipeline for one run, from the selected engine."""
+    """A fresh pipeline for one run, from the selected engine.
+
+    ``ops`` is the config's :func:`op_table` over ``static`` when the
+    caller has already computed it (:func:`group_by_view` does).
+    """
     return get_engine(engine).make_pipeline(
         config, static, program,
-        warm_ranges=warm_ranges, schedule_range=schedule_range,
+        warm_ranges=warm_ranges, schedule_range=schedule_range, ops=ops,
     )
 
 
@@ -244,9 +264,13 @@ __all__ = [
     "TimingEngine",
     "engine_names",
     "get_engine",
+    "group_by_view",
     "make_pipeline",
+    "op_table",
     "record_sim_metrics",
     "register_engine",
+    "shared_stats",
     "simulate",
+    "timing_view",
     "_hotspot_table",
 ]

@@ -1040,6 +1040,7 @@ class SpecializedPipeline(GenericPipeline):
         program,
         warm_ranges=None,
         schedule_range=None,
+        ops=None,
     ):
         if schedule_range is not None:
             raise ValueError(
@@ -1047,7 +1048,8 @@ class SpecializedPipeline(GenericPipeline):
                 "SpecializedEngine.make_pipeline falls back to the generic "
                 "engine when schedule_range is given"
             )
-        super().__init__(config, static, program, warm_ranges=warm_ranges)
+        super().__init__(config, static, program, warm_ranges=warm_ranges,
+                         ops=ops)
         ir = self._ir = timing_ir(static, program)
         self._fast = self.report = None
         #: Entry count at which to generate the scheduler; None once
@@ -1139,12 +1141,13 @@ class SpecializedEngine:
         *,
         warm_ranges=None,
         schedule_range=None,
+        ops=None,
     ):
         if schedule_range is not None:
             return GenericPipeline(
-                config, static, program,
-                warm_ranges=warm_ranges, schedule_range=schedule_range,
+                config, static, program, warm_ranges=warm_ranges,
+                schedule_range=schedule_range, ops=ops,
             )
         return SpecializedPipeline(
-            config, static, program, warm_ranges=warm_ranges,
+            config, static, program, warm_ranges=warm_ranges, ops=ops,
         )

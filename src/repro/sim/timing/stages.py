@@ -19,6 +19,7 @@ scheduling and stall-attribution contracts.
 
 from __future__ import annotations
 
+import copy
 from array import array
 
 from repro.isa.program import Program
@@ -367,6 +368,26 @@ class PipelineBase:
     ) -> None:  # pragma: no cover - abstract
         """Process trace entries ``seq[lo:hi]``."""
         raise NotImplementedError
+
+
+def shared_stats(stats: SimStats, config: MachineConfig) -> SimStats:
+    """What ``config``'s own pipeline would have reported, given ``stats``
+    from a pipeline whose timing view equals ``config``'s
+    (:func:`~repro.sim.timing.generic.timing_view`).
+
+    Equal views time every entry alike, so only two things can differ:
+    the config name, and ``extra["sbox_cache_hits"]``, which
+    :meth:`PipelineBase.finish` reports exactly when the machine has SBox
+    caches.  Views whose ``sbox_caches`` differ have no SBox-cache access,
+    so the count is then 0.
+    """
+    shared = copy.deepcopy(stats)
+    shared.config_name = config.name
+    if config.sbox_caches and stats.instructions:
+        shared.extra.setdefault("sbox_cache_hits", 0)
+    else:
+        shared.extra.pop("sbox_cache_hits", None)
+    return shared
 
 
 def _hotspot_table(program: Program, hot: list, exec_counts: list) -> list[dict]:

@@ -273,3 +273,29 @@ def test_obs_check_reports_unparseable_jsonl_lines(tmp_path, capsys):
     path.write_text(text + text.splitlines()[-1][:25])
     assert check_file(str(path)) == 1
     assert "line 4: not valid JSON" in capsys.readouterr().out
+
+
+def test_publishing_needs_only_the_ledger_modules():
+    """Importing the runner and the ledger loads neither ``repro.obs.bench``
+    nor the ``socket``/``subprocess`` modules it needs, while every
+    package-level name still resolves."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro.obs
+
+    script = (
+        "import sys; import repro.runner, repro.obs.events; "
+        "print([m for m in ('repro.obs.bench', 'socket', 'subprocess') "
+        "if m in sys.modules])"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, env={"PYTHONPATH": src, "PATH": "/usr/bin"},
+    ).stdout
+    assert out.strip() == "[]"
+    assert all(getattr(repro.obs, name) is not None
+               for name in repro.obs.__all__)
+    assert set(repro.obs.__all__) <= set(dir(repro.obs))

@@ -1,5 +1,6 @@
 """The unified experiment runner: dedup, caching, parallel fan-out."""
 
+import dataclasses
 import itertools
 import json
 import pickle
@@ -235,17 +236,22 @@ def test_runner_version_skew_serves_no_record_or_blob(tmp_path,
 KILLED_WORKER = """
 import json
 import os
+import sys
+import time
 import warnings
+from collections import Counter
 
 import repro.runner.engine as engine
 from repro.runner import ResultCache, Runner, experiment_grid
 from repro.sim import DATAFLOW, FOURW
 
 run_group = engine._worker_run_group
+DELAY = float(sys.argv[1])
 
 
 def dying_worker(spec):
     if spec[0].cipher == "RC4":
+        time.sleep(DELAY)
         os._exit(1)
     return run_group(spec)
 
@@ -260,27 +266,35 @@ if __name__ == "__main__":
                                   (FOURW, DATAFLOW), session_bytes=64)
     serial = Runner(cache=ResultCache.disabled()).run(experiments)
     engine._worker_run_group = dying_worker
+    events = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        pooled = Runner(cache=ResultCache.disabled(), jobs=2).run(experiments)
+        pooled = Runner(cache=ResultCache.disabled(), jobs=2,
+                        heartbeat_hook=events.append,
+                        heartbeat_interval=0).run(experiments)
+    (finish,) = [e for e in events if e["type"] == "finish"]
     print(json.dumps({
         "identical": outcomes(pooled) == outcomes(serial)
                      and [r.stats for r in pooled] == [r.stats for r in serial],
         "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+        "dispatch": Counter(e["group"] for e in events
+                            if e["type"] == "dispatch"),
+        "group-done": Counter(e["group"] for e in events
+                              if e["type"] == "group-done"),
+        "finish": [finish["done"], finish["total"]],
     }))
 """
 
 
-def test_killed_pool_worker_falls_back_to_serial(tmp_path):
-    """A pool worker that exits abruptly must not hang ``Runner.run``: the
-    broken pool falls back to serial execution with a RuntimeWarning and
-    results equal to ``jobs=1``.  Run in a subprocess so a hang fails the
-    test by timeout instead of stalling the suite."""
+def run_killed_worker(tmp_path, delay):
+    """Run ``KILLED_WORKER`` with the RC4 worker dying after ``delay`` s,
+    in a subprocess so a hang fails the test by timeout instead of
+    stalling the suite; check the fallback and return the report."""
     script = tmp_path / "killed_worker.py"
     script.write_text(KILLED_WORKER)
     done = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True,
-        timeout=120, env={"PYTHONPATH": SRC, "PATH": "/usr/bin"},
+        [sys.executable, str(script), str(delay)], capture_output=True,
+        text=True, timeout=120, env={"PYTHONPATH": SRC, "PATH": "/usr/bin"},
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
@@ -288,6 +302,26 @@ def test_killed_pool_worker_falls_back_to_serial(tmp_path):
     assert any(warning.startswith("RuntimeWarning")
                and "falling back to serial" in warning
                for warning in report["warnings"]), report["warnings"]
+    # Each group is dispatched and done once, at any interleaving.
+    groups = {f"{cipher}/encrypt:64B": 1
+              for cipher in ("RC4", "RC6", "Blowfish")}
+    assert report["dispatch"] == report["group-done"] == groups
+    assert report["finish"] == [3, 3]
+    return report
+
+
+def test_killed_pool_worker_falls_back_to_serial(tmp_path):
+    """A pool worker that exits abruptly must not hang ``Runner.run``: the
+    broken pool falls back to serial execution with a RuntimeWarning and
+    results equal to ``jobs=1``."""
+    run_killed_worker(tmp_path, delay=0)
+
+
+def test_pool_death_keeps_finished_groups(tmp_path):
+    """A worker that dies after the other groups finished: the serial
+    fallback runs only the dead worker's group, so no group is dispatched
+    or completed twice."""
+    run_killed_worker(tmp_path, delay=1)
 
 
 @pytest.mark.parametrize("jobs", [4])
@@ -552,7 +586,9 @@ def test_fingerprint_names_content_not_feature_label(cipher):
 
 def test_batch_simulates_each_distinct_run_once(tmp_path):
     """Figure 10's NOROT and ROT 4W cells of a kernel without rotates are
-    one run: with the cache on, the later copy is a hit on the first."""
+    one run: with the cache on, the later copy is a hit on the first.  And
+    RC4's OPT kernel uses neither the rotators nor the SBox caches 4W+
+    adds, so its 4W+ cell is timed on the 4W pipeline."""
     options = speedups.default_options(256, ("RC4", "Blowfish", "RC6"))
 
     def figure10(runner):
@@ -573,8 +609,8 @@ def test_batch_simulates_each_distinct_run_once(tmp_path):
                          heartbeat_interval=0)
     rows, cells = figure10(shared)
     stats = shared.stats
-    assert (stats.timing_runs, stats.functional_runs, stats.cache_hits) \
-        == (16, 7, 2)
+    assert (stats.timing_runs, stats.timing_shared, stats.functional_runs,
+            stats.cache_hits) == (15, 1, 7, 2)
     assert metrics.counter("runner.cache.hits").value == 2
     assert len(cells) == 18
     assert sorted((c, f) for (c, f, _), r in cells.items() if r.cached) \
@@ -582,12 +618,16 @@ def test_batch_simulates_each_distinct_run_once(tmp_path):
     published = [event["data"]["cached"] for event in ledger.events
                  if (event["source"], event["type"]) == ("runner", "result")]
     assert (len(published), sum(published)) == (18, 2)
+    assert [(event["data"]["cipher"], event["data"]["config"],
+             event["data"]["shared_with"]) for event in ledger.events
+            if "shared_with" in event["data"]] == [("RC4", "4W+", "4W")]
+    assert not cells[("RC4", Features.OPT, "4W+")].cached
 
     alone = Runner(cache=ResultCache.disabled())
     alone_rows, alone_cells = figure10(alone)
     stats = alone.stats
-    assert (stats.timing_runs, stats.functional_runs, stats.cache_hits) \
-        == (18, 9, 0)
+    assert (stats.timing_runs, stats.timing_shared, stats.functional_runs,
+            stats.cache_hits) == (17, 1, 9, 0)
     assert rows == alone_rows
     assert {cell: r.stats for cell, r in cells.items()} \
         == {cell: r.stats for cell, r in alone_cells.items()}
@@ -603,4 +643,62 @@ def test_batch_simulates_each_distinct_run_once(tmp_path):
     assert pooled_rows == rows
     assert {cell: r.stats for cell, r in pooled_cells.items()} \
         == {cell: r.stats for cell, r in cells.items()}
-    assert pooled.stats.timing_runs == 16
+    assert (pooled.stats.timing_runs, pooled.stats.timing_shared) == (15, 1)
+
+
+def test_equal_view_configs_share_one_pipeline(tmp_path):
+    """RC4's OPT kernel uses neither the rotators nor the SBox caches that
+    4W+ adds to 4W, so a group on both builds one pipeline, serially and
+    in the pool.  The follower equals its unshared ``simulate()`` result,
+    is not a cache hit, and is written under its own key."""
+    from repro.obs import EventBus, RingBufferSink
+    from repro.obs.dashboard import build_state, render
+    from repro.sim import FOURW_PLUS
+    from repro.sim.timing import simulate
+
+    def rc4(kind):
+        return ExperimentOptions(cipher="RC4", features=Features.OPT,
+                                 kind=kind, session_bytes=128)
+
+    grid_ = [Experiment(rc4(kind), config) for kind in ("encrypt", "decrypt")
+             for config in (FOURW, FOURW_PLUS)]
+    bus, ledger = EventBus(), RingBufferSink()
+    bus.subscribe(ledger)
+    serial = make_runner(tmp_path, bus=bus, heartbeat_interval=0)
+    results = serial.run(grid_[:2])
+    assert (serial.stats.timing_runs, serial.stats.timing_shared) == (1, 1)
+    assert serial.stats.instructions_simulated == results[0].instructions
+    assert "1 results shared" in serial.stats.summary()
+    run = serial.functional(rc4("encrypt"))
+    for result, config in zip(results, (FOURW, FOURW_PLUS)):
+        assert_fields_equal(result.stats,
+                            simulate(run.trace, config, run.warm_ranges))
+    assert [r.cached for r in results] == [False, False]
+    assert results[1].wall_time == 0.0 < results[0].wall_time
+    assert [event["data"].get("shared_with") for event in ledger.events
+            if event["type"] == "result"] == [None, "4W"]
+    frame = render(build_state(ledger.events))
+    assert "experiments: 2 results (1 shared)" in frame
+    assert "[shared 4W]" in frame
+
+    warm = make_runner(tmp_path)
+    assert all(r.cached for r in warm.run(grid_[:2]))
+    assert warm.stats.timing_runs == warm.stats.timing_shared == 0
+
+    pooled = Runner(cache=ResultCache.disabled(), jobs=2)
+    pooled_results = pooled.run(grid_)
+    assert (pooled.stats.timing_runs, pooled.stats.timing_shared) == (2, 2)
+    assert [r.stats for r in pooled_results[:2]] \
+        == [r.stats for r in results]
+
+    # Runner.simulate (riscasim --bottlenecks, multisession) shares too.
+    traced = Runner(cache=ResultCache.disabled())
+    stats = traced.simulate(run.trace, [FOURW, FOURW_PLUS], run.warm_ranges)
+    assert (traced.stats.timing_runs, traced.stats.timing_shared) == (1, 1)
+    assert stats == [r.stats for r in results]
+
+
+def assert_fields_equal(stats, own):
+    for field in dataclasses.fields(own):
+        assert getattr(stats, field.name) == getattr(own, field.name), \
+            field.name

@@ -81,27 +81,23 @@ def main(argv: list[str] | None = None) -> int:
     add_runner_arguments(parser)
     args = parser.parse_args(argv)
     obs = observability_from_args(args, tool="report")
-    with obs, _report_span(obs, args.session_bytes):
+    with obs:
+        start = obs.bus.now() if obs.bus is not None else 0.0
         full_report(
             session_bytes=args.session_bytes,
             runner=runner_from_args(args, obs=obs),
         )
+        if obs.bus is not None:
+            # One umbrella span: the whole report as a top-level track.
+            obs.bus.publish("report", "full-report", {
+                "session_bytes": args.session_bytes,
+                "start": start, "seconds": obs.bus.now() - start,
+            })
     for line in obs.report():
         print(line)
     for path in obs.write():
         print(f"wrote {path}")
     return 0
-
-
-def _report_span(obs, session_bytes: int):
-    """One umbrella span so the whole report shows as a top-level track."""
-    from contextlib import nullcontext
-
-    if obs.tracer is None:
-        return nullcontext()
-    return obs.tracer.span(
-        "full-report", "runner", {"session_bytes": session_bytes}
-    )
 
 
 if __name__ == "__main__":

@@ -39,7 +39,6 @@ from repro.isa.verify.diagnostics import (
     VerificationError,
     VerifyResult,
     lint_document,
-    record_lint_metrics,
     severity_rank,
 )
 from repro.isa.verify.ranges import (
@@ -53,8 +52,8 @@ __all__ = [
     "Features", "LINT_SCHEMA", "Liveness", "ReachingDefs", "SEVERITIES",
     "VerificationError", "VerifyContext", "VerifyResult", "critical_path",
     "encoding_violations", "enforce", "lint_document", "min_latencies",
-    "record_lint_metrics", "rotate_amount_violations", "severity_rank",
-    "validate_emit", "verify_program",
+    "rotate_amount_violations", "severity_rank", "validate_emit",
+    "verify_program",
 ]
 
 

@@ -132,23 +132,6 @@ def lint_document(results: list[VerifyResult], *, tool: str = "repro.tools.lint"
     }
 
 
-def record_lint_metrics(metrics, results: list[VerifyResult]) -> None:
-    """Fold lint results into a metrics registry.
-
-    Emits ``lint.programs`` and per ``(checker, severity)`` pair a
-    ``lint.diagnostics`` counter, matching the convention used by the
-    simulator and runner metrics (see docs/observability.md).
-    """
-    metrics.counter("lint.programs").inc(len(results))
-    for result in results:
-        for diagnostic in result.diagnostics:
-            metrics.counter(
-                "lint.diagnostics",
-                {"checker": diagnostic.checker,
-                 "severity": diagnostic.severity},
-            ).inc()
-
-
 class VerificationError(ValueError):
     """Raised by the opt-in ``verify=`` hooks when a program fails lint.
 

@@ -7,10 +7,9 @@ package is that explanation machinery as reusable infrastructure:
 
 * :mod:`repro.obs.metrics` -- a lightweight labeled-metrics registry
   (:class:`Counter` / :class:`Gauge` / :class:`Histogram`) with a stable
-  JSON snapshot schema, used by the timing simulator and the experiment
-  runner.
-* :mod:`repro.obs.tracing` -- a span/event tracer with a JSONL sink and
-  Chrome/Perfetto trace-event export (open the ``.json`` file at
+  JSON snapshot schema.
+* :mod:`repro.obs.tracing` -- a Chrome/Perfetto trace-event document
+  with JSON and JSONL export (open the ``.json`` file at
   https://ui.perfetto.dev).
 * :mod:`repro.obs.pipeline` -- the pipeline-schedule event stream shared
   by the ASCII viewer (:mod:`repro.sim.pipeview`) and the Perfetto
@@ -20,10 +19,14 @@ package is that explanation machinery as reusable infrastructure:
   collapsed-stack flamegraph text (``--profile`` on the CLI tools).
 * :mod:`repro.obs.events` -- the unified run ledger: one
   :class:`EventBus` (schema ``repro.obs.events/1``, per-invocation
-  ``run_id`` + monotonic ``seq``) that runner telemetry, the cache, the
-  compiled backend, the bench recorder and the profiler publish into,
-  with pluggable sinks (JSONL ledger, ring buffer, metrics fold-in);
-  rendered live or replayed by ``repro.tools.dash``.
+  ``run_id`` + monotonic ``seq``), the only channel instrumented code
+  reports to -- runner telemetry and span events, the cache, codegen,
+  lint and analysis, the bench recorder and the profiler -- with
+  pluggable sinks (JSONL ledger, ring buffer); rendered live or replayed
+  by ``repro.tools.dash``.
+* :mod:`repro.obs.views` -- the metrics snapshot and the Perfetto trace
+  as bus sinks folding the ledger's events (:class:`MetricsView`,
+  :class:`TraceView`); the one place the metric catalogue lives.
 * :mod:`repro.obs.bench` -- the append-only benchmark history
   (``results/bench/history.jsonl``, schema ``repro.obs.bench/1``) with
   robust regression detection; driven by ``repro.tools.bench``.
@@ -56,7 +59,7 @@ _SUBMODULE_EXPORTS = {
     "diffing": ("ProvenanceMismatch", "build_report", "diff_bench_records",
                 "diff_ledger_runs", "diff_metrics_docs", "diff_stats",
                 "explain_stats_delta", "render_report"),
-    "events": ("EventBus", "JsonlSink", "MetricsSink", "RingBufferSink",
+    "events": ("EventBus", "JsonlSink", "RingBufferSink",
                "active_bus", "load_ledger", "new_run_id", "publish_event",
                "set_active_bus", "split_runs"),
     "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
@@ -70,6 +73,7 @@ _SUBMODULE_EXPORTS = {
                "validate_trace_events"),
     "session": ("Observability",),
     "tracing": ("Tracer",),
+    "views": ("MetricsView", "TraceView"),
 }
 _EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items()
             for name in names}

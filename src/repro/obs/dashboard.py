@@ -46,6 +46,9 @@ RECENT_RESULTS = 5
 #: Recent comparison verdicts kept for the diff panel.
 RECENT_DIFFS = 3
 
+#: Profiler snapshot fields that are not a subsystem's seconds.
+_PROFILE_TOTALS = ("hz", "wall_seconds", "overhead_seconds")
+
 
 class DashState:
     """Accumulates one run's events into renderable aggregates."""
@@ -136,9 +139,12 @@ class DashState:
             self.diffs.append(data)
             del self.diffs[:-RECENT_DIFFS]
         elif source == "profiler" and type_ == "snapshot":
+            # Estimated seconds per subsystem; the sample counts, rate and
+            # wall/overhead seconds beside them are for the metrics view.
             self.profile = {
                 key: float(value) for key, value in data.items()
-                if isinstance(value, (int, float))
+                if isinstance(value, (int, float)) and "." not in key
+                and key not in _PROFILE_TOTALS
             }
 
     def _consume_runner(self, type_: str, data: dict) -> None:

@@ -1,8 +1,8 @@
 """The unified run ledger: one event bus for every subsystem.
 
-Runner heartbeats, cache traffic, compiled-backend codegen, bench
-recordings and profiler snapshots used to be five disjoint outputs with
-no shared run identity.  :class:`EventBus` gives them one append-only,
+Instrumented code reports through one channel.  :class:`EventBus` gives
+the runner, the cache, compiled-backend and timing codegen, the lint and
+analysis CLIs, bench recordings and the profiler one append-only,
 schema-validated stream (``repro.obs.events/1``): every published event
 carries the bus's per-invocation ``run_id``, a monotonic ``seq`` number
 and a timestamp in seconds relative to the run start, so a recorded
@@ -16,7 +16,11 @@ Event shape (one JSON object per JSONL line)::
      "ts": 0.0421,                      # seconds since the run started
      "source": "runner",                # publishing subsystem
      "type": "group-done",              # event kind within the source
-     "data": {"group": "RC4/encrypt:1024B", ...}}   # str -> scalar
+     "data": {"group": "RC4[opt]/encrypt:1024B", ...}}  # str -> scalar
+
+A *span event*, published when a phase of host work ends, carries its
+``start`` (seconds on the bus clock, :meth:`EventBus.now`) and its
+``seconds``, so the ledger says where a run's host seconds went.
 
 Sinks are pluggable and may be attached to one bus simultaneously:
 
@@ -24,9 +28,8 @@ Sinks are pluggable and may be attached to one bus simultaneously:
   per event so ``repro.tools.dash --follow`` can tail a live run;
 * :class:`RingBufferSink` -- a bounded in-memory tail for in-process
   dashboards and tests;
-* :class:`MetricsSink` -- folds the stream into a
-  :class:`repro.obs.MetricsRegistry` (``events.published`` counter
-  labeled by source and type).
+* the views of :mod:`repro.obs.views` -- the metrics snapshot and the
+  Perfetto trace -- and the runner's ``--progress`` line.
 
 Deeply nested publishers (the compiled backend's codegen, the bench
 history recorder) cannot be handed a bus explicitly without threading it
@@ -49,14 +52,18 @@ from collections import deque
 from repro.obs.schema import EVENTS_SCHEMA
 
 #: Known event sources and their event types, documented for dashboard
-#: authors; the schema deliberately does not pin this list (new sources
-#: must not invalidate old ledgers).
+#: and view authors (span events: :data:`repro.obs.views.SPANS`); the
+#: schema deliberately does not pin this list (new sources must not
+#: invalidate old ledgers).
 KNOWN_SOURCES = {
     "runner": ("start", "dispatch", "group-done", "heartbeat", "stuck",
-               "finish", "result"),
+               "finish", "result", "cache-probe", "functional", "chunk",
+               "timing", "parallel-fanout"),
+    "report": ("full-report",),
     "cache": ("hit", "miss", "write"),
     "backend": ("compile", "codegen-cache-hit"),
-    "timing": ("specialize", "specialize-cache-hit"),
+    "timing": ("specialize", "specialize-cache-hit", "untiered"),
+    "lint": ("program",),
     "bench": ("record",),
     "profiler": ("snapshot",),
     "diff": ("report",),
@@ -86,6 +93,10 @@ class EventBus:
         self._seq = 0
         self._sinks: list = []
         self._lock = threading.Lock()
+
+    def now(self) -> float:
+        """Seconds since the run started, on the clock ``ts`` uses."""
+        return self._clock() - self._epoch
 
     def subscribe(self, sink) -> "EventBus":
         """Attach a sink (any callable taking one event dict)."""
@@ -159,19 +170,6 @@ class RingBufferSink:
     @property
     def events(self) -> list[dict]:
         return list(self._events)
-
-
-class MetricsSink:
-    """Folds the stream into a metrics registry as labeled counters."""
-
-    def __init__(self, registry):
-        self.registry = registry
-
-    def __call__(self, event: dict) -> None:
-        self.registry.counter(
-            "events.published",
-            {"source": event["source"], "type": event["type"]},
-        ).inc()
 
 
 # -- the process-global active bus ----------------------------------------

@@ -15,10 +15,11 @@ Outputs, all derived from the same sample store:
 * :meth:`SamplingProfiler.collapsed` -- collapsed-stack text in the
   ``frame;frame;frame count`` format flamegraph.pl and speedscope load;
 * :meth:`SamplingProfiler.top_functions` -- self-sample top-N table;
-* :meth:`SamplingProfiler.record_metrics` -- ``profiler.*`` instruments
-  folded into a :class:`repro.obs.MetricsRegistry`;
-* :meth:`SamplingProfiler.trace_events` -- Perfetto counter samples on the
-  same clock as a :class:`repro.obs.Tracer` (pass ``now_us=tracer.now_us``).
+* :meth:`SamplingProfiler.snapshot` -- the ``profiler``/``snapshot``
+  ledger event, from which the metrics view folds ``profiler.*``;
+* :meth:`SamplingProfiler.trace_events` -- Perfetto counter samples on
+  whatever clock ``now_us`` is bound to (an :class:`repro.obs.Observability`
+  session binds the event bus's, the clock its trace view uses).
 
 The profiler measures its own cost: every sampling pass is timed, and
 :meth:`overhead_fraction` reports sampler seconds over profiled wall
@@ -107,7 +108,7 @@ class SamplingProfiler:
         self.max_stack = max_stack
         self._clock = clock
         #: Timestamp source for exported trace events (microseconds); pass
-        #: a :meth:`repro.obs.Tracer.now_us` to share the tracer timeline.
+        #: the trace's clock to share its timeline.
         self._now_us = now_us
         self._epoch = clock()
         self.samples = 0
@@ -256,25 +257,31 @@ class SamplingProfiler:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.collapsed())
 
-    # -- folding into the existing telemetry sinks -------------------------
+    # -- exports --------------------------------------------------------
 
-    def record_metrics(self, registry) -> None:
-        """Publish the sample account into a metrics registry."""
-        for subsystem, count in sorted(self.subsystem_samples.items()):
-            registry.counter(
-                "profiler.samples", {"subsystem": subsystem}
-            ).inc(count)
-        registry.gauge("profiler.hz").set(self.hz)
-        registry.gauge("profiler.wall_seconds").set(self.wall_seconds)
-        registry.gauge("profiler.overhead_seconds").set(self.overhead_seconds)
+    def snapshot(self) -> dict:
+        """The ``profiler``/``snapshot`` ledger event's data.
+
+        Estimated seconds per subsystem (keyed by subsystem name), the
+        samples behind each (``samples.<subsystem>``), the sampling rate,
+        and the profiled wall and sampler overhead seconds.
+        """
+        counts = self.subsystem_samples.most_common()
+        return {
+            **{name: round(self.estimated_seconds(name), 6)
+               for name, _count in counts},
+            **{f"samples.{name}": count for name, count in counts},
+            "hz": self.hz, "wall_seconds": self.wall_seconds,
+            "overhead_seconds": self.overhead_seconds,
+        }
 
     def trace_events(self, pid: int | None = None) -> list[dict]:
         """Perfetto counter samples: cumulative samples per subsystem.
 
         Stacked on one ``profiler.samples`` counter track; timestamps are
-        on whatever clock ``now_us`` was bound to (the tracer's, when the
-        profiler came from an :class:`repro.obs.Observability` session with
-        tracing on).
+        on whatever clock ``now_us`` was bound to (the event bus's, when
+        the profiler came from an :class:`repro.obs.Observability` session
+        with a bus).
         """
         pid = os.getpid() if pid is None else pid
         cumulative: Counter = Counter()

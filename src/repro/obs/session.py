@@ -2,12 +2,13 @@
 
 Every experiment-running tool accepts ``--metrics-out`` / ``--trace-out``
 (see :func:`repro.tools.cli.add_observability_arguments`) plus the
-``--profile`` family and ``--events-out``; this class turns those
-optional flags into the registry/tracer/profiler/event-bus bundle handed
-to the :class:`repro.runner.Runner`, and writes the files on
-:meth:`write`.  When no telemetry was requested, ``metrics``, ``tracer``,
-``profiler`` and ``bus`` stay ``None`` and the instrumented code paths
-cost nothing.
+``--profile`` family, ``--events-out`` and ``--progress``; this class
+turns those optional flags into one :class:`EventBus`, the only channel
+instrumented code reports to, with one sink per output: the JSONL
+ledger, the views of :mod:`repro.obs.views` (``metrics``, ``tracer``)
+and the progress line.  :meth:`write` writes the files.  When no
+telemetry was requested, ``metrics``, ``tracer``, ``profiler`` and
+``bus`` stay ``None`` and the instrumented code paths cost nothing.
 
 Use the session as a context manager around the tool's work so the
 sampling profiler covers exactly the measured region::
@@ -25,24 +26,25 @@ Written metrics snapshots are stamped with the environment fingerprint
 backend) under ``extra.environment`` so exported telemetry artifacts
 are attributable to a commit.
 
-``events_out`` opens the unified run ledger (:mod:`repro.obs.events`):
-an :class:`EventBus` with a JSONL sink at that path, installed as the
-process-wide *active bus* for the duration of the session so deep
-publishers (the compiled backend's codegen, the bench recorder) reach
-the same ledger as the runner and cache.  ``repro.tools.dash`` renders
-the ledger live (``--follow``) or after the fact (``--replay``).
+The bus is installed as the process-wide *active bus*
+(:mod:`repro.obs.events`) for the duration of the session, so deep
+publishers (the compiled backend's codegen, the lint and analysis CLIs,
+the bench recorder) reach the same sinks as the runner and cache.
+``repro.tools.dash`` renders an ``--events-out`` ledger live
+(``--follow``) or after the fact (``--replay``).
 """
 
 from __future__ import annotations
 
-from repro.obs.events import EventBus, JsonlSink, MetricsSink, set_active_bus
+from repro.obs.events import EventBus, JsonlSink, set_active_bus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import DEFAULT_HZ, SamplingProfiler
 from repro.obs.tracing import Tracer
+from repro.obs.views import MetricsView, TraceView
 
 
 class Observability:
-    """Optional metrics registry + tracer + profiler + event bus."""
+    """An optional event bus, its sinks, and the sampling profiler."""
 
     def __init__(
         self,
@@ -54,6 +56,7 @@ class Observability:
         profile_out: str | None = None,
         events_out: str | None = None,
         run_id: str | None = None,
+        progress: bool = False,
     ):
         self.metrics_out = metrics_out
         self.trace_out = trace_out
@@ -70,25 +73,34 @@ class Observability:
             MetricsRegistry() if metrics_out else None
         )
         self.tracer: Tracer | None = Tracer() if trace_out else None
+        sinks = []
+        if events_out:
+            sinks.append(JsonlSink(events_out))
+        if self.metrics is not None:
+            sinks.append(MetricsView(self.metrics))
+        if self.tracer is not None:
+            sinks.append(TraceView(self.tracer))
+        if progress:
+            from repro.runner.telemetry import ProgressReporter
+            sinks.append(ProgressReporter())
+        self.bus: EventBus | None = None
+        if sinks:
+            self.bus = EventBus(run_id=run_id)
+            for sink in sinks:
+                self.bus.subscribe(sink)
         self.profiler: SamplingProfiler | None = None
         if profile or profile_out:
+            bus = self.bus  # samples on the bus clock, beside the spans
             self.profiler = SamplingProfiler(
                 hz=profile_hz,
-                now_us=self.tracer.now_us if self.tracer else None,
+                now_us=(lambda: bus.now() * 1e6) if bus is not None else None,
             )
-        self.bus: EventBus | None = None
-        if events_out:
-            self.bus = EventBus(run_id=run_id)
-            self.bus.subscribe(JsonlSink(events_out))
-            if self.metrics is not None:
-                self.bus.subscribe(MetricsSink(self.metrics))
         self._previous_bus: EventBus | None = None
         self._finished = False
 
     @property
     def enabled(self) -> bool:
-        return (self.metrics is not None or self.tracer is not None
-                or self.profiler is not None or self.bus is not None)
+        return self.bus is not None or self.profiler is not None
 
     # -- profiled region ---------------------------------------------------
 
@@ -103,44 +115,19 @@ class Observability:
         self.finish()
 
     def finish(self) -> None:
-        """Stop the profiler, fold counters into metrics, close the bus."""
+        """Stop the profiler, publish its snapshot, close the bus."""
         if self._finished:
             return
         self._finished = True
         if self.profiler is not None:
             self.profiler.stop()
-            if self.metrics is not None:
-                self.profiler.record_metrics(self.metrics)
             if self.tracer is not None:
                 self.tracer.add_events(
                     self.profiler.trace_events(pid=self.tracer.pid)
                 )
             if self.bus is not None:
-                snapshot = {
-                    subsystem: round(
-                        self.profiler.estimated_seconds(subsystem), 6)
-                    for subsystem, _count in
-                    self.profiler.subsystem_samples.most_common()
-                }
-                self.bus.publish("profiler", "snapshot", snapshot)
-        if self.metrics is not None:
-            # Per-program codegen counters accumulate module-side in the
-            # compiled backend; fold whatever this process compiled.
-            from repro.sim.backends.compiled import (
-                compile_reports,
-                record_compile_metrics,
-            )
-            if compile_reports():
-                record_compile_metrics(self.metrics)
-            # Same for the specialized timing engine's per-(program,
-            # config) specialization counters.
-            from repro.sim.timing.specialized import (
-                record_timing_metrics,
-                specialization_reports,
-                untiered_pipelines,
-            )
-            if specialization_reports() or untiered_pipelines():
-                record_timing_metrics(self.metrics)
+                self.bus.publish("profiler", "snapshot",
+                                 self.profiler.snapshot())
         if self.bus is not None:
             set_active_bus(self._previous_bus)
             self._previous_bus = None

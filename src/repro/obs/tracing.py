@@ -1,12 +1,14 @@
-"""Structured span/event tracer with Chrome/Perfetto trace-event export.
+"""A Chrome/Perfetto trace-event document.
 
-The tracer records *complete* spans (``ph: "X"``), instant events
-(``ph: "i"``) and counter samples (``ph: "C"``) in the Chrome trace-event
-format, the JSON dialect both ``chrome://tracing`` and Perfetto's
-https://ui.perfetto.dev load directly.  Timestamps are microseconds from
-tracer creation; synthetic timelines (the pipeline schedule, where one
-cycle is mapped to one microsecond) inject events with explicit
-timestamps via :meth:`Tracer.add_events`.
+A :class:`Tracer` holds trace events -- complete slices (``ph: "X"``),
+instants (``ph: "i"``), counter samples (``ph: "C"``) -- in the Chrome
+trace-event format, the JSON dialect both ``chrome://tracing`` and
+Perfetto's https://ui.perfetto.dev load directly, and writes them out.
+It records nothing by itself: the trace view of the run ledger
+(:class:`repro.obs.views.TraceView`) fills it from the session's events,
+and synthetic timelines (the pipeline schedule, where one cycle is
+mapped to one microsecond; the profiler's counter track) inject events
+with explicit timestamps via :meth:`Tracer.add_events`.
 
 Two sink formats, chosen by file suffix in :meth:`Tracer.write`:
 
@@ -21,11 +23,10 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
 
 
 class Tracer:
-    """Collects trace events; cheap enough to leave enabled in CLIs."""
+    """Collects trace events and exports them as one trace document."""
 
     def __init__(self, clock=time.perf_counter, pid: int | None = None):
         self._clock = clock
@@ -40,7 +41,7 @@ class Tracer:
         """Microseconds since tracer creation."""
         return (self._clock() - self._start) * 1e6
 
-    # -- recording -------------------------------------------------------
+    # -- events ----------------------------------------------------------
 
     def add_event(self, event: dict) -> None:
         with self._lock:
@@ -49,47 +50,6 @@ class Tracer:
     def add_events(self, events) -> None:
         with self._lock:
             self.events.extend(events)
-
-    @contextmanager
-    def span(self, name: str, category: str = "runner",
-             args: dict | None = None, tid: int = 0):
-        """Record a complete event around the ``with`` body.
-
-        Yields the mutable ``args`` dict so the body can attach results
-        (counts, cache outcomes) that are only known at exit.
-        """
-        args = dict(args or {})
-        start = self.now_us()
-        try:
-            yield args
-        finally:
-            self.complete(name, category, start, self.now_us() - start,
-                          args, tid)
-
-    def complete(self, name: str, category: str, ts: float, dur: float,
-                 args: dict | None = None, tid: int = 0) -> None:
-        """Record a complete event the caller timed (``ts``/``dur`` in
-        microseconds), e.g. one phase's share of interleaved work."""
-        self.add_event({
-            "name": name, "cat": category, "ph": "X", "ts": ts, "dur": dur,
-            "pid": self.pid, "tid": tid, "args": dict(args or {}),
-        })
-
-    def instant(self, name: str, category: str = "runner",
-                args: dict | None = None, tid: int = 0) -> None:
-        self.add_event({
-            "name": name, "cat": category, "ph": "i", "s": "t",
-            "ts": self.now_us(), "pid": self.pid, "tid": tid,
-            "args": dict(args or {}),
-        })
-
-    def counter(self, name: str, values: dict, tid: int = 0) -> None:
-        """A Perfetto counter-track sample (stacked series per key)."""
-        self.add_event({
-            "name": name, "cat": "metrics", "ph": "C",
-            "ts": self.now_us(), "pid": self.pid, "tid": tid,
-            "args": dict(values),
-        })
 
     # -- export ----------------------------------------------------------
 

@@ -32,12 +32,14 @@ One :class:`Runner` serves every analysis harness and CLI tool:
   simulation, timing simulation, cache probing), cache hit/miss and
   instructions simulated flow through :class:`RunnerStats` and an optional
   per-result ``stats_hook`` callable.
-* **Observability** -- an optional :class:`repro.obs.MetricsRegistry`
-  receives runner and simulator counters, and an optional
-  :class:`repro.obs.Tracer` records spans for every phase (functional
-  runs, cache probes, per-config timing runs, the parallel fan-out), ready
-  for Chrome/Perfetto export.  Both default to ``None`` at zero cost; the
-  CLI tools enable them via ``--metrics-out`` / ``--trace-out``.
+* **Observability** -- an optional :class:`repro.obs.EventBus` is the
+  runner's one telemetry channel: fleet events, one ``result`` event per
+  experiment, and a span event per phase (``cache-probe``,
+  ``functional``, ``chunk``, ``timing`` per pipeline, ``parallel-fanout``)
+  carrying its ``start`` and host ``seconds``.  The metrics snapshot,
+  the Perfetto trace and the ``--progress`` line are sinks on that bus
+  (:mod:`repro.obs.views`).  Without a bus nothing is published, at zero
+  cost, and no :mod:`repro.obs` module is imported.
 
 See ``docs/runner.md`` and ``docs/observability.md`` for the full API
 walkthrough.
@@ -46,10 +48,11 @@ walkthrough.
 from __future__ import annotations
 
 import itertools
+import sys
 import time
 import warnings
 from array import array
-from contextlib import contextmanager
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 
 from repro.ciphers.suite import SUITE_BY_NAME
@@ -64,12 +67,7 @@ from repro.runner.telemetry import (
     FleetMonitor,
 )
 from repro.sim.stats import SimStats
-from repro.sim.timing import (
-    group_by_view,
-    make_pipeline,
-    record_sim_metrics,
-    shared_stats,
-)
+from repro.sim.timing import group_by_view, make_pipeline, shared_stats
 from repro.sim.trace import (
     ADDR_TYPECODE,
     DEFAULT_CHUNK_SIZE,
@@ -199,32 +197,25 @@ class Runner:
         cache: ResultCache | None = None,
         jobs: int = 1,
         stats_hook=None,
-        metrics=None,
-        tracer=None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         backend: str | None = None,
         timing_engine: str | None = None,
         bus=None,
-        heartbeat_hook=None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         stuck_after: float = DEFAULT_STUCK_AFTER,
     ):
         self.cache = cache if cache is not None else ResultCache.from_env()
         self.jobs = max(1, int(jobs))
         self.stats_hook = stats_hook
-        self.metrics = metrics
-        self.tracer = tracer
-        #: Optional :class:`repro.obs.EventBus`: fleet telemetry, cache
-        #: traffic and per-experiment results are published to the run
-        #: ledger (``--events-out``, ``repro.tools.dash``).
+        #: Optional :class:`repro.obs.EventBus`, the one telemetry
+        #: channel: fleet events (:mod:`repro.runner.telemetry`, emitted
+        #: identically by the serial and multiprocessing paths), cache
+        #: traffic, per-experiment results and per-phase span events.
+        #: ``--events-out``, ``--metrics-out``, ``--trace-out`` and
+        #: ``--progress`` are sinks on it.
         self.bus = bus
         if bus is not None and getattr(self.cache, "bus", None) is None:
             self.cache.bus = bus
-        #: Fleet-telemetry sinks: ``heartbeat_hook`` receives the event
-        #: stream documented in :mod:`repro.runner.telemetry` (the CLI
-        #: ``--progress`` flag plugs a ProgressReporter in here), emitted
-        #: identically by the serial and multiprocessing paths.
-        self.heartbeat_hook = heartbeat_hook
         self.heartbeat_interval = heartbeat_interval
         self.stuck_after = stuck_after
         #: Trace entries per chunk of a live kernel stream; results are
@@ -244,11 +235,13 @@ class Runner:
         self._functional: dict[ExperimentOptions, object] = {}
         self._fingerprints: dict[ExperimentOptions, str] = {}
 
-    def _span(self, name: str, category: str, args: dict | None = None):
-        """A tracer span, or an inert stand-in when tracing is off."""
-        if self.tracer is not None:
-            return self.tracer.span(name, category, args)
-        return _null_span(args)
+    def _now(self) -> float:
+        """The bus clock, where a span event starts (0.0 without a bus)."""
+        return self.bus.now() if self.bus is not None else 0.0
+
+    def _publish(self, type: str, data: dict) -> None:
+        if self.bus is not None:
+            self.bus.publish("runner", type, data)
 
     # -- kernel construction and content hashing ---------------------------
 
@@ -390,26 +383,20 @@ class Runner:
             "warm_ranges": run.warm_ranges,
         })
 
-    def _count_functional(self, options: ExperimentOptions, start_us: float,
+    def _count_functional(self, options: ExperimentOptions, start: float,
                           seconds: float) -> None:
         """Account one functional execution, materialized or streamed.
 
-        A streamed execution interleaves with timing, so its span reports
-        the measured functional share from ``start_us`` on.
+        A streamed execution interleaves with timing, so its span event
+        reports the measured functional share from ``start`` on.
         """
         self.stats.functional_runs += 1
         self.stats.wall_time_functional += seconds
-        if self.metrics is not None:
-            self.metrics.counter("runner.functional_runs").inc()
-            self.metrics.histogram(
-                "runner.functional.seconds", {"cipher": options.cipher}
-            ).observe(seconds)
-        if self.tracer is not None:
-            self.tracer.complete(
-                f"functional:{options.cipher}", "functional", start_us,
-                seconds * 1e6,
-                {"cipher": options.cipher, "kind": options.kind,
-                 "session_bytes": options.session_bytes})
+        self._publish("functional", {
+            "cipher": options.cipher, "kind": options.kind,
+            "session_bytes": options.session_bytes,
+            "start": start, "seconds": seconds,
+        })
 
     def _kernel_input(self, kernel, options: ExperimentOptions,
                       backend: str | None) -> bytes:
@@ -449,8 +436,8 @@ class Runner:
                 self.stats.note_trace_bytes(run.trace.nbytes)
                 self._functional[options] = run
                 return run
-        start_us = self.tracer.now_us() if self.tracer is not None else 0.0
-        start = time.perf_counter()
+        start = self._now()
+        began = time.perf_counter()
         backend = self._resolved_backend(options)
         if options.kind == "setup":
             run = make_setup(
@@ -464,7 +451,7 @@ class Runner:
                 self._kernel_input(kernel, options, backend), options.iv,
                 record_values=options.record_values, backend=backend,
             )
-        self._count_functional(options, start_us, time.perf_counter() - start)
+        self._count_functional(options, start, time.perf_counter() - began)
         if run.trace is not None:
             self.stats.note_trace_bytes(run.trace.nbytes)
             if blob_key is not None:
@@ -491,41 +478,38 @@ class Runner:
         pending = {}
         # Key of each pending experiment -> later copies served from it.
         followers: dict[str, list[tuple[int, Experiment]]] = {}
+        start = self._now()
         probe_start = time.perf_counter()
-        with self._span("cache-probe", "cache",
-                        {"experiments": len(experiments)}) as span_args:
-            for index, experiment in enumerate(experiments):
-                key = self.experiment_key(experiment)
-                if key in followers:
-                    self.stats.cache_hits += 1
-                    followers[key].append((index, experiment))
-                    continue
-                result = self._parsed(self.cache.get(key), lambda record: (
-                    self._result_from_record(experiment, record, cached=True)
-                ))
-                if result is not None:
-                    self.stats.cache_hits += 1
-                    results[index] = result
-                    self._publish_result(result)
-                    if self.stats_hook is not None:
-                        self.stats_hook(result)
-                else:
-                    self.stats.cache_misses += 1
-                    pending.setdefault(experiment.options, []).append(
-                        (index, experiment, key)
-                    )
-                    if self.cache.enabled:
-                        followers[key] = []
-            span_args["hits"] = len(experiments) - sum(
-                len(entries) for entries in pending.values()
-            )
-            span_args["misses"] = len(experiments) - span_args["hits"]
-        self.stats.wall_time_cache += time.perf_counter() - probe_start
-        if self.metrics is not None:
-            self.metrics.counter("runner.cache.hits").inc(span_args["hits"])
-            self.metrics.counter("runner.cache.misses").inc(
-                span_args["misses"]
-            )
+        for index, experiment in enumerate(experiments):
+            key = self.experiment_key(experiment)
+            if key in followers:
+                self.stats.cache_hits += 1
+                followers[key].append((index, experiment))
+                continue
+            result = self._parsed(self.cache.get(key), lambda record: (
+                self._result_from_record(experiment, record, cached=True)
+            ))
+            if result is not None:
+                self.stats.cache_hits += 1
+                results[index] = result
+                self._publish_result(result)
+                if self.stats_hook is not None:
+                    self.stats_hook(result)
+            else:
+                self.stats.cache_misses += 1
+                pending.setdefault(experiment.options, []).append(
+                    (index, experiment, key)
+                )
+                if self.cache.enabled:
+                    followers[key] = []
+        seconds = time.perf_counter() - probe_start
+        self.stats.wall_time_cache += seconds
+        misses = sum(len(entries) for entries in pending.values())
+        self._publish("cache-probe", {
+            "experiments": len(experiments),
+            "hits": len(experiments) - misses, "misses": misses,
+            "start": start, "seconds": seconds,
+        })
         if pending:
             self._execute_pending(pending, followers, results)
         return results  # type: ignore[return-value]
@@ -552,17 +536,26 @@ class Runner:
             total_groups=len(pending),
             total_experiments=sum(len(e) for e in pending.values()),
             jobs=self.jobs,
-            hook=self.heartbeat_hook,
-            metrics=self.metrics,
-            tracer=self.tracer,
             bus=self.bus,
             interval=self.heartbeat_interval,
             stuck_after=self.stuck_after,
         )
 
     @staticmethod
-    def _group_label(options: ExperimentOptions) -> str:
-        return f"{options.cipher}/{options.kind}:{options.session_bytes}B"
+    def _group_labels(pending) -> dict:
+        """One fleet label per group, unique within the batch.
+
+        ``cipher[features]/kind:<bytes>B``; groups that still match
+        (another key, plaintext or backend) are numbered ``#2``, ``#3``...
+        """
+        labels, seen = {}, Counter()
+        for options in pending:
+            name = (f"{options.cipher}[{options.features.label}]/"
+                    f"{options.kind}:{options.session_bytes}B")
+            seen[name] += 1
+            labels[options] = (name if seen[name] == 1
+                               else f"{name}#{seen[name]}")
+        return labels
 
     def _execute_pending(self, pending, followers, results) -> None:
         # Groups whose trace already lives in this process run locally; cold
@@ -573,17 +566,19 @@ class Runner:
         cold = {opts: entries for opts, entries in pending.items()
                 if opts not in self._functional}
         computed: dict[ExperimentOptions, tuple] = {}
+        labels = self._group_labels(pending)
         with self._monitor(pending) as monitor:
             if cold and self.jobs > 1 and len(cold) > 1:
-                computed.update(self._run_groups_parallel(cold, monitor))
+                computed.update(
+                    self._run_groups_parallel(cold, labels, monitor))
             for options, entries in {**local, **cold}.items():
                 if options in computed:
                     continue
-                monitor.dispatch(self._group_label(options))
+                monitor.dispatch(labels[options])
                 computed[options] = self._run_group_records(
                     options, [entry[1].config for entry in entries]
                 )
-                monitor.complete(self._group_label(options))
+                monitor.complete(labels[options])
         for options, entries in pending.items():
             records, leaders = computed[options]
             for position, ((index, experiment, key), record) in enumerate(
@@ -595,12 +590,6 @@ class Runner:
                 leader = leaders[position]
                 self._count_timing(result.stats, leader == position)
                 self.stats.wall_time_timing += result.wall_time
-                if self.metrics is not None:
-                    self.metrics.histogram(
-                        "runner.experiment.seconds",
-                        {"cipher": result.cipher,
-                         "config": result.config_name},
-                    ).observe(result.wall_time)
                 results[index] = result
                 self._publish_result(
                     result, shared_with=(None if leader == position
@@ -651,13 +640,17 @@ class Runner:
             data[f"slots.{category}"] = round(fraction, 6)
         self.bus.publish("runner", "result", data)
 
-    def _run_groups_parallel(self, pending, monitor: FleetMonitor) -> dict:
+    def _run_groups_parallel(self, pending, labels,
+                             monitor: FleetMonitor) -> dict:
         """Run cold groups across the pool; returns the finished ones.
 
         Maps each finished group's options to its records and leaders.  A
         group the pool did not finish -- its worker died, or no pool could
         be created -- is left out, still accounted as dispatched, for the
-        serial path to run.
+        serial path to run.  The events a worker published on its active
+        bus (codegen) are republished here, in order, on this process's
+        active bus; a ``parallel-fanout`` span event times the pool when
+        it finished at least one group.
         """
         # Imported on first use: it adds ~25 ms to every process's start-up
         # (multiprocessing, logging), and most runs are serial.
@@ -670,27 +663,27 @@ class Runner:
         ]
         futures = {}
         failure = None
+        start = self._now()
+        began = time.perf_counter()
         try:
-            with self._span("parallel-fanout", "timing",
-                            {"groups": len(specs), "jobs": self.jobs}):
-                with ProcessPoolExecutor(min(self.jobs, len(specs))) as pool:
-                    # One future per group, so the fleet monitor observes
-                    # each completion live: the callback reports a group
-                    # the moment its worker succeeds, keeping heartbeats/ETA
-                    # accurate.  A worker that dies breaks the pool, and
-                    # every future it leaves unfinished raises
-                    # BrokenProcessPool.
-                    for spec in specs:
-                        label = self._group_label(spec[0])
-                        monitor.dispatch(label)
-                        future = pool.submit(_worker_run_group, spec)
-                        future.add_done_callback(
-                            lambda done, label=label: done.exception()
-                            or monitor.complete(label))
-                        futures[spec[0]] = future
+            with ProcessPoolExecutor(min(self.jobs, len(specs))) as pool:
+                # One future per group, so the fleet monitor observes each
+                # completion live: the callback reports a group the moment
+                # its worker succeeds, keeping heartbeats/ETA accurate.  A
+                # worker that dies breaks the pool, and every future it
+                # leaves unfinished raises BrokenProcessPool.
+                for spec in specs:
+                    label = labels[spec[0]]
+                    monitor.dispatch(label)
+                    future = pool.submit(_worker_run_group, spec)
+                    future.add_done_callback(
+                        lambda done, label=label: done.exception()
+                        or monitor.complete(label))
+                    futures[spec[0]] = future
         except Exception as error:  # no pool, or it broke while submitting
             failure = error
         # Leaving the executor waited for every submitted future.
+        seconds = time.perf_counter() - began
         outputs = {}
         for options, future in futures.items():
             error = future.exception()
@@ -711,12 +704,22 @@ class Runner:
                 RuntimeWarning,
                 stacklevel=3,
             )
+        if outputs:
+            self._publish("parallel-fanout", {
+                "groups": len(specs), "jobs": self.jobs,
+                "start": start, "seconds": seconds,
+            })
         # Workers ran the functional simulations out of process; fold the
         # wall time (and peak trace memory) they report back.
         self.stats.functional_runs += len(outputs)
         for output in outputs.values():
             self.stats.wall_time_functional += output["functional_wall_time"]
             self.stats.note_trace_bytes(output["peak_trace_bytes"])
+            if output["events"]:
+                from repro.obs.events import publish_event
+                for event in output["events"]:
+                    publish_event(event["source"], event["type"],
+                                  event["data"])
         return {options: (output["records"], output["leaders"])
                 for options, output in outputs.items()}
 
@@ -748,7 +751,7 @@ class Runner:
                 columns = (array(SEQ_TYPECODE), array(ADDR_TYPECODE),
                            array(VALUE_TYPECODE) if options.record_values
                            else None)
-        start_us = self.tracer.now_us() if self.tracer is not None else 0.0
+        start = self._now()
         stats_list, seconds, functional_time, leaders = self._feed(
             source, configs, warm, self._resolved_timing_engine(options),
             options.cipher, columns,
@@ -759,15 +762,9 @@ class Runner:
             functional_time += time.perf_counter() - t0
             if columns is not None:
                 self._put_trace_blob(blob_key, run, *columns)
-            self._count_functional(options, start_us, functional_time)
+            self._count_functional(options, start, functional_time)
         records = []
-        for index, (config, stats, elapsed) in enumerate(
-                zip(configs, stats_list, seconds)):
-            if self.metrics is not None and leaders[index] == index:
-                self.metrics.histogram(
-                    "runner.timing.seconds",
-                    {"cipher": options.cipher, "config": config.name},
-                ).observe(elapsed)
+        for config, stats, elapsed in zip(configs, stats_list, seconds):
             records.append({
                 "version": RUNNER_VERSION,
                 "cipher": options.cipher,
@@ -806,7 +803,7 @@ class Runner:
         )
 
     def _feed(self, source: TraceSource, configs, warm_ranges, engine,
-              label: str, columns=None):
+              cipher: str | None = None, columns=None):
         """The feed loop every timing run goes through.
 
         Builds one pipeline per distinct machine -- configs whose
@@ -822,12 +819,16 @@ class Runner:
         config whose pipeline served each config (its own for a leader).
         ``columns`` -- ``seq``, ``addrs`` and ``values`` arrays (``values``
         may be ``None``) -- collect the chunks for a trace-blob
-        write-through.  Tracer spans are ``chunk:<label>`` per chunk and
-        ``timing:<label>:<config>`` per pipeline.
+        write-through.  The span events are one ``chunk`` per chunk and one
+        ``timing`` per pipeline, labeled with the experiment group's
+        ``cipher`` (``trace-sim`` for :meth:`simulate`); a ``timing``
+        event carries its pipeline's stats, so the metrics view folds the
+        ``sim.*`` counters from it.
         """
         perf = time.perf_counter
-        tracer = self.tracer
-        start_us = tracer.now_us() if tracer is not None else 0.0
+        bus = self.bus
+        label = cipher or "trace-sim"
+        start = self._now()
         seconds = [0.0] * len(configs)
         pipelines = []
         t0 = perf()
@@ -847,7 +848,7 @@ class Runner:
         peak = 0
         chunks = source.chunks()
         for chunk_index in itertools.count():
-            chunk_ts = tracer.now_us() if tracer is not None else 0.0
+            chunk_start = bus.now() if bus is not None else 0.0
             t0 = perf()
             chunk = next(chunks, None)
             producing += perf() - t0
@@ -865,11 +866,13 @@ class Runner:
                 t0 = perf()
                 pipeline.feed(chunk)
                 seconds[index] += perf() - t0
-            if tracer is not None:
-                tracer.complete(f"chunk:{label}", "stream", chunk_ts,
-                                tracer.now_us() - chunk_ts,
-                                {"index": chunk_index, "entries": len(chunk),
-                                 "bytes": nbytes})
+            if bus is not None:
+                bus.publish("runner", "chunk", {
+                    "label": label, "index": chunk_index,
+                    "entries": len(chunk), "bytes": nbytes,
+                    "start": chunk_start,
+                    "seconds": bus.now() - chunk_start,
+                })
         if columns is not None:
             # The write-through holds one compact trace at the end.
             peak = max(peak, sum(column.itemsize * len(column)
@@ -881,21 +884,21 @@ class Runner:
             t0 = perf()
             stats = pipeline.finish()
             seconds[index] += perf() - t0
-            if self.metrics is not None:
-                record_sim_metrics(self.metrics, config, stats)
-            if tracer is not None:
-                tracer.complete(f"timing:{label}:{config.name}", "timing",
-                                start_us, seconds[index] * 1e6,
-                                {"config": config.name, "cycles": stats.cycles})
+            if bus is not None:
+                bus.publish("runner", "timing", {
+                    "label": label, "cipher": cipher, "config": config.name,
+                    "start": start, "seconds": seconds[index],
+                    "cycles": stats.cycles, "instructions": stats.instructions,
+                    "issue_slots": stats.issue_slots,
+                    "peak_trace_bytes": self.stats.peak_trace_bytes,
+                    **{f"stall_slots.{category}": slots for category, slots
+                       in stats.stall_slots.items() if slots},
+                })
             stats_list[index] = stats
         for index, leader in enumerate(leaders):
             if leader != index:
                 stats_list[index] = shared_stats(stats_list[leader],
                                                  configs[index])
-        if self.metrics is not None:
-            self.metrics.gauge("runner.peak_trace_bytes").set(
-                self.stats.peak_trace_bytes
-            )
         return stats_list, seconds, producing, leaders
 
     def _result_from_record(
@@ -956,7 +959,7 @@ class Runner:
             return stats_list  # type: ignore[return-value]
         simulated, seconds, producing, leaders = self._feed(
             source, [configs[i] for i in missing], warm_ranges,
-            self.timing_engine, "trace-sim",
+            self.timing_engine,
         )
         self.stats.wall_time_functional += producing
         self.stats.wall_time_timing += sum(seconds)
@@ -994,20 +997,22 @@ class Runner:
         return value
 
 
-@contextmanager
-def _null_span(args: dict | None = None):
-    """Stand-in for :meth:`repro.obs.Tracer.span` when tracing is off."""
-    yield dict(args or {})
-
-
 def _worker_run_group(spec):
     """Pool entry point: one functional run + its timing configs.
 
-    Returns the records, which config's pipeline served each, and the
+    Returns the records, which config's pipeline served each, the
     worker's functional wall time and peak trace memory, so the parent
-    runner accounts out-of-process work exactly like its own.
+    runner accounts out-of-process work exactly like its own, and the
+    events it published, for the parent to republish.  A forked worker
+    inherits the parent's active bus, with its open ledger file and a
+    lock the heartbeat thread may have held at the fork, so it installs
+    a collecting bus of its own first.
     """
     options, configs, chunk_size, backend, timing_engine = spec
+    events = []
+    ledger = sys.modules.get("repro.obs.events")  # no bus without it
+    if ledger is not None and ledger.active_bus() is not None:
+        ledger.set_active_bus(ledger.EventBus().subscribe(events.append))
     worker = Runner(cache=ResultCache.disabled(), jobs=1,
                     chunk_size=chunk_size, backend=backend,
                     timing_engine=timing_engine)
@@ -1017,4 +1022,5 @@ def _worker_run_group(spec):
         "leaders": leaders,
         "functional_wall_time": worker.stats.wall_time_functional,
         "peak_trace_bytes": worker.stats.peak_trace_bytes,
+        "events": events,
     }

@@ -6,28 +6,21 @@ dispatch to completion -- identically for the serial ``--jobs 1`` path
 and the multiprocessing fan-out -- and periodically emits heartbeat
 events carrying busy-worker counts, completion counts, and an ETA.
 
-Sinks (all optional, all fed from the same account):
+Every event is published to one :class:`repro.obs.EventBus` as
+``source="runner"``: the run ledger.  The ``--progress`` line
+(:class:`ProgressReporter`), the metrics snapshot and the Perfetto trace
+(:mod:`repro.obs.views`) are sinks on that bus.
 
-* an event ``hook`` -- any callable taking one event dict;
-  :class:`ProgressReporter` is the stock hook behind the CLI tools'
-  ``--progress`` flag (a live ``\\r``-refreshed status line on stderr);
-* a :class:`repro.obs.MetricsRegistry` -- ``runner.worker.busy`` gauge,
-  ``runner.group.seconds`` histogram, ``runner.worker.stuck`` counter;
-* a :class:`repro.obs.Tracer` -- ``runner.worker.busy`` counter samples
-  plus an instant event naming each stuck experiment;
-* a :class:`repro.obs.EventBus` -- every event below published to the
-  unified run ledger as ``source="runner"`` (``--events-out`` /
-  ``repro.tools.dash``).
+Event data (the ledger event's ``type`` selects the shape)::
 
-Event dicts (``type`` selects the shape)::
-
-    {"type": "start",      "total_groups": N, "total_experiments": M}
-    {"type": "dispatch",   "group": label}
-    {"type": "group-done", "group": label, "elapsed": seconds}
-    {"type": "heartbeat",  "busy": B, "done": D, "total": N,
-                           "elapsed": seconds, "eta_seconds": T | None}
-    {"type": "stuck",      "group": label, "quiet_seconds": seconds}
-    {"type": "finish",     "done": D, "total": N, "elapsed": seconds}
+    start       {"total_groups": N, "total_experiments": M, "busy": 0}
+    dispatch    {"group": label, "busy": B, "done": D, "total": N}
+    group-done  {"group": label, "elapsed": seconds, "busy": B,
+                 "done": D, "total": N}
+    heartbeat   {"busy": B, "done": D, "total": N, "elapsed": seconds,
+                 "eta_seconds": T | None}
+    stuck       {"group": label, "quiet_seconds": seconds}
+    finish      {"done": D, "total": N, "elapsed": seconds, "busy": 0}
 
 The watchdog names the *offending experiment*: when no group has
 completed for ``stuck_after`` seconds, the oldest groups that can
@@ -52,7 +45,7 @@ class FleetMonitor:
 
     Thread-safe: ``dispatch``/``complete`` may be called from pool result
     callbacks while the heartbeat thread reads the account.  Inert (no
-    thread, near-zero cost) when it has no sink.
+    thread, near-zero cost) without a bus.
     """
 
     def __init__(
@@ -61,9 +54,6 @@ class FleetMonitor:
         total_groups: int = 0,
         total_experiments: int = 0,
         jobs: int = 1,
-        hook=None,
-        metrics=None,
-        tracer=None,
         bus=None,
         interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         stuck_after: float = DEFAULT_STUCK_AFTER,
@@ -72,9 +62,6 @@ class FleetMonitor:
         self.total_groups = total_groups
         self.total_experiments = total_experiments
         self.jobs = max(1, int(jobs))
-        self.hook = hook
-        self.metrics = metrics
-        self.tracer = tracer
         self.bus = bus
         self.interval = interval
         self.stuck_after = stuck_after
@@ -91,8 +78,7 @@ class FleetMonitor:
 
     @property
     def enabled(self) -> bool:
-        return (self.hook is not None or self.metrics is not None
-                or self.tracer is not None or self.bus is not None)
+        return self.bus is not None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -101,12 +87,8 @@ class FleetMonitor:
         self._last_progress = self._started_at
         if not self.enabled:
             return self
-        self._emit({
-            "type": "start",
-            "total_groups": self.total_groups,
-            "total_experiments": self.total_experiments,
-        })
-        self._publish_busy(0)
+        self._emit("start", total_groups=self.total_groups,
+                   total_experiments=self.total_experiments, busy=0)
         if self.interval > 0:
             self._stop.clear()
             self._thread = threading.Thread(
@@ -123,13 +105,8 @@ class FleetMonitor:
             self._thread = None
         if not self.enabled or self._started_at is None:
             return
-        self._publish_busy(0)
-        self._emit({
-            "type": "finish",
-            "done": self.done,
-            "total": self.total_groups,
-            "elapsed": self._clock() - self._started_at,
-        })
+        self._emit("finish", done=self.done, total=self.total_groups,
+                   elapsed=self._clock() - self._started_at, busy=0)
 
     def __enter__(self) -> "FleetMonitor":
         return self.start()
@@ -152,11 +129,8 @@ class FleetMonitor:
                 return
             self._inflight[label] = now
             busy = min(len(self._inflight), self.jobs)
-        if self.enabled:
-            self._emit({"type": "dispatch", "group": label,
-                        "busy": busy, "done": self.done,
-                        "total": self.total_groups})
-            self._publish_busy(busy)
+        self._emit("dispatch", group=label, busy=busy, done=self.done,
+                   total=self.total_groups)
 
     def complete(self, label: str) -> None:
         now = self._clock()
@@ -167,28 +141,8 @@ class FleetMonitor:
             done = self.done
             self._last_progress = now
             busy = min(len(self._inflight), self.jobs)
-        if not self.enabled:
-            return
-        elapsed = now - dispatched
-        self._emit({"type": "group-done", "group": label,
-                    "elapsed": elapsed, "busy": busy, "done": done,
-                    "total": self.total_groups})
-        self._publish_busy(busy)
-        if self.metrics is not None:
-            self.metrics.histogram("runner.group.seconds").observe(elapsed)
-
-    def abandon_all(self) -> None:
-        """Forget every in-flight dispatch (parallel-fallback recovery).
-
-        The serial fallback re-dispatches the same groups, so abandoned
-        entries must not linger as phantom busy workers or double-count
-        completions.
-        """
-        with self._lock:
-            self._inflight.clear()
-            self._warned.clear()
-        if self.enabled:
-            self._publish_busy(0)
+        self._emit("group-done", group=label, elapsed=now - dispatched,
+                   busy=busy, done=done, total=self.total_groups)
 
     def requeue_all(self) -> None:
         """Re-time every in-flight dispatch (parallel-fallback recovery).
@@ -226,49 +180,27 @@ class FleetMonitor:
         remaining = self.total_groups - done
         if done and remaining > 0 and elapsed > 0:
             eta = remaining * (elapsed / done)
-        event = {
-            "type": "heartbeat", "busy": busy, "done": done,
-            "total": self.total_groups, "elapsed": elapsed,
-            "eta_seconds": eta,
-        }
-        self._emit(event)
-        self._publish_busy(busy)
+        event = self._emit("heartbeat", busy=busy, done=done,
+                           total=self.total_groups, elapsed=elapsed,
+                           eta_seconds=eta)
         if self.stuck_after > 0 and now - quiet_since >= self.stuck_after:
             for label, dispatched in running:
                 if label in self._warned:
                     continue
                 self._warned.add(label)
                 quiet = now - max(dispatched, quiet_since)
-                self._emit({"type": "stuck", "group": label,
-                            "quiet_seconds": quiet})
-                if self.metrics is not None:
-                    self.metrics.counter("runner.worker.stuck").inc()
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        f"stuck:{label}", "runner",
-                        {"quiet_seconds": quiet},
-                    )
+                self._emit("stuck", group=label, quiet_seconds=quiet)
         return event
 
     def _heartbeat_loop(self) -> None:
         while not self._stop.wait(self.interval):
             self.heartbeat()
 
-    # -- sinks -------------------------------------------------------------
-
-    def _emit(self, event: dict) -> None:
-        if self.hook is not None:
-            self.hook(event)
+    def _emit(self, type: str, **data) -> dict:
+        """Publish one fleet event; returns it as ``{"type": ..., **data}``."""
         if self.bus is not None:
-            data = {key: value for key, value in event.items()
-                    if key != "type"}
-            self.bus.publish("runner", event["type"], data)
-
-    def _publish_busy(self, busy: int) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge("runner.worker.busy").set(busy)
-        if self.tracer is not None:
-            self.tracer.counter("runner.worker.busy", {"busy": busy})
+            self.bus.publish("runner", type, data)
+        return {"type": type, **data}
 
 
 def _format_seconds(seconds: float) -> str:
@@ -280,11 +212,12 @@ def _format_seconds(seconds: float) -> str:
 
 
 class ProgressReporter:
-    """Stock heartbeat hook: a live progress/ETA line for humans.
+    """Bus sink: a live progress/ETA line for humans (``--progress``).
 
-    Rewrites one status line in place (``\\r``) on heartbeats and
-    completions, breaks the line for stuck-worker warnings so they stay
-    visible, and finishes with a newline-terminated summary.
+    Reads the runner's fleet events.  Rewrites one status line in place
+    (``\\r``) on heartbeats and completions, breaks the line for
+    stuck-worker warnings so they stay visible, and finishes with a
+    newline-terminated summary.
     """
 
     def __init__(self, stream=None, label: str = "runner"):
@@ -293,35 +226,38 @@ class ProgressReporter:
         self._line_open = False
 
     def __call__(self, event: dict) -> None:
-        kind = event.get("type")
+        if event["source"] != "runner":
+            return
+        kind = event["type"]
+        data = event["data"]
         if kind in ("heartbeat", "group-done", "dispatch"):
-            self._status(event)
+            self._status(kind, data)
         elif kind == "stuck":
             self._break_line()
             print(
                 f"[{self.label}] worker quiet "
-                f"{_format_seconds(event['quiet_seconds'])}: "
-                f"still running {event['group']}",
+                f"{_format_seconds(data['quiet_seconds'])}: "
+                f"still running {data['group']}",
                 file=self.stream, flush=True,
             )
         elif kind == "finish":
             self._break_line()
             print(
-                f"[{self.label}] {event['done']}/{event['total']} groups "
-                f"in {_format_seconds(event['elapsed'])}",
+                f"[{self.label}] {data['done']}/{data['total']} groups "
+                f"in {_format_seconds(data['elapsed'])}",
                 file=self.stream, flush=True,
             )
 
-    def _status(self, event: dict) -> None:
-        done = event.get("done")
+    def _status(self, kind: str, data: dict) -> None:
+        done = data.get("done")
         if done is None:
             return
-        text = (f"[{self.label}] {done}/{event['total']} groups, "
-                f"{event.get('busy', 0)} busy")
-        if event.get("type") == "heartbeat":
-            eta = event.get("eta_seconds")
-            if event.get("elapsed") is not None:
-                text += f", elapsed {_format_seconds(event['elapsed'])}"
+        text = (f"[{self.label}] {done}/{data['total']} groups, "
+                f"{data.get('busy', 0)} busy")
+        if kind == "heartbeat":
+            eta = data.get("eta_seconds")
+            if data.get("elapsed") is not None:
+                text += f", elapsed {_format_seconds(data['elapsed'])}"
             if eta:
                 text += f", eta ~{_format_seconds(eta)}"
         print(f"\r{text}", end="", file=self.stream, flush=True)

@@ -204,9 +204,9 @@ class CompileReport:
 
     One report per generated function (same key as ``_CODE_CACHE``);
     ``source_cache_hits`` counts later requests served from the cache.
-    Surfaced as ``compile.*`` metrics (:func:`record_compile_metrics`),
-    ``backend`` ledger events, and ``riscasim --backend compiled
-    --explain``.
+    Surfaced as ``backend`` ledger events (folded into ``compile.*``
+    metrics by :class:`repro.obs.views.MetricsView`) and ``riscasim
+    --backend compiled --explain``.
     """
 
     digest: str
@@ -245,27 +245,6 @@ def compile_reports() -> list[CompileReport]:
     return list(_COMPILE_REPORTS.values())
 
 
-def record_compile_metrics(registry) -> None:
-    """Fold the process's compile reports into a metrics registry.
-
-    ``compile.programs`` / ``compile.source_cache_hits`` counters, one
-    ``compile.<counter>`` counter per optimization kind, and the total
-    codegen wall time as ``compile.wall_seconds``.
-    """
-    reports = compile_reports()
-    registry.counter("compile.programs").inc(len(reports))
-    registry.counter("compile.source_cache_hits").inc(
-        sum(report.source_cache_hits for report in reports)
-    )
-    for key in COUNTER_KEYS:
-        registry.counter(f"compile.{key}").inc(
-            sum(report.counters.get(key, 0) for report in reports)
-        )
-    registry.gauge("compile.wall_seconds").set(
-        sum(report.compile_seconds for report in reports)
-    )
-
-
 def explain_table(reports: "list[CompileReport] | None" = None) -> str:
     """The ``riscasim --backend compiled --explain`` report table."""
     reports = compile_reports() if reports is None else reports
@@ -295,12 +274,12 @@ def explain_table(reports: "list[CompileReport] | None" = None) -> str:
 def _publish(type: str, data: dict) -> None:
     """Ledger event on the process's active bus, if one is installed.
 
-    Imported lazily: :mod:`repro.obs` is a heavier import than this
-    module and is only needed when something actually observes.
+    No bus can be active before the ledger module is loaded, so a
+    process without telemetry never imports :mod:`repro.obs` from here.
     """
-    from repro.obs.events import publish_event
-
-    publish_event("backend", type, data)
+    ledger = sys.modules.get("repro.obs.events")
+    if ledger is not None:
+        ledger.publish_event("backend", type, data)
 
 
 def compiled_function(

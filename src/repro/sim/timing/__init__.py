@@ -115,7 +115,6 @@ from repro.sim.timing.stages import (
     PipelineBase,
     SchedulerState,
     _hotspot_table,
-    record_sim_metrics,
     shared_stats,
 )
 from repro.sim.trace import StaticInfo, TraceSource
@@ -202,7 +201,6 @@ def simulate(
     config: MachineConfig,
     warm_ranges: "list[tuple[int, int]] | None" = None,
     schedule_range: "tuple[int, int] | None" = None,
-    metrics=None,
     chunk_size: "int | None" = None,
     engine: "str | TimingEngine | None" = None,
 ) -> SimStats:
@@ -225,10 +223,6 @@ def simulate(
     bounded by ``config.max_schedule_entries``; a clipped window sets
     ``stats.extra["schedule_truncated"]``.
 
-    ``metrics`` -- optional :class:`repro.obs.MetricsRegistry`; when given,
-    the run's headline counters and stall-slot breakdown are recorded
-    under ``sim.*`` metric names labeled by config.
-
     ``chunk_size`` -- entries per pipeline step; ``None`` lets the source
     pick (a ``Trace`` yields itself whole, a ``StreamingTrace`` uses its
     configured chunk size).  Results are bit-identical for every value.
@@ -244,10 +238,7 @@ def simulate(
     )
     for chunk in trace.chunks(chunk_size):
         pipeline.feed(chunk)
-    stats = pipeline.finish()
-    if metrics is not None and stats.instructions:
-        record_sim_metrics(metrics, config, stats)
-    return stats
+    return pipeline.finish()
 
 
 __all__ = [
@@ -267,7 +258,6 @@ __all__ = [
     "group_by_view",
     "make_pipeline",
     "op_table",
-    "record_sim_metrics",
     "register_engine",
     "shared_stats",
     "simulate",

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import linecache
 import re
+import sys
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -58,7 +59,7 @@ from repro.sim.timing.stages import _UNLIMITED
 from repro.sim.trace import SEQ_TYPECODE
 
 #: Optimization counters incremented by the code generator (the
-#: ``--explain`` table and ``timing.*`` metrics surface them).
+#: ``--explain`` table and the ``timing`` ledger events surface them).
 COUNTER_KEYS = (
     "blocks_unrolled",
     "latencies_folded",
@@ -77,9 +78,9 @@ class SpecializationReport:
 
     One report per generated scheduler (same key as the code cache);
     ``source_cache_hits`` counts later pipelines served from the cache.
-    Surfaced as ``timing.*`` metrics (:func:`record_timing_metrics`),
-    ``timing`` ledger events, and ``riscasim --timing-engine specialized
-    --explain``.
+    Surfaced as ``timing`` ledger events (folded into ``timing.*``
+    metrics by :class:`repro.obs.views.MetricsView`) and ``riscasim
+    --timing-engine specialized --explain``.
     """
 
     digest: str
@@ -139,29 +140,6 @@ def untiered_pipelines() -> int:
     return _UNTIERED[0]
 
 
-def record_timing_metrics(registry) -> None:
-    """Fold the process's specialization reports into a metrics registry.
-
-    ``timing.programs`` / ``timing.source_cache_hits`` /
-    ``timing.pipelines_untiered`` counters, one ``timing.<counter>``
-    counter per optimization kind, and the total codegen wall time as
-    ``timing.wall_seconds``.
-    """
-    reports = specialization_reports()
-    registry.counter("timing.programs").inc(len(reports))
-    registry.counter("timing.source_cache_hits").inc(
-        sum(report.source_cache_hits for report in reports)
-    )
-    registry.counter("timing.pipelines_untiered").inc(untiered_pipelines())
-    for key in COUNTER_KEYS:
-        registry.counter(f"timing.{key}").inc(
-            sum(report.counters.get(key, 0) for report in reports)
-        )
-    registry.gauge("timing.wall_seconds").set(
-        sum(report.compile_seconds for report in reports)
-    )
-
-
 def explain_table(reports: "list[SpecializationReport] | None" = None) -> str:
     """The ``riscasim --timing-engine specialized --explain`` table."""
     reports = specialization_reports() if reports is None else reports
@@ -200,10 +178,14 @@ def explain_table(reports: "list[SpecializationReport] | None" = None) -> str:
 
 
 def _publish(type: str, data: dict) -> None:
-    """Ledger event on the process's active bus, if one is installed."""
-    from repro.obs.events import publish_event
+    """Ledger event on the process's active bus, if one is installed.
 
-    publish_event("timing", type, data)
+    No bus can be active before the ledger module is loaded, so a
+    process without telemetry never imports it from here.
+    """
+    ledger = sys.modules.get("repro.obs.events")
+    if ledger is not None:
+        ledger.publish_event("timing", type, data)
 
 
 def _static_fingerprint(static, n: int) -> int:
@@ -1111,6 +1093,12 @@ class SpecializedPipeline(GenericPipeline):
     def _finalize_engine(self):
         if self._tier_at is not None:
             _UNTIERED[0] += 1
+            _publish("untiered", {
+                "digest": self._ir.program.digest()[:12],
+                "config": self.config.name,
+                "entries": self._count,
+                "tier_at": self._tier_at,
+            })
         if not self._attribute:
             return
         # Fold the fast path's per-block execution tallies into the

@@ -428,16 +428,3 @@ def _hotspot_table(program: Program, hot: list, exec_counts: list) -> list[dict]
         })
     return table
 
-
-def record_sim_metrics(metrics, config: MachineConfig, stats: SimStats) -> None:
-    """Publish one run's headline counters into a metrics registry."""
-    labels = {"config": config.name}
-    metrics.counter("sim.runs", labels).inc()
-    metrics.counter("sim.instructions", labels).inc(stats.instructions)
-    metrics.counter("sim.cycles", labels).inc(stats.cycles)
-    metrics.counter("sim.issue_slots", labels).inc(stats.issue_slots)
-    for category, slots in stats.stall_slots.items():
-        if slots:
-            metrics.counter(
-                "sim.stall_slots", {**labels, "category": category}
-            ).inc(slots)

@@ -22,8 +22,8 @@ reports bounds alone (no soundness check, always exits 0).
 ``docs/analysis.md``); ``--out`` writes it to a file that
 ``python -m repro.tools.obs --check`` can validate.  With ``--events-out``
 each cell also lands on the run ledger as an ``analysis``/``estimate``
-event (rendered by ``repro.tools.dash``), and ``--metrics-out`` records
-``analysis.*`` counters and gap gauges.
+event (rendered by ``repro.tools.dash``); ``--metrics-out`` folds those
+events into ``analysis.*`` counters and gap gauges.
 """
 
 from __future__ import annotations
@@ -129,25 +129,6 @@ def analysis_document(cells, session_bytes,
     }
 
 
-def record_analysis_metrics(metrics, cells) -> None:
-    """Fold analyzed cells into a metrics registry.
-
-    Emits an ``analysis.estimates`` counter and ``analysis.gap`` gauge
-    per machine model, plus a global ``analysis.unsound`` counter --
-    the same ``analysis.*`` namespace the ledger events use.
-    """
-    for cell in cells:
-        metrics.counter(
-            "analysis.estimates", {"config": cell["config"]}
-        ).inc()
-        metrics.gauge(
-            "analysis.gap",
-            {"config": cell["config"], "program": cell["program"]},
-        ).set(cell["gap"])
-        if cell.get("sound") is False:
-            metrics.counter("analysis.unsound").inc()
-
-
 def render_table(cells) -> str:
     lines = [
         f"{'program':<20} {'config':<6} {'instr':>7} {'lower':>8} "
@@ -224,8 +205,6 @@ def main(argv: list[str] | None = None) -> int:
             for features in levels
             for config_name in args.configs
         ]
-        if obs.metrics is not None:
-            record_analysis_metrics(obs.metrics, cells)
 
     document = analysis_document(cells, args.session_bytes)
     if args.format == "json":

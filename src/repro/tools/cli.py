@@ -9,7 +9,7 @@ Every experiment-running CLI in this repository speaks the same flags:
 * ``--jobs``           -- worker processes for the experiment runner,
 * ``--no-cache``       -- bypass the on-disk result cache,
 * ``--metrics-out``    -- write a metrics-registry snapshot (JSON),
-* ``--trace-out``      -- write a span trace (Chrome JSON or JSONL),
+* ``--trace-out``      -- write a Perfetto trace (Chrome JSON or JSONL),
 * ``--profile``        -- sample host stacks, print a subsystem breakdown
   (``--profile-hz`` rate, ``--profile-out`` collapsed stacks),
 * ``--events-out``     -- append the unified run ledger (JSONL), rendered
@@ -20,7 +20,9 @@ Every experiment-running CLI in this repository speaks the same flags:
 The helpers here add those arguments with consistent help text, defaults,
 and backwards-compatible aliases, and build a configured
 :class:`repro.runner.Runner` (plus an :class:`repro.obs.Observability`
-session when telemetry outputs are requested) from the parsed namespace.
+session, whose event bus carries every telemetry output -- metrics,
+trace, ledger and progress line are sinks on it) from the parsed
+namespace.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.isa import Features
 from repro.kernels import KERNEL_NAMES
 from repro.obs import Observability
 from repro.obs.profiler import DEFAULT_HZ
-from repro.runner import ProgressReporter, ResultCache, Runner
+from repro.runner import ResultCache, Runner
 from repro.sim.backends import DEFAULT_BACKEND, backend_names
 from repro.sim.timing import DEFAULT_ENGINE, engine_names
 from repro.sim import (
@@ -178,8 +180,9 @@ def add_observability_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace-out", metavar="PATH", default=None,
-        help="write runner/simulator spans: Chrome/Perfetto trace JSON, "
-             "or one event per line if PATH ends in .jsonl",
+        help="write runner/simulator spans and fleet activity: "
+             "Chrome/Perfetto trace JSON, or one event per line if PATH "
+             "ends in .jsonl",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -198,8 +201,9 @@ def add_observability_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--events-out", metavar="PATH", default=None,
         help="append the unified run ledger (JSONL, schema "
-             "repro.obs.events/1): runner, cache, backend, bench and "
-             "profiler events; render with repro.tools.dash",
+             "repro.obs.events/1): runner, cache, codegen, bench and "
+             "profiler events, with host seconds per phase; render with "
+             "repro.tools.dash",
     )
 
 
@@ -208,8 +212,8 @@ def observability_from_args(
 ) -> Observability:
     """Build an :class:`Observability` session from the telemetry flags.
 
-    Inert (no registry, no tracer) unless at least one output path was
-    given, so tools can call it unconditionally.
+    Inert (no bus, no profiler) unless an output path, ``--profile`` or
+    ``--progress`` was given, so tools can call it unconditionally.
     """
     obs = Observability(
         metrics_out=getattr(args, "metrics_out", None),
@@ -219,6 +223,7 @@ def observability_from_args(
         profile_hz=getattr(args, "profile_hz", DEFAULT_HZ),
         profile_out=getattr(args, "profile_out", None),
         events_out=getattr(args, "events_out", None),
+        progress=getattr(args, "progress", False),
     )
     obs.backend = getattr(args, "backend", None) or DEFAULT_BACKEND
     obs.timing_engine = (getattr(args, "timing_engine", None)
@@ -232,16 +237,12 @@ def runner_from_args(
     """Build a :class:`Runner` from ``add_runner_arguments`` flags.
 
     Pass the tool's :class:`Observability` session as ``obs`` to plumb its
-    metrics registry and tracer into the runner.
+    event bus into the runner.
     """
     cache = (ResultCache.disabled() if getattr(args, "no_cache", False)
              else ResultCache.from_env())
     if obs is not None:
-        kwargs.setdefault("metrics", obs.metrics)
-        kwargs.setdefault("tracer", obs.tracer)
         kwargs.setdefault("bus", obs.bus)
-    if getattr(args, "progress", False):
-        kwargs.setdefault("heartbeat_hook", ProgressReporter())
     chunk_size = getattr(args, "chunk_size", None)
     if chunk_size is not None:
         if chunk_size < 1:

@@ -14,19 +14,22 @@ enforces with ``--fail-on error``.
 
 ``--format json`` emits a ``repro.isa.verify/1`` report document (see
 ``docs/lint.md``); ``--out`` writes it to a file that
-``python -m repro.tools.obs --check`` can validate.  The exit status is
-non-zero when any program has a diagnostic at or above ``--fail-on``.
+``python -m repro.tools.obs --check`` can validate.  With telemetry on
+(``--events-out``, ``--metrics-out``), each program lands on the run
+ledger as a ``lint``/``program`` event counting its diagnostics per
+checker and severity.  The exit status is non-zero when any program has
+a diagnostic at or above ``--fail-on``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+from collections import Counter
 
 from repro.isa.verify import (
     VerifyResult,
     lint_document,
-    record_lint_metrics,
     severity_rank,
     verify_program,
 )
@@ -151,8 +154,13 @@ def main(argv: list[str] | None = None) -> int:
     obs = observability_from_args(args, tool="lint")
     with obs:
         results = lint_programs(programs)
-        if obs.metrics is not None:
-            record_lint_metrics(obs.metrics, results)
+        if obs.bus is not None:
+            for result in results:
+                obs.bus.publish("lint", "program", {
+                    "program": result.name,
+                    **Counter(f"diagnostics.{d.checker}.{d.severity}"
+                              for d in result.diagnostics),
+                })
 
     document = lint_document(results)
     if args.format == "json":

@@ -133,6 +133,13 @@ def main(argv: list[str] | None = None) -> int:
             source = machine.execute(stream=True, backend=runner.backend,
                                      chunk_size=runner.chunk_size)
         stats = runner.simulate(source, [config], key_parts=key_base)[0]
+        if args.bottlenecks:
+            configs = [DATAFLOW_BASEISA,
+                       *(bottleneck_config(which) for which in BOTTLENECKS)]
+            dataflow, *limited = (
+                result.cycles for result
+                in runner.simulate(trace, configs, key_parts=key_base)
+            )
     print(f"{stats.instructions} instructions; {stats.summary()}")
     _print_slots(stats)
 
@@ -149,12 +156,6 @@ def main(argv: list[str] | None = None) -> int:
                         for k, v in stall_summary(schedule).items()))
 
     if args.bottlenecks:
-        configs = [DATAFLOW_BASEISA,
-                   *(bottleneck_config(which) for which in BOTTLENECKS)]
-        dataflow, *limited = (
-            result.cycles
-            for result in runner.simulate(trace, configs, key_parts=key_base)
-        )
         print(f"{'bottleneck':<10} rel-to-DF")
         for which, cycles in zip(BOTTLENECKS, limited):
             print(f"{which:<10} {dataflow / cycles:.3f}")

@@ -10,7 +10,7 @@ from repro.obs import (
     EventBus,
     JsonlSink,
     MetricsRegistry,
-    MetricsSink,
+    MetricsView,
     RingBufferSink,
     active_bus,
     load_ledger,
@@ -113,7 +113,7 @@ def test_ring_buffer_sink_keeps_newest():
 def test_metrics_sink_counts_by_source_and_type():
     registry = MetricsRegistry()
     bus = EventBus()
-    bus.subscribe(MetricsSink(registry))
+    bus.subscribe(MetricsView(registry))
     bus.publish("cache", "hit")
     bus.publish("cache", "hit")
     bus.publish("cache", "miss")
@@ -278,24 +278,39 @@ def test_obs_check_reports_unparseable_jsonl_lines(tmp_path, capsys):
 def test_publishing_needs_only_the_ledger_modules():
     """Importing the runner and the ledger loads neither ``repro.obs.bench``
     nor the ``socket``/``subprocess`` modules it needs, while every
-    package-level name still resolves."""
+    package-level name still resolves.  A ``Runner.run`` without a bus --
+    codegen on both stacks included -- publishes nothing and loads no
+    ``repro.obs`` module at all."""
     import subprocess
     import sys
     from pathlib import Path
 
     import repro.obs
 
-    script = (
+    src = str(Path(__file__).resolve().parents[2] / "src")
+
+    def run(script):
+        return subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, env={"PYTHONPATH": src, "PATH": "/usr/bin"},
+        ).stdout.strip()
+
+    assert run(
         "import sys; import repro.runner, repro.obs.events; "
         "print([m for m in ('repro.obs.bench', 'socket', 'subprocess') "
         "if m in sys.modules])"
-    )
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    out = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-        check=True, env={"PYTHONPATH": src, "PATH": "/usr/bin"},
-    ).stdout
-    assert out.strip() == "[]"
+    ) == "[]"
+    assert run(
+        "import sys\n"
+        "from repro.runner import Experiment, ExperimentOptions, "
+        "ResultCache, Runner\n"
+        "from repro.sim import FOURW\n"
+        "for stack in ({}, {'backend': 'compiled', "
+        "'timing_engine': 'specialized'}):\n"
+        "    Runner(cache=ResultCache.disabled(), **stack).run([Experiment("
+        "ExperimentOptions(cipher='RC4', session_bytes=64), FOURW)])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.obs')))"
+    ) == "[]"
     assert all(getattr(repro.obs, name) is not None
                for name in repro.obs.__all__)
     assert set(repro.obs.__all__) <= set(dir(repro.obs))

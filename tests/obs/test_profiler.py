@@ -6,7 +6,9 @@ import pytest
 
 from repro.ciphers.rc4 import RC4
 from repro.obs import (
+    EventBus,
     MetricsRegistry,
+    MetricsView,
     SamplingProfiler,
     Tracer,
     validate_metrics,
@@ -139,14 +141,17 @@ def test_empty_profile_renders_without_samples():
 
 def test_record_metrics_snapshot_is_valid():
     profiler = profiled_run(hz=400, seconds=0.15)
-    registry = MetricsRegistry()
-    profiler.record_metrics(registry)
+    registry, bus = MetricsRegistry(), EventBus()
+    bus.subscribe(MetricsView(registry))
+    bus.publish("profiler", "snapshot", profiler.snapshot())
     document = registry.snapshot(generated_by="test")
     assert validate_metrics(document) == []
     assert registry.counter(
         "profiler.samples", {"subsystem": "cipher"}
     ).value > 0
     assert registry.gauge("profiler.hz").value == 400
+    assert registry.gauge("profiler.wall_seconds").value \
+        == profiler.wall_seconds
 
 
 def test_trace_events_are_cumulative_and_valid():

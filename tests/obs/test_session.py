@@ -90,7 +90,7 @@ def test_events_out_writes_valid_ledger_and_installs_bus(tmp_path):
 
     document = json.loads(metrics_out.read_text())
     # The resolved backend rides in the environment fingerprint, and the
-    # MetricsSink counted each published event.
+    # metrics view counted each published event.
     assert document["extra"]["environment"]["backend"] == "compiled"
     published = [metric for metric in document["metrics"]
                  if metric["name"] == "events.published"]

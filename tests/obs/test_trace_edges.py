@@ -10,7 +10,9 @@ import json
 
 from repro.analysis.multisession import interleave_traces
 from repro.obs import (
+    EventBus,
     MetricsRegistry,
+    MetricsView,
     Tracer,
     schedule_trace_events,
     validate_metrics,
@@ -18,7 +20,7 @@ from repro.obs import (
 )
 from repro.runner import ExperimentOptions, ResultCache, Runner
 from repro.sim import DATAFLOW, FOURW
-from repro.sim.timing import record_sim_metrics, simulate
+from repro.sim.timing import simulate
 from repro.tools.obs import check_file
 
 
@@ -57,9 +59,10 @@ def test_dataflow_machine_has_no_slot_account():
 
 def test_dataflow_metrics_snapshot_is_valid():
     run = functional("RC4", 32)
-    stats = simulate(run.trace, DATAFLOW, run.warm_ranges)
-    metrics = MetricsRegistry()
-    record_sim_metrics(metrics, DATAFLOW, stats)
+    metrics, bus = MetricsRegistry(), EventBus()
+    bus.subscribe(MetricsView(metrics))
+    Runner(cache=ResultCache.disabled(), bus=bus).simulate(
+        run.trace, [DATAFLOW], run.warm_ranges)
     document = metrics.snapshot(generated_by="test")
     assert validate_metrics(document) == []
     assert metrics.counter("sim.issue_slots", {"config": "DF"}).value == 0

@@ -242,6 +242,7 @@ import warnings
 from collections import Counter
 
 import repro.runner.engine as engine
+from repro.obs import EventBus
 from repro.runner import ResultCache, Runner, experiment_grid
 from repro.sim import DATAFLOW, FOURW
 
@@ -267,10 +268,12 @@ if __name__ == "__main__":
     serial = Runner(cache=ResultCache.disabled()).run(experiments)
     engine._worker_run_group = dying_worker
     events = []
+    bus = EventBus()
+    bus.subscribe(lambda event: events.append(
+        {"type": event["type"], **event["data"]}))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        pooled = Runner(cache=ResultCache.disabled(), jobs=2,
-                        heartbeat_hook=events.append,
+        pooled = Runner(cache=ResultCache.disabled(), jobs=2, bus=bus,
                         heartbeat_interval=0).run(experiments)
     (finish,) = [e for e in events if e["type"] == "finish"]
     print(json.dumps({
@@ -303,7 +306,7 @@ def run_killed_worker(tmp_path, delay):
                and "falling back to serial" in warning
                for warning in report["warnings"]), report["warnings"]
     # Each group is dispatched and done once, at any interleaving.
-    groups = {f"{cipher}/encrypt:64B": 1
+    groups = {f"{cipher}[orig-rot]/encrypt:64B": 1
               for cipher in ("RC4", "RC6", "Blowfish")}
     assert report["dispatch"] == report["group-done"] == groups
     assert report["finish"] == [3, 3]
@@ -489,12 +492,27 @@ def test_simulate_trace_counts_timing_phase(tmp_path):
     assert runner.stats.wall_time_timing > 0
 
 
-def test_runner_publishes_metrics_and_spans(tmp_path):
-    from repro.obs import MetricsRegistry, Tracer, validate_trace_events
+def views_bus():
+    """A bus with a metrics view and a trace view attached."""
+    from repro.obs import (
+        EventBus,
+        MetricsRegistry,
+        MetricsView,
+        Tracer,
+        TraceView,
+    )
 
-    metrics = MetricsRegistry()
-    tracer = Tracer()
-    runner = make_runner(tmp_path, metrics=metrics, tracer=tracer)
+    bus, metrics, tracer = EventBus(), MetricsRegistry(), Tracer()
+    bus.subscribe(MetricsView(metrics))
+    bus.subscribe(TraceView(tracer))
+    return bus, metrics, tracer
+
+
+def test_runner_publishes_metrics_and_spans(tmp_path):
+    from repro.obs import validate_trace_events
+
+    bus, metrics, tracer = views_bus()
+    runner = make_runner(tmp_path, bus=bus)
     runner.run(grid())
 
     assert metrics.counter("runner.functional_runs").value == 1
@@ -507,8 +525,8 @@ def test_runner_publishes_metrics_and_spans(tmp_path):
     assert validate_trace_events(tracer.to_chrome()) == []
 
     # Warm reruns touch no simulator and open no timing spans.
-    warm_tracer = Tracer()
-    warm = make_runner(tmp_path, tracer=warm_tracer)
+    warm_bus, _, warm_tracer = views_bus()
+    warm = make_runner(tmp_path, bus=warm_bus)
     warm.run(grid())
     warm_names = {event["name"] for event in warm_tracer.events}
     assert "cache-probe" in warm_names
@@ -601,12 +619,12 @@ def test_batch_simulates_each_distinct_run_once(tmp_path):
         runner.stats_hook = record
         return speedups.run(options, runner=runner), cells
 
-    from repro.obs import EventBus, MetricsRegistry, RingBufferSink
+    from repro.obs import RingBufferSink
 
-    metrics, bus, ledger = MetricsRegistry(), EventBus(), RingBufferSink()
+    bus, metrics, _ = views_bus()
+    ledger = RingBufferSink()
     bus.subscribe(ledger)
-    shared = make_runner(tmp_path, metrics=metrics, bus=bus,
-                         heartbeat_interval=0)
+    shared = make_runner(tmp_path, bus=bus, heartbeat_interval=0)
     rows, cells = figure10(shared)
     stats = shared.stats
     assert (stats.timing_runs, stats.timing_shared, stats.functional_runs,

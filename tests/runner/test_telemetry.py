@@ -1,8 +1,20 @@
 """Tests for the runner fleet monitor, progress reporter, and wiring."""
 
 import io
+import warnings
+from collections import Counter
 
-from repro.obs import MetricsRegistry, Tracer, validate_metrics
+import pytest
+
+from repro.isa import Features
+from repro.obs import (
+    EventBus,
+    MetricsRegistry,
+    MetricsView,
+    Tracer,
+    TraceView,
+    validate_metrics,
+)
 from repro.runner import (
     Experiment,
     ExperimentOptions,
@@ -27,11 +39,20 @@ class FakeClock:
         self.now += seconds
 
 
+def fleet_bus(events):
+    """A bus appending each runner event to ``events`` as one flat dict:
+    its ``type`` beside its data."""
+    bus = EventBus()
+    bus.subscribe(lambda event: event["source"] == "runner" and events.append(
+        {"type": event["type"], **event["data"]}))
+    return bus
+
+
 def make_monitor(events, clock, **kwargs):
     kwargs.setdefault("total_groups", 4)
     kwargs.setdefault("total_experiments", 8)
     kwargs.setdefault("interval", 0)  # heartbeats driven by the tests
-    return FleetMonitor(hook=events.append, clock=clock, **kwargs)
+    return FleetMonitor(bus=fleet_bus(events), clock=clock, **kwargs)
 
 
 def test_dispatch_complete_accounting():
@@ -93,9 +114,11 @@ def test_stuck_watchdog_names_oldest_running_groups():
 
 def test_watchdog_feeds_metrics_and_tracer():
     metrics, tracer, clock = MetricsRegistry(), Tracer(), FakeClock()
-    monitor = FleetMonitor(total_groups=1, jobs=1, metrics=metrics,
-                           tracer=tracer, interval=0, stuck_after=10.0,
-                           clock=clock)
+    bus = EventBus()
+    bus.subscribe(MetricsView(metrics))
+    bus.subscribe(TraceView(tracer))
+    monitor = FleetMonitor(total_groups=1, jobs=1, bus=bus, interval=0,
+                           stuck_after=10.0, clock=clock)
     with monitor:
         monitor.dispatch("slow/encrypt:1024B")
         clock.advance(11.0)
@@ -106,19 +129,6 @@ def test_watchdog_feeds_metrics_and_tracer():
     names = {event["name"] for event in tracer.events}
     assert "stuck:slow/encrypt:1024B" in names
     assert "runner.worker.busy" in names
-
-
-def test_abandon_all_forgets_inflight_groups():
-    events, clock = [], FakeClock()
-    with make_monitor(events, clock) as monitor:
-        monitor.dispatch("a")
-        monitor.dispatch("b")
-        monitor.abandon_all()
-        assert monitor.heartbeat()["busy"] == 0
-        # Serial fallback re-dispatches and completes without double counts.
-        monitor.dispatch("a")
-        monitor.complete("a")
-        assert monitor.done == 1
 
 
 def test_requeue_all_keeps_inflight_and_suppresses_redispatch():
@@ -169,7 +179,7 @@ def test_disabled_monitor_is_inert():
 
 def test_background_heartbeat_thread_runs():
     events = []
-    monitor = FleetMonitor(total_groups=1, hook=events.append,
+    monitor = FleetMonitor(total_groups=1, bus=fleet_bus(events),
                            interval=0.01, stuck_after=0)
     with monitor:
         monitor.dispatch("a")
@@ -186,10 +196,12 @@ def test_background_heartbeat_thread_runs():
 # -- the stock progress hook ----------------------------------------------
 
 def progress_lines(events):
+    """Feed fleet events, written flat, to the reporter as ledger events."""
     stream = io.StringIO()
     reporter = ProgressReporter(stream=stream, label="test")
     for event in events:
-        reporter(event)
+        reporter({"source": "runner", "type": event["type"],
+                  "data": {k: v for k, v in event.items() if k != "type"}})
     return stream.getvalue()
 
 
@@ -225,6 +237,11 @@ def test_format_seconds_units():
 
 # -- integration with the runner ------------------------------------------
 
+#: The fleet monitor's event types (a runner also publishes results and
+#: span events on the same bus).
+FLEET_TYPES = ("start", "dispatch", "group-done", "heartbeat", "stuck",
+               "finish")
+
 def grid():
     return experiment_grid(["RC4", "RC6"], [FOURW, DATAFLOW],
                            session_bytes=128)
@@ -234,10 +251,12 @@ def test_serial_runner_emits_full_telemetry(tmp_path):
     """Acceptance: the --jobs 1 path reports heartbeat telemetry too."""
     events = []
     metrics = MetricsRegistry()
-    runner = Runner(cache=ResultCache(tmp_path / "cache"), jobs=1,
-                    metrics=metrics, heartbeat_hook=events.append,
+    bus = fleet_bus(events)
+    bus.subscribe(MetricsView(metrics))
+    runner = Runner(cache=ResultCache(tmp_path / "cache"), jobs=1, bus=bus,
                     heartbeat_interval=0.005)
     runner.run(grid())
+    events = [event for event in events if event["type"] in FLEET_TYPES]
     kinds = [event["type"] for event in events]
     assert kinds[0] == "start"
     assert kinds[-1] == "finish"
@@ -245,7 +264,8 @@ def test_serial_runner_emits_full_telemetry(tmp_path):
     assert kinds.count("group-done") == 2
     assert events[0]["total_experiments"] == 4
     labels = {e["group"] for e in events if e["type"] == "dispatch"}
-    assert labels == {"RC4/encrypt:128B", "RC6/encrypt:128B"}
+    assert labels == {"RC4[orig-rot]/encrypt:128B",
+                      "RC6[orig-rot]/encrypt:128B"}
     assert metrics.histogram("runner.group.seconds")._value_fields()[
         "count"] == 2
     assert metrics.histogram(
@@ -258,16 +278,17 @@ def test_parallel_runner_emits_same_group_events(tmp_path):
     """jobs>1 (or its serial fallback) must produce the same accounting."""
     events = []
     runner = Runner(cache=ResultCache.disabled(), jobs=2,
-                    heartbeat_hook=events.append, heartbeat_interval=0)
+                    bus=fleet_bus(events), heartbeat_interval=0)
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         runner.run(grid())
-    kinds = [event["type"] for event in events]
+    kinds = [event["type"] for event in events if event["type"] in FLEET_TYPES]
     assert kinds.count("group-done") == 2
     assert kinds[-1] == "finish"
-    assert events[-1]["done"] == 2
+    (finish,) = [event for event in events if event["type"] == "finish"]
+    assert finish["done"] == 2
 
 
 def test_cached_run_emits_no_phantom_telemetry(tmp_path):
@@ -275,10 +296,77 @@ def test_cached_run_emits_no_phantom_telemetry(tmp_path):
     cold.run(grid())
     events = []
     warm = Runner(cache=ResultCache(tmp_path / "cache"), jobs=1,
-                  heartbeat_hook=events.append, heartbeat_interval=0)
+                  bus=fleet_bus(events), heartbeat_interval=0)
     warm.run(grid())
     # Fully cached: nothing executes, so no busy workers are invented.
-    assert events == []
+    assert [event["type"] for event in events
+            if event["type"] in FLEET_TYPES] == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_group_labels_are_unique_within_a_batch(jobs):
+    """Three groups that differ only in feature level are each dispatched
+    and done once under their own label, serially and in the pool."""
+    events = []
+    runner = Runner(cache=ResultCache.disabled(), jobs=jobs,
+                    bus=fleet_bus(events), heartbeat_interval=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runner.run([Experiment(ExperimentOptions(
+            cipher="RC6", features=level, session_bytes=64), FOURW)
+            for level in (Features.NOROT, Features.ROT, Features.OPT)])
+    labels = {f"RC6[{level}]/encrypt:64B": 1
+              for level in ("orig-norot", "orig-rot", "opt")}
+    assert Counter(event["group"] for event in events
+                   if event["type"] == "dispatch") == labels
+    assert Counter(event["group"] for event in events
+                   if event["type"] == "group-done") == labels
+
+
+def test_group_labels_tell_same_named_groups_apart():
+    base = ExperimentOptions(cipher="RC6", session_bytes=64)
+    groups = [base, base.with_(key=bytes(16)), base.with_(backend="compiled"),
+              base.with_(features=Features.OPT)]
+    assert list(Runner._group_labels(groups).values()) == [
+        "RC6[orig-rot]/encrypt:64B", "RC6[orig-rot]/encrypt:64B#2",
+        "RC6[orig-rot]/encrypt:64B#3", "RC6[opt]/encrypt:64B"]
+
+
+def test_pool_workers_publish_into_the_parent_ledger(tmp_path):
+    """A forked worker's codegen events reach the parent's ledger through
+    the parent -- not through the inherited ledger file -- so the ledger
+    stays valid and holds exactly one ``backend/compile`` per program."""
+    from repro.obs import (
+        JsonlSink,
+        load_ledger,
+        set_active_bus,
+        validate_event_ledger,
+    )
+    from repro.sim.backends import compiled
+
+    compiled.cache_clear()
+    path = tmp_path / "events.jsonl"
+    bus = EventBus()
+    bus.subscribe(JsonlSink(path))
+    experiments = [
+        Experiment(ExperimentOptions(cipher=cipher, features=Features.OPT,
+                                     session_bytes=64), FOURW)
+        for cipher in ("RC6", "Blowfish", "RC4")]
+    previous = set_active_bus(bus)
+    try:
+        Runner(cache=ResultCache.disabled(), jobs=2, backend="compiled",
+               bus=bus).run(experiments)
+    finally:
+        set_active_bus(previous)
+        bus.close()
+    ledger = load_ledger(path)
+    assert validate_event_ledger(ledger) == []
+    kinds = Counter((event["source"], event["type"]) for event in ledger)
+    assert kinds[("runner", "parallel-fanout")] == 1
+    compiles = Counter(event["data"]["digest"] for event in ledger
+                       if event["type"] == "compile")
+    assert len(compiles) >= 3 and set(compiles.values()) == {1}
+    assert compiled.compile_reports() == []  # all codegen ran in workers
 
 
 # -- ledger equivalence: serial vs the parallel fallback --------------------

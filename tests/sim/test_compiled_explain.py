@@ -7,6 +7,7 @@ from repro.kernels import make_kernel
 from repro.obs import (
     EventBus,
     MetricsRegistry,
+    MetricsView,
     RingBufferSink,
     set_active_bus,
 )
@@ -16,7 +17,6 @@ from repro.sim.backends.compiled import (
     COUNTER_KEYS,
     compile_reports,
     explain_table,
-    record_compile_metrics,
 )
 
 
@@ -103,10 +103,17 @@ def test_explain_table_empty_without_compiles():
 
 
 def test_record_compile_metrics_folds_counters():
-    run_compiled(record_trace=False)
-    run_compiled(record_trace=False)    # cache hit
-    registry = MetricsRegistry()
-    record_compile_metrics(registry)
+    registry, bus = MetricsRegistry(), EventBus()
+    bus.subscribe(MetricsView(registry))
+    previous = set_active_bus(bus)
+    try:
+        run_compiled(record_trace=False)
+        run_compiled(record_trace=False)    # cache hit
+    finally:
+        set_active_bus(previous)
+    # Every counter appears, zeros too, as the snapshot always listed them.
+    assert {f"compile.{key}" for key in COUNTER_KEYS} <= {
+        metric["name"] for metric in registry.snapshot()["metrics"]}
     assert registry.counter("compile.programs").value == 1
     assert registry.counter("compile.source_cache_hits").value == 1
     assert registry.counter("compile.bounds_checks_elided").value >= 2

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.kernels import KERNEL_NAMES
 from repro.kernels.registry import make_kernel
-from repro.obs import MetricsRegistry
+from repro.obs import EventBus, MetricsRegistry, MetricsView, set_active_bus
 from repro.obs.diffing import explain_stats_delta
 from repro.sim import DATAFLOW, EIGHTW_PLUS, FOURW, Machine, Memory
 from repro.sim.config import bottleneck_config
@@ -326,15 +326,19 @@ def test_specialization_report_and_code_cache(monkeypatch):
 def test_untiered_pipelines_surface_in_explain_and_metrics():
     specialized_mod.cache_clear()
     run = _small_run()
-    for config in CONFIGS:
-        _feed(_pipeline(run, config), run.trace, None)
+    registry, bus = MetricsRegistry(), EventBus()
+    bus.subscribe(MetricsView(registry))
+    previous = set_active_bus(bus)
+    try:
+        for config in CONFIGS:
+            _feed(_pipeline(run, config), run.trace, None)
+    finally:
+        set_active_bus(previous)
     assert specialized_mod.specialization_reports() == []
     table = specialized_mod.explain_table()
     assert "no programs specialized" in table
     assert "3 pipeline(s) finished on the per-entry path" in table
     assert f"{specialized_mod.TIER_UP_ATTRIBUTED} (attr)" in table
-    registry = MetricsRegistry()
-    specialized_mod.record_timing_metrics(registry)
     assert registry.counter("timing.pipelines_untiered").value == 3
     assert registry.counter("timing.programs").value == 0
     specialized_mod.cache_clear()

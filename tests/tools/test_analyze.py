@@ -6,15 +6,12 @@ from repro.obs import (
     ANALYSIS_SCHEMA,
     EventBus,
     MetricsRegistry,
+    MetricsView,
     validate_analysis,
 )
 from repro.obs.dashboard import DashState, render
 from repro.obs.events import load_ledger
-from repro.tools.analyze import (
-    analysis_document,
-    main,
-    record_analysis_metrics,
-)
+from repro.tools.analyze import analysis_document, main
 from repro.tools.obs import check_file
 
 
@@ -94,12 +91,13 @@ def test_events_land_on_the_ledger_and_render_in_the_dashboard(
 
 
 def test_record_analysis_metrics_counts_unsound_cells():
-    registry = MetricsRegistry()
-    cells = [
+    registry, bus = MetricsRegistry(), EventBus()
+    bus.subscribe(MetricsView(registry))
+    for estimate in (
         {"program": "X[opt]", "config": "4W", "gap": 2.0, "sound": True},
         {"program": "Y[opt]", "config": "4W", "gap": 3.0, "sound": False},
-    ]
-    record_analysis_metrics(registry, cells)
+    ):
+        bus.publish("analysis", "estimate", estimate)
     snapshot = registry.snapshot()
     samples = {
         (sample["name"], sample.get("labels", {}).get("config")):

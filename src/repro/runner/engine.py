@@ -221,14 +221,11 @@ class Runner:
         #: Trace entries per chunk of a live kernel stream; results are
         #: identical at any size.
         self.chunk_size = max(1, int(chunk_size))
-        #: Default execution backend for functional runs; per-experiment
-        #: ``ExperimentOptions.backend`` overrides.  Never part of cache
-        #: keys: backends are bit-identical, so records interchange.
+        #: The stack: the execution backend of every functional run and
+        #: the timing engine (``"generic"``/``"specialized"``) of every
+        #: timing run.  Never part of cache keys: backends and engines are
+        #: bit-identical, so records interchange.
         self.backend = backend
-        #: Default timing engine (``"generic"``/``"specialized"``);
-        #: per-experiment ``ExperimentOptions.timing_engine`` overrides.
-        #: Never part of cache keys: engines are bit-identical, so
-        #: records interchange.
         self.timing_engine = timing_engine
         self.stats = RunnerStats()
         self._kernels: dict[tuple, object] = {}
@@ -261,16 +258,6 @@ class Runner:
             kernel.base_offset = options.base_offset
             self._kernels[memo_key] = kernel
         return kernel
-
-    def _resolved_backend(self, options: ExperimentOptions) -> str | None:
-        return options.backend if options.backend is not None else self.backend
-
-    def _resolved_timing_engine(
-        self, options: ExperimentOptions
-    ) -> str | None:
-        if options.timing_engine is not None:
-            return options.timing_engine
-        return self.timing_engine
 
     def _warm_ranges(self, options: ExperimentOptions):
         """The cache-warm ranges a kernel run reports, without running it."""
@@ -398,8 +385,7 @@ class Runner:
             "start": start, "seconds": seconds,
         })
 
-    def _kernel_input(self, kernel, options: ExperimentOptions,
-                      backend: str | None) -> bytes:
+    def _kernel_input(self, kernel, options: ExperimentOptions) -> bytes:
         """The bytes a kernel run consumes.
 
         A decrypt run consumes the encryption of the plaintext; that
@@ -408,7 +394,7 @@ class Runner:
         data = options.resolved_plaintext()
         if options.kind == "decrypt":
             data = kernel.encrypt(
-                data, options.iv, record_trace=False, backend=backend
+                data, options.iv, record_trace=False, backend=self.backend
             ).ciphertext
         return data
 
@@ -438,18 +424,17 @@ class Runner:
                 return run
         start = self._now()
         began = time.perf_counter()
-        backend = self._resolved_backend(options)
         if options.kind == "setup":
             run = make_setup(
                 options.cipher, self._resolved_key(options)
-            ).run(backend=backend)
+            ).run(backend=self.backend)
         else:
             kernel = self._kernel(options)
             execute = (kernel.decrypt if options.kind == "decrypt"
                        else kernel.encrypt)
             run = execute(
-                self._kernel_input(kernel, options, backend), options.iv,
-                record_values=options.record_values, backend=backend,
+                self._kernel_input(kernel, options), options.iv,
+                record_values=options.record_values, backend=self.backend,
             )
         self._count_functional(options, start, time.perf_counter() - began)
         if run.trace is not None:
@@ -753,7 +738,7 @@ class Runner:
                            else None)
         start = self._now()
         stats_list, seconds, functional_time, leaders = self._feed(
-            source, configs, warm, self._resolved_timing_engine(options),
+            source, configs, warm, self.timing_engine,
             options.cipher, columns,
         )
         if stream is not None:
@@ -782,7 +767,7 @@ class Runner:
         The runner's live source and the trace bisector
         (``repro.tools.diff bisect``) both need "the trace this
         experiment would produce" without materializing it; this builds
-        exactly that stream -- same backend resolution, same decrypt
+        exactly that stream -- same backend, same decrypt
         pre-encryption, destination values when the options record them,
         and the runner's chunk size unless ``chunk_size`` overrides it.
         Setup traces are short and always materialized, so they have no
@@ -794,12 +779,11 @@ class Runner:
                 "functional(options).trace"
             )
         kernel = self._kernel(options)
-        backend = self._resolved_backend(options)
         return kernel.stream(
-            self._kernel_input(kernel, options, backend), options.iv,
+            self._kernel_input(kernel, options), options.iv,
             decrypt=options.kind == "decrypt",
             chunk_size=self.chunk_size if chunk_size is None else chunk_size,
-            record_values=options.record_values, backend=backend,
+            record_values=options.record_values, backend=self.backend,
         )
 
     def _feed(self, source: TraceSource, configs, warm_ranges, engine,

@@ -42,13 +42,10 @@ class ExperimentOptions:
     for a cipher without rotates) are one run with one set of cache
     records.
 
-    ``backend`` and ``timing_engine`` control *how* the runner executes
-    the experiment -- which execution backend
-    (``"interpreter"``/``"compiled"``) runs the functional machine, and
-    which timing engine (``"generic"``/``"specialized"``) runs the
-    cycle-accurate pipeline.  ``None`` defers to the runner's defaults.
-    They never enter the content fingerprint: results are bit-identical
-    either way, so the same cache records serve every combination.
+    *How* an experiment runs -- the execution backend and the timing
+    engine -- is the runner's choice (``Runner(backend=, timing_engine=)``),
+    never an option: results are bit-identical on every stack, so the same
+    cache records serve them all.
     """
 
     cipher: str
@@ -60,8 +57,6 @@ class ExperimentOptions:
     base_offset: int = 0
     record_values: bool = False
     kind: str = "encrypt"
-    backend: str | None = None
-    timing_engine: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
 
-from repro.sim.registry import Registry
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (machine -> here)
     from repro.sim.machine import Machine
     from repro.sim.trace import TraceChunk
@@ -64,37 +62,35 @@ class ExecutionBackend(Protocol):
         ...
 
 
-#: The execution-backend registry, built on the shared
-#: :class:`repro.sim.registry.Registry` helper (the timing-engine registry
-#: in :mod:`repro.sim.timing` uses the same one, with the same error shape).
-_REGISTRY: Registry[ExecutionBackend] = Registry(
-    "backend", default=DEFAULT_BACKEND
-)
-
-
-def register_backend(backend: ExecutionBackend, *, replace: bool = False) -> None:
-    """Register ``backend`` under ``backend.name``."""
-    _REGISTRY.register(backend, replace=replace)
-
-
-def backend_names() -> tuple[str, ...]:
-    """Registered backend names, sorted (for CLI choices and error text)."""
-    return _REGISTRY.names()
-
-
-def get_backend(backend: "str | ExecutionBackend | None") -> ExecutionBackend:
-    """Resolve a backend argument: None, a registered name, or an instance."""
-    return _REGISTRY.get(backend)
-
-
-# Register the built-in backends.  Imported late in the module so the
-# registry exists; neither import pulls in repro.sim.machine at module
-# scope beyond what repro.sim already loads.
+# The built-in backends.  Imported late in the module; neither import
+# pulls in repro.sim.machine at module scope beyond what repro.sim
+# already loads.
 from repro.sim.backends.compiled import CompiledBackend  # noqa: E402
 from repro.sim.backends.interpreter import InterpreterBackend  # noqa: E402
 
-register_backend(InterpreterBackend())
-register_backend(CompiledBackend())
+_BACKENDS: dict[str, ExecutionBackend] = {
+    "interpreter": InterpreterBackend(),
+    "compiled": CompiledBackend(),
+}
+
+
+def backend_names() -> tuple[str, ...]:
+    """Backend names, sorted (for CLI choices and error text)."""
+    return tuple(sorted(_BACKENDS))
+
+
+def get_backend(backend: "str | ExecutionBackend | None") -> ExecutionBackend:
+    """Resolve a backend argument: None, a backend name, or an instance."""
+    if backend is None:
+        backend = DEFAULT_BACKEND
+    if not isinstance(backend, str):
+        return backend
+    try:
+        return _BACKENDS[backend]
+    except KeyError:
+        raise ValueError(f"unknown backend {backend!r}; registered: "
+                         f"{', '.join(backend_names())}") from None
+
 
 __all__ = [
     "DEFAULT_BACKEND",
@@ -104,5 +100,4 @@ __all__ = [
     "InterpreterBackend",
     "backend_names",
     "get_backend",
-    "register_backend",
 ]

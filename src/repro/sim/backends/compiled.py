@@ -71,27 +71,6 @@ _MSB = 0x8000000000000000
 #: order); on a big-endian host we delegate to the interpreter instead.
 _LITTLE = sys.byteorder == "little"
 
-# The elision analyses (basic blocks, width / trailing-zeros / constant
-# lattices) live in the shared framework under ``repro.isa.analysis``;
-# the underscore aliases keep this module's generated-code emitters
-# reading as before.  The transfer functions are consumed here verbatim,
-# so elision decisions -- and every ``CompileReport`` counter -- are
-# exactly what they were when the analyses were defined in this file.
-_UNKNOWN = UNKNOWN_WIDTH
-_BRANCH_CODES = BRANCH_CODES
-_IMPLEMENTED = IMPLEMENTED_CODES
-_WRITES_DEST = WRITES_DEST
-_split_blocks = split_blocks
-_block_successors = block_successors
-_infer_dataflow = infer_dataflow
-_infer_widths = infer_widths
-_lit_width = lit_width
-_zapnot_mask = zapnot_mask
-_tz_of_int = tz_of_int
-_const_join = const_join
-_make_width_step = make_width_step
-_make_tz_step = make_tz_step
-_make_const_step = make_const_step
 
 _LOADS = {30: ("LDQ", 8, 8), 31: ("LDL", 4, 4),
           32: ("LDWU", 2, 2), 33: ("LDBU", 1, 1)}
@@ -419,18 +398,18 @@ def _generate_source(
         w(2, "yield None")
         return "\n".join(lines) + "\n", counters, 0
 
-    blocks, block_of = _split_blocks(code, target, n)
-    succs = _block_successors(blocks, code, target, n)
-    step = _make_width_step(machine)
-    widths = _infer_widths(blocks, block_of, succs, step)
-    tz_step = _make_tz_step(machine)
-    tzs = _infer_dataflow(
+    blocks, block_of = split_blocks(code, target, n)
+    succs = block_successors(blocks, code, target, n)
+    step = make_width_step(machine)
+    widths = infer_widths(blocks, block_of, succs, step)
+    tz_step = make_tz_step(machine)
+    tzs = infer_dataflow(
         blocks, block_of, succs, tz_step, top=0, join=min,
     )
-    const_step = _make_const_step(machine)
-    consts = _infer_dataflow(
+    const_step = make_const_step(machine)
+    consts = infer_dataflow(
         blocks, block_of, succs, const_step,
-        top=None, join=_const_join,  # type: ignore[arg-type]
+        top=None, join=const_join,  # type: ignore[arg-type]
     )
     # Bounds proofs below compare against the machine's memory size, so
     # the generated function is specialized to it (part of the cache key).
@@ -441,13 +420,13 @@ def _generate_source(
     writes: set[int] = set()
     for i in range(n):
         c = code[i]
-        if c not in _IMPLEMENTED:
+        if c not in IMPLEMENTED_CODES:
             continue
         reads.add(src1[i])
         reads.add(src2[i])
         if c in (54, 55):  # ROLXL/RORXL xor into their destination
             reads.add(dest[i])
-        if c in _WRITES_DEST:
+        if c in WRITES_DEST:
             writes.add(dest[i])
     reads.discard(31)
     writes.discard(31)
@@ -484,16 +463,16 @@ def _generate_source(
                 count("constants_folded")
             val = (bv + dp) & M64
             expr = f"{val:#x}"
-            return [], expr, val, _tz_of_int(val), expr
+            return [], expr, val, tz_of_int(val), expr
         rb = R(base)
         wb2 = state[base]
-        atz = min(tz[base], _tz_of_int(dp)) if dp else tz[base]
+        atz = min(tz[base], tz_of_int(dp)) if dp else tz[base]
         if dp == 0:
             if wb2 <= 64:
                 expr, bound = rb, (1 << wb2) - 1
             else:
                 expr, bound = f"{rb} & {M64:#x}", M64
-        elif wb2 != _UNKNOWN and dp > 0 and max(wb2, dp.bit_length()) < 64:
+        elif wb2 != UNKNOWN_WIDTH and dp > 0 and max(wb2, dp.bit_length()) < 64:
             expr, bound = f"{rb} + {dp}", (1 << wb2) - 1 + dp
         else:
             expr, bound = f"({rb} + {dp}) & {M64:#x}", M64
@@ -510,7 +489,7 @@ def _generate_source(
         v = cst[slot]
         if v is not None:
             count("constants_folded")
-            return str(v), (v.bit_length() if v >= 0 else _UNKNOWN)
+            return str(v), (v.bit_length() if v >= 0 else UNKNOWN_WIDTH)
         return f"r{slot}", state[slot]
 
     def instr_stmts(
@@ -522,7 +501,7 @@ def _generate_source(
         A, w1 = operand(src1[i], state, cst)
         L = lit[i]
         if L is not None:
-            B, wb_ = str(L), _lit_width(L)
+            B, wb_ = str(L), lit_width(L)
         else:
             B, wb_ = operand(src2[i], state, cst)
         out: list[str] = []
@@ -701,7 +680,7 @@ def _generate_source(
                 out = [f"{D} = {am} << (({B} & 7) * 8)"]
         elif c == 22:  # ZAPNOT
             if L is not None:
-                mask = _zapnot_mask(L & 0xFF)
+                mask = zapnot_mask(L & 0xFF)
                 if w1 <= 64 and mask & ((1 << w1) - 1) == (1 << w1) - 1:
                     count("masks_elided")
                     out = [f"{D} = {A}"]
@@ -739,7 +718,7 @@ def _generate_source(
                         count("masks_elided")
                     out = [f"{D} = {rb}" if wb2 <= 64
                            else f"{D} = {rb} & {M64:#x}"]
-                elif (wb2 != _UNKNOWN and dp > 0
+                elif (wb2 != UNKNOWN_WIDTH and dp > 0
                       and max(wb2, dp.bit_length()) < 64):
                     count("masks_elided")
                     out = [f"{D} = {rb} + {dp}"]
@@ -1009,7 +988,7 @@ def _generate_source(
 
     def value_expr(i: int) -> str:
         d = dest[i]
-        if d == 32 or code[i] not in _WRITES_DEST:
+        if d == 32 or code[i] not in WRITES_DEST:
             return "0"
         return f"r{d}"
 
@@ -1029,7 +1008,7 @@ def _generate_source(
         d = dest[i]
         if d == 32 or src1[j] != d or dest[j] != d:
             return None
-        if code[i] not in _WRITES_DEST:
+        if code[i] not in WRITES_DEST:
             return None
         return lit[j] & M64
 
@@ -1054,9 +1033,9 @@ def _generate_source(
         cst = list(consts[k])
         last = end - 1
         term = code[last]
-        is_branch = term in _BRANCH_CODES
+        is_branch = term in BRANCH_CODES
         is_halt = term == 0
-        is_unimpl = term not in _IMPLEMENTED
+        is_unimpl = term not in IMPLEMENTED_CODES
         self_loop = is_branch and (
             block_of.get(target[last]) == k
             or (term != 40 and block_of.get(last + 1) == k)

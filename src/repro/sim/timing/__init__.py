@@ -66,20 +66,22 @@ A complementary *instruction view* (``stats.wait_cycles`` plus the
 ``stats.hotspots`` table) accumulates the cycles each static instruction
 spent blocked per category, independent of machine width.
 
-**Engines.**  The model ships as interchangeable *timing engines* behind
-the :class:`TimingEngine` protocol, registered on the same
-:class:`repro.sim.registry.Registry` helper the execution backends use:
+**Engines.**  The scheduler is written once, as stage emitters
+(:mod:`repro.sim.timing.scheduler`), and generated twice: with nothing
+known, the per-entry loop, one per process; with a program and a config
+known, that pair's block scheduler.  Two interchangeable *timing engines*
+behind the :class:`TimingEngine` protocol run them:
 
-* ``"generic"`` -- the reference per-entry scheduler loop
-  (:mod:`repro.sim.timing.generic`); handles every config and trace shape.
-* ``"specialized"`` -- per-(program, config) generated schedulers over the
+* ``"generic"`` -- the per-entry loop (:mod:`repro.sim.timing.generic`);
+  handles every config and trace shape.
+* ``"specialized"`` -- per-(program, config) block schedulers over the
   static timing IR (:mod:`repro.sim.timing.ir`,
-  :mod:`repro.sim.timing.specialized`), falling back to the generic loop;
-  bit-identical to ``"generic"`` (``tests/sim/test_timing_engines.py``)
-  and about 1.7x as fast on long sessions.
+  :mod:`repro.sim.timing.specialized`), tiered up from the per-entry
+  loop and falling back to it; about 1.5x as fast on long sessions.
 
 Engines differ only in how fast they advance the stage state; every
 result above -- including the stall account -- is engine-invariant.
+:func:`generated_source` returns either generated source.
 
 **Views.**  A pipeline observes its config only through
 :func:`timing_view`: the program's op table plus every field the loop
@@ -95,7 +97,6 @@ from typing import Protocol, runtime_checkable
 
 from repro.isa.program import Program
 from repro.sim.config import MachineConfig
-from repro.sim.registry import Registry
 from repro.sim.stats import SimStats
 from repro.sim.timing.generic import (
     GenericEngine,
@@ -107,6 +108,7 @@ from repro.sim.timing.generic import (
 from repro.sim.timing.specialized import (
     SpecializedEngine,
     SpecializedPipeline,
+    generated_source,
 )
 from repro.sim.timing.stages import (
     AttributionState,
@@ -149,30 +151,28 @@ class TimingEngine(Protocol):
         ...
 
 
-#: The timing-engine registry; same helper (and error shape) as the
-#: execution-backend registry in :mod:`repro.sim.backends`.
-_REGISTRY: Registry[TimingEngine] = Registry(
-    "timing engine", default=DEFAULT_ENGINE
-)
-
-
-def register_engine(engine: TimingEngine, *, replace: bool = False) -> None:
-    """Register ``engine`` under ``engine.name``."""
-    _REGISTRY.register(engine, replace=replace)
+_ENGINES: dict[str, TimingEngine] = {
+    "generic": GenericEngine(),
+    "specialized": SpecializedEngine(),
+}
 
 
 def engine_names() -> tuple[str, ...]:
-    """Registered engine names, sorted (for CLI choices and error text)."""
-    return _REGISTRY.names()
+    """Engine names, sorted (for CLI choices and error text)."""
+    return tuple(sorted(_ENGINES))
 
 
 def get_engine(engine: "str | TimingEngine | None") -> TimingEngine:
-    """Resolve an engine argument: None, a registered name, or an instance."""
-    return _REGISTRY.get(engine)
-
-
-register_engine(GenericEngine())
-register_engine(SpecializedEngine())
+    """Resolve an engine argument: None, an engine name, or an instance."""
+    if engine is None:
+        engine = DEFAULT_ENGINE
+    if not isinstance(engine, str):
+        return engine
+    try:
+        return _ENGINES[engine]
+    except KeyError:
+        raise ValueError(f"unknown timing engine {engine!r}; registered: "
+                         f"{', '.join(engine_names())}") from None
 
 
 def make_pipeline(
@@ -227,8 +227,8 @@ def simulate(
     pick (a ``Trace`` yields itself whole, a ``StreamingTrace`` uses its
     configured chunk size).  Results are bit-identical for every value.
 
-    ``engine`` -- timing engine: ``None`` (the ``"generic"`` default), a
-    registered name, or a :class:`TimingEngine` instance.  Results are
+    ``engine`` -- timing engine: ``None`` (the ``"generic"`` default), an
+    engine name, or a :class:`TimingEngine` instance.  Results are
     bit-identical for every engine.
     """
     pipeline = make_pipeline(
@@ -254,11 +254,11 @@ __all__ = [
     "SpecializedPipeline",
     "TimingEngine",
     "engine_names",
+    "generated_source",
     "get_engine",
     "group_by_view",
     "make_pipeline",
     "op_table",
-    "register_engine",
     "shared_stats",
     "simulate",
     "timing_view",

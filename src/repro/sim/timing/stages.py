@@ -5,9 +5,9 @@ The timing model is organized as four stage components --
 :class:`AttributionState` -- that carry all inter-instruction state across
 :class:`~repro.sim.trace.TraceChunk` boundaries, plus a
 :class:`PipelineBase` that owns chunk deferral (the one entry of branch
-lookahead) and final statistics assembly.  The generic engine's
-per-entry scheduler loop implements ``_advance``; the specialized engine
-subclasses it and runs generated code over the same stage state.  Each
+lookahead) and final statistics assembly.  The per-entry loop and the
+specialized engine's blocks, both generated from the stage emitters in
+:mod:`repro.sim.timing.scheduler`, run over the same stage state.  Each
 piece of state has one representation (a byte-map store queue, a scalar
 retire frontier, an append-only stall-label list, one pre-created wait row
 per static instruction), which is what makes the two paths
@@ -37,6 +37,10 @@ _UNLIMITED = 1 << 30
  _C_ISSUE, _C_FU_IALU, _C_FU_ROT, _C_FU_MUL, _C_FU_MEM, _C_FU_SBOX,
  _C_DRAIN) = range(len(STALL_CATEGORIES))
 _N_WAIT = len(WAIT_CATEGORIES)
+# Op-table kinds.  Every class whose issue needs only its operands and a
+# unit (IALU, rotator, the multiplies, anything unclassified) is _K_EXEC;
+# the others carry memory-order or SBox-cache work.
+(_K_EXEC, _K_LOAD, _K_SBOX, _K_SBOX_CACHE, _K_STORE, _K_SYNC) = range(6)
 #: Instruction-view (wait) index of a stall category: categories _C_WINDOW
 #: through _C_FU_SBOX map onto WAIT_CATEGORIES[cat - _C_WINDOW].
 _HOTSPOT_LIMIT = 32
@@ -212,10 +216,11 @@ class PipelineBase:
 
     One pipeline consumes one trace; build a fresh pipeline per run.
     Subclasses implement ``_advance``
-    (:class:`~repro.sim.timing.generic.GenericPipeline`).
+    (:class:`~repro.sim.timing.generic.GenericPipeline` binds the
+    generated per-entry loop).
     """
 
-    #: Registry name of the engine that built this pipeline.
+    #: Name of the engine that built this pipeline.
     engine_name = "generic"
 
     def __init__(

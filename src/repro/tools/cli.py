@@ -237,10 +237,13 @@ def runner_from_args(
     """Build a :class:`Runner` from ``add_runner_arguments`` flags.
 
     Pass the tool's :class:`Observability` session as ``obs`` to plumb its
-    event bus into the runner.
+    event bus into the runner; other keywords (``cache`` among them)
+    override what the flags select.
     """
-    cache = (ResultCache.disabled() if getattr(args, "no_cache", False)
-             else ResultCache.from_env())
+    cache = kwargs.pop("cache", None)
+    if cache is None:
+        cache = (ResultCache.disabled() if getattr(args, "no_cache", False)
+                 else ResultCache.from_env())
     if obs is not None:
         kwargs.setdefault("bus", obs.bus)
     chunk_size = getattr(args, "chunk_size", None)

@@ -48,7 +48,7 @@ from repro.obs.diffing import (
     stats_verdict,
 )
 from repro.obs.events import load_ledger, split_runs
-from repro.runner import Experiment, ExperimentOptions
+from repro.runner import Experiment, ExperimentOptions, ResultCache
 from repro.sim.backends import DEFAULT_BACKEND, backend_names
 from repro.sim.diverge import first_divergence, format_divergence
 from repro.sim.timing import DEFAULT_ENGINE, engine_names
@@ -192,58 +192,61 @@ def _diff_run(args) -> int:
     config_a = args.configs[0]
     config_b = args.configs[-1]
     features = FEATURE_LEVELS[args.features]
-    backend_a = args.a_backend or args.backend
-    backend_b = args.b_backend or args.backend
-    engine_a = args.a_engine or args.timing_engine
-    engine_b = args.b_engine or args.timing_engine
+    stack_a = (args.a_backend or args.backend or DEFAULT_BACKEND,
+               args.a_engine or args.timing_engine or DEFAULT_ENGINE)
+    stack_b = (args.b_backend or args.backend or DEFAULT_BACKEND,
+               args.b_engine or args.timing_engine or DEFAULT_ENGINE)
 
     options = ExperimentOptions(
         cipher=args.cipher, features=features,
         session_bytes=args.session_bytes,
     )
-    experiment_a = Experiment(
-        options.with_(backend=backend_a, timing_engine=engine_a),
-        CONFIGS[config_a],
-    )
-    experiment_b = Experiment(
-        options.with_(backend=backend_b, timing_engine=engine_b),
-        CONFIGS[config_b],
-    )
+    experiment_a = Experiment(options, CONFIGS[config_a])
+    experiment_b = Experiment(options, CONFIGS[config_b])
     obs = observability_from_args(args, tool="diff")
-    runner = runner_from_args(args, obs=obs)
     with obs:
-        if experiment_a == experiment_b:
-            result_a = result_b = runner.run([experiment_a])[0]
+        if stack_a == stack_b:
+            runner = runner_from_args(args, obs=obs, backend=stack_a[0],
+                                      timing_engine=stack_a[1])
+            if experiment_a == experiment_b:
+                result_a = result_b = runner.run([experiment_a])[0]
+            else:
+                result_a, result_b = runner.run([experiment_a, experiment_b])
         else:
-            result_a, result_b = runner.run([experiment_a, experiment_b])
+            # Cache keys leave the stack out, so any record -- from this
+            # batch or from disk -- may be the other stack's: each side
+            # is simulated on its own stack.
+            result_a, result_b = (
+                runner_from_args(args, obs=obs, backend=backend,
+                                 timing_engine=engine,
+                                 cache=ResultCache.disabled())
+                .run([experiment])[0]
+                for (backend, engine), experiment in (
+                    (stack_a, experiment_a), (stack_b, experiment_b)))
 
-        def label(config, backend, engine):
-            return (f"{args.cipher}/{config} "
-                    f"{backend or DEFAULT_BACKEND}"
-                    f"+{engine or DEFAULT_ENGINE}")
+        def label(config, stack):
+            return f"{args.cipher}/{config} {stack[0]}+{stack[1]}"
 
-        def side(config, backend, engine, result):
+        def side(config, stack, result):
             return {
-                "label": label(config, backend, engine),
+                "label": label(config, stack),
                 "cipher": args.cipher,
                 "config": config,
                 "features": features.label,
                 "session_bytes": args.session_bytes,
-                "backend": backend or DEFAULT_BACKEND,
-                "timing_engine": engine or DEFAULT_ENGINE,
+                "backend": stack[0],
+                "timing_engine": stack[1],
                 "cached": bool(result.cached),
             }
 
         section = diff_stats(result_a.stats, result_b.stats)
-        identical = stats_identical(section)
         report = build_report(
             "stats",
-            side(config_a, backend_a, engine_a, result_a),
-            side(config_b, backend_b, engine_b, result_b),
-            identical=identical,
-            verdict=stats_verdict(section,
-                                  label(config_a, backend_a, engine_a),
-                                  label(config_b, backend_b, engine_b)),
+            side(config_a, stack_a, result_a),
+            side(config_b, stack_b, result_b),
+            identical=stats_identical(section),
+            verdict=stats_verdict(section, label(config_a, stack_a),
+                                  label(config_b, stack_b)),
             generated_by="repro.tools.diff run",
             stats=section,
         )
@@ -339,11 +342,10 @@ def _bisect(args) -> int:
         cipher=args.cipher, features=features,
         session_bytes=args.session_bytes,
     )
-    runner = Runner(jobs=1)
-    stream_a = runner.kernel_stream(
-        options.with_(backend=args.a_backend), chunk_size=args.chunk_size)
-    stream_b = runner.kernel_stream(
-        options.with_(backend=args.b_backend), chunk_size=args.chunk_size)
+    stream_a, stream_b = (
+        Runner(jobs=1, backend=backend).kernel_stream(
+            options, chunk_size=args.chunk_size)
+        for backend in (args.a_backend, args.b_backend))
     label_a = f"{args.cipher}/{args.a_backend or DEFAULT_BACKEND}"
     label_b = f"{args.cipher}/{args.b_backend or DEFAULT_BACKEND}"
     divergence = first_divergence(

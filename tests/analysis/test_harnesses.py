@@ -192,3 +192,66 @@ def test_report_runs_end_to_end(tmp_path):
     body = text.rsplit("[report generated", 1)[0]
     assert hashlib.sha256(body.encode()).hexdigest() == \
         golden["reports"]["figures-default"]
+
+
+def _long_generic_options():
+    """``long-generic``'s seed-7 Figure 10 options, read from the
+    benchmark's own ``workloads.py`` (loaded by path, so ``sys.path`` is
+    left alone)."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = (Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
+            / "workloads.py")
+    spec = importlib.util.spec_from_file_location("_perf_workloads", path)
+    workloads = sys.modules.get(spec.name)
+    if workloads is None:
+        workloads = importlib.util.module_from_spec(spec)
+        # Registered first: its dataclasses look their module up by name.
+        sys.modules[spec.name] = workloads
+        spec.loader.exec_module(workloads)
+    return workloads.long_options(workloads.WORKLOADS["long-generic"], 7)
+
+
+@pytest.mark.parametrize("engine", ["generic", "specialized"])
+def test_long_generic_cells_on_both_scheduler_paths(engine, monkeypatch):
+    """Figure 10 at ``long-generic``'s sessions (RC4 5 KiB, Blowfish and
+    RC6 512 B) reproduces its 18 cells of ``benchmarks/perf/golden.json``
+    exactly on both scheduler paths: the per-entry loop (generic engine)
+    and the per-block schedulers (specialized engine tiered up at entry
+    0, so every matched block runs generated code).
+
+    The figure cells above are too short to tier up, so these are the
+    exact pins of the block path."""
+    import json
+    from pathlib import Path
+
+    from repro.runner import ResultCache, Runner
+    from repro.sim.timing import specialized as specialized_mod
+
+    golden = json.loads((Path(__file__).resolve().parents[2] / "benchmarks"
+                         / "perf" / "golden.json").read_text())
+    if engine == "specialized":
+        monkeypatch.setattr(specialized_mod, "TIER_UP_ATTRIBUTED", 0)
+        monkeypatch.setattr(specialized_mod, "TIER_UP_PLAIN", 0)
+        # A private code cache: every scheduler is generated here, and
+        # none outlives the test.
+        monkeypatch.setattr(specialized_mod, "_CODE_CACHE", {})
+        monkeypatch.setattr(specialized_mod, "_REPORTS", {})
+    cells: dict[str, dict] = {}
+
+    def record(result) -> None:
+        stats = result.stats
+        cells[_cell_key(result)] = {
+            "cycles": stats.cycles, "instructions": stats.instructions,
+            "slots": {k: v for k, v in stats.stall_slots.items() if v}}
+
+    runner = Runner(cache=ResultCache.disabled(), timing_engine=engine,
+                    stats_hook=record)
+    speedups.run(_long_generic_options(), runner=runner)
+    if engine == "specialized":
+        assert specialized_mod.specialization_reports()
+    moved = _moved_cells(golden["cells"]["long-generic"], cells)
+    assert not moved, f"long-generic cells moved on {engine}:\n" + \
+        "\n".join(moved)

@@ -178,10 +178,9 @@ def test_compiled_backend_shares_the_analysis_lattices():
     from repro.isa.analysis import lattices, solver
     from repro.sim.backends import compiled
 
-    assert compiled._split_blocks is solver.split_blocks
-    assert compiled._infer_widths is lattices.infer_widths
-    assert compiled._make_const_step is lattices.make_const_step
+    assert compiled.split_blocks is solver.split_blocks
     assert compiled.infer_widths is lattices.infer_widths
+    assert compiled.make_const_step is lattices.make_const_step
 
 
 def test_pass_manager_reuses_one_instance_per_program():

@@ -7,8 +7,6 @@ run and vice versa, and fingerprints/experiment keys are byte-equal
 across every backend selection.
 """
 
-import dataclasses
-
 from repro.runner import ExperimentOptions, ResultCache, Runner, experiment_grid
 from repro.sim import DATAFLOW, FOURW
 
@@ -57,34 +55,19 @@ def test_interpreter_run_primes_the_cache_for_compiled(tmp_path):
 
 
 def test_fingerprint_is_backend_independent(tmp_path):
-    runner = make_runner(tmp_path)
-    base = ExperimentOptions(cipher="RC6", session_bytes=128)
-    variants = [
-        dataclasses.replace(base, backend=backend)
-        for backend in (None, "interpreter", "compiled")
-    ]
-    digests = {runner.fingerprint(options) for options in variants}
+    options = ExperimentOptions(cipher="RC6", session_bytes=128)
+    digests = {make_runner(tmp_path, backend=backend).fingerprint(options)
+               for backend in (None, "interpreter", "compiled")}
     assert len(digests) == 1
 
 
 def test_experiment_key_is_backend_independent(tmp_path):
-    runner = make_runner(tmp_path)
     keys = set()
     for backend in (None, "interpreter", "compiled"):
-        experiments = grid(backend=backend)
-        keys.update(runner.experiment_key(e) for e in experiments)
+        runner = make_runner(tmp_path, backend=backend)
+        keys.update(runner.experiment_key(e) for e in grid())
     # Two configs in the grid -> exactly two keys across all backends.
     assert len(keys) == 2
-
-
-def test_options_backend_overrides_runner_backend(tmp_path):
-    runner = make_runner(tmp_path, backend="interpreter")
-    options = ExperimentOptions(cipher="RC6", session_bytes=128,
-                                backend="compiled")
-    assert runner._resolved_backend(options) == "compiled"
-    assert runner._resolved_backend(
-        ExperimentOptions(cipher="RC6", session_bytes=128)
-    ) == "interpreter"
 
 
 def test_streamed_backend_runs_match_batch(tmp_path):

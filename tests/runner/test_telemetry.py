@@ -325,7 +325,7 @@ def test_group_labels_are_unique_within_a_batch(jobs):
 
 def test_group_labels_tell_same_named_groups_apart():
     base = ExperimentOptions(cipher="RC6", session_bytes=64)
-    groups = [base, base.with_(key=bytes(16)), base.with_(backend="compiled"),
+    groups = [base, base.with_(key=bytes(16)), base.with_(plaintext=bytes(64)),
               base.with_(features=Features.OPT)]
     assert list(Runner._group_labels(groups).values()) == [
         "RC6[orig-rot]/encrypt:64B", "RC6[orig-rot]/encrypt:64B#2",

@@ -1,14 +1,21 @@
-"""The pluggable timing engines are interchangeable, bit for bit.
+"""The two timing engines are interchangeable, bit for bit.
 
-The ``"specialized"`` engine generates a per-(program, config) scheduler;
-its entire value rests on producing *exactly* the SimStats the
-``"generic"`` engine produces -- cycles, the 13-category slot account,
-wait-cycle totals, and the hot-spot table -- for every cipher, machine
-model, chunking and tier-up point (the entry where a pipeline leaves the
-per-entry path for the generated scheduler).  These tests pin that
-contract, the engine registry's uniform error shape, the
-``schedule_range`` fallback, and the tiering, specialization report and
-cache surfaces.
+Both scheduling paths come from one set of stage emitters
+(``repro.sim.timing.scheduler``): the per-entry loop the ``"generic"``
+engine runs, and the per-(program, config) block schedulers of the
+``"specialized"`` engine.  Equality between them is therefore no longer
+independent evidence of a correct timing model -- the golden cells in
+``tests/analysis/test_harnesses.py`` (the long cells on both paths) and
+the stage reference models are.  What this grid still checks is what
+differs between the two outputs: the block driver and tier-up, chunk
+seams, and each inline form the blocks keep (the hierarchy's all-hit
+path, the predictor's counter update, the SBox cache's tag check)
+against its component's method -- for every cipher, machine model,
+chunking and tier-up point, on cycles, the 13-category slot account,
+wait-cycle totals and the hot-spot table.  It also pins the engines'
+name lookup and error shape, the ``schedule_range`` fallback, the
+tiering, specialization report and cache surfaces, and the generated
+sources.
 """
 
 from fractions import Fraction
@@ -27,12 +34,13 @@ from repro.sim.backends import get_backend
 from repro.sim.timing import (
     DEFAULT_ENGINE,
     engine_names,
+    generated_source,
     get_engine,
     make_pipeline,
     simulate,
 )
 from repro.sim.timing import specialized as specialized_mod
-from repro.sim.timing.generic import GenericPipeline
+from repro.sim.timing.generic import OP_TABLE_FIELDS, GenericPipeline
 from repro.sim.timing.ir import timing_ir
 from repro.sim.timing.specialized import SpecializedPipeline
 from repro.sim.trace import StaticInfo
@@ -229,7 +237,34 @@ def test_engines_agree_on_full_length_dataflow_session():
         baseline, specialized, "generic", "specialized")
 
 
-# -- registry ---------------------------------------------------------------
+# -- generated sources ------------------------------------------------------
+
+def test_generated_loop_is_the_bound_advance_and_reads_units_from_the_op_table():
+    source = generated_source()
+    namespace = {}
+    exec(compile(source, "<repro-timing:loop>", "exec"), namespace)
+    bound = GenericPipeline._advance.__code__
+    assert bound.co_filename == "<repro-timing:loop>"
+    assert namespace["_advance"].__code__.co_code == bound.co_code
+    # Units, costs and latencies come only from the op table.
+    for name in OP_TABLE_FIELDS:
+        assert f".{name}" not in source, name
+
+
+def test_generated_block_source_compiles_per_program_and_config():
+    run = make_kernel("RC4").encrypt(bytes(256))
+    program = run.trace.program
+    for config in CONFIGS:
+        source = generated_source(program, config)
+        compile(source, "<blocks>", "exec")
+        for name in OP_TABLE_FIELDS:
+            assert f".{name}" not in source, name
+    # Only a machine with tracked issue attributes stalls.
+    assert "raa(" in generated_source(program, FOURW)
+    assert "raa(" not in generated_source(program, DATAFLOW)
+
+
+# -- engine names -----------------------------------------------------------
 
 def test_engine_registry_names_and_default():
     assert DEFAULT_ENGINE == "generic"

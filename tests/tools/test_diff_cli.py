@@ -78,6 +78,26 @@ def test_run_cross_stack_is_identical(capsys):
     assert report["stats"]["b_engine"] == "specialized"
 
 
+def test_run_cross_stack_simulates_both_sides_with_the_cache_on(capsys):
+    """Cache keys leave the stack out, so with the cache on a cross-stack
+    diff must still simulate each side on its own stack: side b served
+    from side a's record -- same batch or disk -- would compare a record
+    with itself."""
+    args = ["run", "--cipher", "RC4", "--session-bytes", "256",
+            "--config", "4W", "--format", "json"]
+    assert diff_cli.main(args) == diff_cli.IDENTICAL  # writes the record
+    capsys.readouterr()
+    rc = diff_cli.main(args + [
+        "--a-backend", "interpreter", "--a-engine", "generic",
+        "--b-backend", "compiled", "--b-engine", "specialized",
+    ])
+    assert rc == diff_cli.IDENTICAL
+    report = json.loads(capsys.readouterr().out)
+    assert report["a"]["cached"] is False and report["b"]["cached"] is False
+    assert report["stats"]["a_engine"] == "generic"
+    assert report["stats"]["b_engine"] == "specialized"
+
+
 def test_run_rejects_three_configs(capsys):
     rc = diff_cli.main([
         "run", "--cipher", "RC4", "--session-bytes", "64",

@@ -184,7 +184,6 @@ _PINS = (
     (r"g(\d+)", "rr[{}]", "rr[{0}] = g{0}"),
     ("rp", "sch.retire_prev", "sch.retire_prev = rp"),
     ("rcount", "sch.retire_count", "sch.retire_count = rcount"),
-    ("maxc", "sch.max_complete", "sch.max_complete = maxc"),
     ("pm", "sch.prune_mark", "sch.prune_mark = pm"),
     ("mo", "self.memorder", None),
     ("lsk", "mo.last_store_addr_known", "mo.last_store_addr_known = lsk"),
@@ -207,6 +206,7 @@ _PINS = (
      "if att is not None:\n    att.frontier = fr"),
     ("hot", "att.hot if att is not None else None", None),
     (r"row(\d+)", "hot[{}]", None),
+    (r"h(\d+)_(\d+)", "row{0}[{1}]", "row{0}[{1}] = h{0}_{1}"),
     ("xc", "att.exec_counts if att is not None else None", None),
     ("bexec", "self._block_execs", None),
     ("bumps", "[]", None),
@@ -336,9 +336,14 @@ class _Emitter:
         self.each(ind, "r", e.srcs, lambda ind, r: self.latest(ind, "e", r))
 
     def latest(self, ind: int, target: str, reg) -> None:
-        self.w(ind, f"t = {self.reg(reg)}")
-        self.w(ind, f"if t > {target}:")
-        self.w(ind + 1, f"{target} = t")
+        """``target = max(target, ready cycle of reg)``."""
+        if isinstance(reg, Run):
+            self.w(ind, f"t = {self.reg(reg)}")
+            self.w(ind, f"if t > {target}:")
+            self.w(ind + 1, f"{target} = t")
+            return
+        self.w(ind, f"if {self.reg(reg)} > {target}:")
+        self.w(ind + 1, f"{target} = {self.reg(reg)}")
 
     def reg(self, reg) -> str:
         return f"rr[{reg}]" if isinstance(reg, Run) else f"g{reg}"
@@ -591,6 +596,9 @@ class _Emitter:
                 for probe in probes:
                     self.w(walk + 1, probe)
                 if tracked:
+                    # The instruction view of the cycles passed.
+                    self.w(walk, "for t in bumps:")
+                    self.w(walk + 1, f"{self.row(e)}[t - {_C_WINDOW}] += 1")
                     self.w(ind, "iu[c] = u + 1")
                 if unit:
                     self.w(ind, f"{used}[c] = fv + {cost}")
@@ -601,9 +609,9 @@ class _Emitter:
         Machine view: label every cycle in [fr, c) with what blocked the
         oldest unissued instruction (cycles below ``fr`` were labeled by
         older instructions), testing the upper, common ranges first;
-        ``bumps`` is fresh in its arm, since reaching it means c > rq.
-        Instruction view: this instruction's wait cycles by category,
-        the bump fold gated on c != rq for the same reason.
+        ``bumps`` is fresh where it is read, since that means c > rq.
+        Instruction view: this instruction's wait cycles by category (the
+        issue walk folds in the cycles it passed).
         """
         self.stage(ind, "stall attribution")
         for ind in self.when(ind, self.f["tracked"]):
@@ -611,36 +619,38 @@ class _Emitter:
                 self.w(ind, "xc[s] += 1")
             else:
                 self.tally["executed"] = 1
-            self.w(ind, "if c > fr:")
-            self.w(ind + 1, "while fr < c:")
-            self.w(ind + 2, f"if fr >= {rq}:")
-            self.w(ind + 3, f"raa(bumps[fr - {rq}])")
+            self.w(ind, "while fr < c:")
+            self.w(ind + 1, f"if fr >= {rq}:")
+            self.w(ind + 2, f"raa(bumps[fr - {rq}])")
             if alias:
-                self.w(ind + 2, f"elif fr >= {oe}:")
-                self.w(ind + 3, f"raa({_C_ALIAS})")
+                self.w(ind + 1, f"elif fr >= {oe}:")
+                self.w(ind + 2, f"raa({_C_ALIAS})")
             for bound, cat in (("df", _C_OPERAND), ("en", _C_WINDOW),
                                ("fc", _C_FRONTEND), ("mpu", _C_FETCH)):
-                self.w(ind + 2, f"elif fr >= {bound}:")
-                self.w(ind + 3, f"raa({cat})")
-            self.w(ind + 2, "else:")
-            self.w(ind + 3, f"raa({_C_MISPREDICT})")
-            self.w(ind + 2, "fr += 1")
-            self.w(ind, "if c != en:")
-            if self.looping:
-                self.w(ind + 1, "row = hot[s]")
-                row = "row"
-            else:
-                row = f"row{e.s}"
+                self.w(ind + 1, f"elif fr >= {bound}:")
+                self.w(ind + 2, f"raa({cat})")
+            self.w(ind + 1, "else:")
+            self.w(ind + 2, f"raa({_C_MISPREDICT})")
+            self.w(ind + 1, "fr += 1")
             waits = [("df", "en"), (oe, "df")]
             if alias:
                 waits.append((rq, oe))
+            if not self.looping:
+                # A known row keeps its wait columns in locals; every
+                # wait is 0 when c == en, so they need no gate.
+                for index, (upper, lower) in enumerate(waits):
+                    self.w(ind, f"h{e.s}_{index} += {upper} - {lower}")
+                continue
+            self.w(ind, "if c != en:")
+            self.w(ind + 1, "row = hot[s]")
             for index, (upper, lower) in enumerate(waits):
                 self.w(ind + 1, f"t = {upper} - {lower}")
                 self.w(ind + 1, "if t:")
-                self.w(ind + 2, f"{row}[{index}] += t")
-            self.w(ind + 1, f"if c != {rq}:")
-            self.w(ind + 2, "for t in bumps:")
-            self.w(ind + 3, f"{row}[t - {_C_WINDOW}] += 1")
+                self.w(ind + 2, f"row[{index}] += t")
+
+    def row(self, e) -> str:
+        """The instruction-view row of ``e``'s static instruction."""
+        return "hot[s]" if self.looping else f"row{e.s}"
 
     def branch(self, ind: int, e) -> None:
         """Branch resolution: a mispredicted branch redirects fetch past
@@ -720,7 +730,9 @@ class _Emitter:
 
     def retire(self, ind: int, e) -> None:
         """Writeback, then in-order retirement at ``retire_width`` per
-        cycle: only the frontier cycle can fill (SchedulerState)."""
+        cycle: only the frontier cycle ``rp`` can fill (SchedulerState),
+        and an entry completing before it retires there if there is room,
+        else on the next cycle, which becomes the frontier."""
         f = self.f
         self.stage(ind, "writeback and retire")
         if isinstance(e.dest, Run):
@@ -729,31 +741,26 @@ class _Emitter:
             self.w(ind + 1, "rr[d] = cm")
         elif e.dest >= 0:
             self.w(ind, f"g{e.dest} = cm")
-        self.w(ind, "if cm > maxc:")
-        self.w(ind + 1, "maxc = cm")
-        self.w(ind, "r = cm + 1")
-        self.w(ind, "if r < rp:")
-        self.w(ind + 1, "r = rp")
         for ind2, limited in self.split(ind, f["retire_limited"]):
             if not limited:
-                self.w(ind2, "rp = r")
+                self.w(ind2, "if cm >= rp:")
+                self.w(ind2 + 1, "rp = cm + 1")
                 continue
-            self.w(ind2, "if r == rp:")
+            self.w(ind2, "if cm < rp:")
             self.w(ind2 + 1, f"if rcount >= {f['retire_width']}:")
-            self.w(ind2 + 2, "r += 1")
-            self.w(ind2 + 2, "rp = r")
+            self.w(ind2 + 2, "rp += 1")
             self.w(ind2 + 2, "rcount = 1")
             self.w(ind2 + 1, "else:")
             self.w(ind2 + 2, "rcount += 1")
             self.w(ind2, "else:")
-            self.w(ind2 + 1, "rp = r")
+            self.w(ind2 + 1, "rp = cm + 1")
             self.w(ind2 + 1, "rcount = 1")
         for ind2 in self.when(ind, f["window"]):
-            self.w(ind2, "ring[wx] = r")
+            self.w(ind2, "ring[wx] = rp")
         for ind2 in self.when(ind, e.captured):
             # df is the window entry (fetch throttled by ROB space), the
             # honest "F" column for visualization.
-            self.w(ind2, "schedule.append((pos, s, df, c, cm, r))")
+            self.w(ind2, "schedule.append((pos, s, df, c, cm, rp))")
 
     def prune(self, ind: int, pos: str) -> None:
         """Every ``prune_interval`` entries, fold and drop resource-map
@@ -778,9 +785,10 @@ class _Emitter:
             if "(" in name:
                 matches = sorted(
                     (m for m in map(re.compile(name).fullmatch, used) if m),
-                    key=lambda m: (len(m.group(1)), m.group(1)))
-                found = [(m.group(0), read.format(m.group(1)),
-                          back and back.format(m.group(1))) for m in matches]
+                    key=lambda m: [(len(g), g) for g in m.groups()])
+                found = [(m.group(0), read.format(*m.groups()),
+                          back and back.format(*m.groups()))
+                         for m in matches]
             else:
                 found = [(name, read, back)] if name in used else []
             for pin in found:

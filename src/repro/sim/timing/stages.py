@@ -77,8 +77,7 @@ class SchedulerState:
 
     __slots__ = ("issue_used", "ialu_used", "rot_used", "mul_used",
                  "dport_used", "sport_used", "reg_ready", "retire_ring",
-                 "retire_prev", "retire_count", "max_complete", "prune_mark",
-                 "trim_mark")
+                 "retire_prev", "retire_count", "prune_mark", "trim_mark")
 
     def __init__(self, config: MachineConfig, static: StaticInfo):
         self.issue_used: dict[int, int] = {}
@@ -100,7 +99,6 @@ class SchedulerState:
         self.retire_ring = [0] * window if window else None
         self.retire_prev = 0
         self.retire_count = 0
-        self.max_complete = 0
         self.prune_mark = 0
         self.trim_mark = 0
 
@@ -322,7 +320,9 @@ class PipelineBase:
         scheduler = self.scheduler
         memorder = self.memorder
         frontend = self.frontend
-        stats.cycles = max(scheduler.max_complete, scheduler.retire_prev)
+        # Every retirement is at least one cycle past its completion, so
+        # the retire frontier is the last cycle of the run.
+        stats.cycles = scheduler.retire_prev
         if memorder.hierarchy is not None:
             stats.l1_misses = memorder.hierarchy.l1.misses
             stats.l2_misses = memorder.hierarchy.l2.misses

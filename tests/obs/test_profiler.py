@@ -100,8 +100,14 @@ def test_profiler_samples_only_the_starting_thread():
         busy_cipher_work(0.15)
     stop.set()
     noise.join()
-    # The idle noise thread would have classified as "other".
-    assert profiler.subsystem_samples.get("other", 0) == 0
+    assert profiler.samples > 0
+    # Every thread ``threading`` starts, the idle noise thread included,
+    # roots its stack at ``_bootstrap``; the starting thread does not.
+    # (Classifying by subsystem cannot tell them apart: a sample landing
+    # in this file's own busy loop is "other" too.)
+    assert threading.current_thread() is threading.main_thread()
+    assert not [stack for stack in profiler.stack_samples
+                if stack[0] == "threading:_bootstrap"]
 
 
 def test_collapsed_stack_format():

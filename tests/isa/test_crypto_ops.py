@@ -5,60 +5,86 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ciphers.idea import mul_mod
-from repro.isa import assemble
-from repro.sim import Machine, Memory
+from repro.sim import Memory
+from tests.isa.backend_run import BACKENDS, OPERANDS, run_source
+
+#: Every test runs on every backend, operands from ``ldiq`` and memory.
+pytestmark = [BACKENDS, OPERANDS]
 
 words32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 words16 = st.integers(min_value=0, max_value=0xFFFF)
 
 
-def run_expr(source: str) -> int:
+def run_expr(source: str, backend: str, operands: str) -> int:
     memory = Memory(1 << 16)
-    Machine(assemble(source + "\n    stq r9, 0x400(r31)\n    halt\n"),
-            memory).execute()
+    run_source(source + "\n    stq r9, 0x400(r31)\n    halt\n", memory,
+               backend, operands)
     return memory.read(0x400, 8)
 
 
 @given(words32, st.integers(min_value=0, max_value=63))
 @settings(max_examples=30, deadline=None)
-def test_roll_matches_reference(value, amount):
+def test_roll_matches_reference(backend, operands, value, amount):
     from repro.util.bits import rotl32
 
     got = run_expr(f"""
     ldiq r1, {value}
     ldiq r2, {amount}
     roll r9, r1, r2
-    """)
+    """, backend, operands)
     assert got == rotl32(value, amount & 31)
 
 
 @given(words32, st.integers(min_value=0, max_value=63))
 @settings(max_examples=30, deadline=None)
-def test_rorl_matches_reference(value, amount):
+def test_rorl_matches_reference(backend, operands, value, amount):
     from repro.util.bits import rotr32
 
     got = run_expr(f"""
     ldiq r1, {value}
     roll r9, r1, #0
     rorl r9, r1, #{amount}
-    """)
+    """, backend, operands)
     assert got == rotr32(value, amount & 31)
 
 
-def test_rolq_rorq():
+def test_rolq_rorq(backend, operands):
     assert run_expr("""
     ldiq r1, 0x0123456789ABCDEF
     rolq r9, r1, #8
-    """) == 0x23456789ABCDEF01
+    """, backend, operands) == 0x23456789ABCDEF01
     assert run_expr("""
     ldiq r1, 0x0123456789ABCDEF
     rorq r9, r1, #8
-    """) == 0xEF0123456789ABCD
+    """, backend, operands) == 0xEF0123456789ABCD
+    # Register amounts, including 0 and one past the 6-bit field.
+    for amount, left, right in ((8, 0x23456789ABCDEF01, 0xEF0123456789ABCD),
+                                (0, 0x0123456789ABCDEF, 0x0123456789ABCDEF),
+                                (68, 0x123456789ABCDEF0, 0xF0123456789ABCDE)):
+        for opname, expected in (("rolq", left), ("rorq", right)):
+            assert run_expr(f"""
+    ldiq r1, 0x0123456789ABCDEF
+    ldiq r2, {amount}
+    {opname} r9, r1, r2
+    """, backend, operands) == expected
+
+
+@given(words32, st.integers(min_value=0, max_value=63))
+@settings(max_examples=30, deadline=None)
+def test_rorl_register_amount(backend, operands, value, amount):
+    from repro.util.bits import rotr32
+
+    got = run_expr(f"""
+    ldiq r1, {value}
+    ldiq r2, {amount}
+    rorl r9, r1, r2
+    """, backend, operands)
+    assert got == rotr32(value, amount & 31)
 
 
 @given(words32, words32, st.integers(min_value=0, max_value=31))
 @settings(max_examples=30, deadline=None)
-def test_rolxl_semantics(value, accum, amount):
+def test_rolxl_semantics(backend, operands, value, accum, amount):
     """ROLX: dest <- rotl32(src, #amount) ^ dest (paper Figure 8)."""
     from repro.util.bits import rotl32
 
@@ -66,44 +92,44 @@ def test_rolxl_semantics(value, accum, amount):
     ldiq r1, {value}
     ldiq r9, {accum}
     rolxl r9, r1, #{amount}
-    """)
+    """, backend, operands)
     assert got == rotl32(value, amount) ^ accum
 
 
 @given(words32, words32, st.integers(min_value=0, max_value=31))
 @settings(max_examples=30, deadline=None)
-def test_rorxl_semantics(value, accum, amount):
+def test_rorxl_semantics(backend, operands, value, accum, amount):
     from repro.util.bits import rotr32
 
     got = run_expr(f"""
     ldiq r1, {value}
     ldiq r9, {accum}
     rorxl r9, r1, #{amount}
-    """)
+    """, backend, operands)
     assert got == rotr32(value, amount) ^ accum
 
 
 @given(words16, words16)
 @settings(max_examples=50, deadline=None)
-def test_mulmod_matches_idea_multiply(a, b):
+def test_mulmod_matches_idea_multiply(backend, operands, a, b):
     got = run_expr(f"""
     ldiq r1, {a}
     ldiq r2, {b}
     mulmod r9, r1, r2
-    """)
+    """, backend, operands)
     assert got == mul_mod(a, b)
 
 
-def test_mulmod_zero_convention():
+def test_mulmod_zero_convention(backend, operands):
     # 0 represents 2^16: 0 (*) 1 = 2^16 -> represented as 0.
     assert run_expr("""
     ldiq r1, 0
     ldiq r2, 1
     mulmod r9, r1, r2
-    """) == 0
+    """, backend, operands) == 0
 
 
-def test_sbox_instruction_indexes_table():
+def test_sbox_instruction_indexes_table(backend, operands):
     memory = Memory(1 << 16)
     table_base = 0x1000  # 1 KB aligned
     for i in range(256):
@@ -115,11 +141,11 @@ def test_sbox_instruction_indexes_table():
     stq r9, 0x400(r31)
     halt
     """
-    Machine(assemble(source), memory).execute()
+    run_source(source, memory, backend, operands)
     assert memory.read(0x400, 8) == 0xAA000047
 
 
-def test_sbox_ignores_low_table_bits():
+def test_sbox_ignores_low_table_bits(backend, operands):
     """The table base is masked to a 1 KB boundary (paper Figure 8)."""
     memory = Memory(1 << 16)
     table_base = 0x1000
@@ -132,11 +158,11 @@ def test_sbox_ignores_low_table_bits():
     stq r9, 0x400(r31)
     halt
     """
-    Machine(assemble(source), memory).execute()
+    run_source(source, memory, backend, operands)
     assert memory.read(0x400, 8) == 15
 
 
-def test_xbox_partial_permutation():
+def test_xbox_partial_permutation(backend, operands):
     """XBOX writes 8 permuted bits into its destination byte, rest zero."""
     memory = Memory(1 << 16)
     # Map: destination bits j=0..7 take source bits 8..15 (byte swap).
@@ -150,11 +176,11 @@ def test_xbox_partial_permutation():
     stq r9, 0x400(r31)
     halt
     """
-    Machine(assemble(source), memory).execute()
+    run_source(source, memory, backend, operands)
     assert memory.read(0x400, 8) == 0xBB
 
 
-def test_xbox_byte_position():
+def test_xbox_byte_position(backend, operands):
     perm_map = 0
     for j in range(8):
         perm_map |= j << (6 * j)  # identity on low byte
@@ -166,11 +192,11 @@ def test_xbox_byte_position():
     stq r9, 0x400(r31)
     halt
     """
-    Machine(assemble(source), memory).execute()
+    run_source(source, memory, backend, operands)
     assert memory.read(0x400, 8) == 0xCD << 24
 
 
-def test_xbox_pair_composes_full_permutation():
+def test_xbox_pair_composes_full_permutation(backend, operands):
     """Two XBOXes with an OR reproduce a 16-bit permutation (paper's idiom)."""
     import random
 
@@ -195,14 +221,14 @@ def test_xbox_pair_composes_full_permutation():
     halt
     """
     memory = Memory(1 << 16)
-    Machine(assemble(source), memory).execute()
+    run_source(source, memory, backend, operands)
     expected = 0
     for out_bit in range(16):
         expected |= ((value >> permutation[out_bit]) & 1) << out_bit
     assert memory.read(0x400, 8) == expected
 
 
-def test_sboxsync_is_functionally_neutral():
+def test_sboxsync_is_functionally_neutral(backend, operands):
     memory = Memory(1 << 16)
     source = """
     ldiq r9, 7
@@ -210,5 +236,5 @@ def test_sboxsync_is_functionally_neutral():
     stq r9, 0x400(r31)
     halt
     """
-    Machine(assemble(source), memory).execute()
+    run_source(source, memory, backend, operands)
     assert memory.read(0x400, 8) == 7

@@ -1,15 +1,25 @@
-"""Directed semantics tests for every RISC-A opcode via the assembler."""
+"""Directed semantics tests for every RISC-A opcode via the assembler.
+
+Every test runs on every backend, with its operands from ``ldiq`` (which
+the compiled backend folds as constants) and from memory (which it
+cannot), so the hand-written expected values check both generated forms.
+"""
 
 import pytest
 
-from repro.isa import assemble
-from repro.sim import Machine, Memory, SimulationError
+from repro.sim import Memory, SimulationError
+from tests.isa.backend_run import BACKENDS, OPERANDS, run_source
+
+pytestmark = [BACKENDS, OPERANDS]
+
+M64 = 0xFFFFFFFFFFFFFFFF
 
 
-def run_and_read(source: str, result_addr: int = 0x400, width: int = 8,
+def run_and_read(source: str, backend: str, operands: str,
+                 result_addr: int = 0x400, width: int = 8,
                  memory: Memory | None = None) -> int:
     memory = memory or Memory(1 << 16)
-    Machine(assemble(source), memory).execute()
+    run_source(source, memory, backend, operands)
     return memory.read(result_addr, width)
 
 
@@ -42,85 +52,104 @@ def _store_result(expr_lines: str, result_reg: str = "r9") -> str:
     ("insbl", 0xEF, 2, 0xEF0000),
     ("zapnot", 0x0123456789ABCDEF, 0x0F, 0x89ABCDEF),
 ])
-def test_operate_register_forms(op, a, b, expected):
+def test_operate_register_forms(op, a, b, expected, backend, operands):
     source = _store_result(f"""
     ldiq r1, {a}
     ldiq r2, {b}
     {op} r9, r1, r2
     """)
-    assert run_and_read(source) == expected
+    assert run_and_read(source, backend, operands) == expected
 
 
-def test_operate_literal_form():
+def test_operate_literal_form(backend, operands):
     assert run_and_read(_store_result("""
     ldiq r1, 40
     addq r9, r1, #2
-    """)) == 42
+    """), backend, operands) == 42
 
 
-def test_sra_sign_extension():
+def test_sra_sign_extension(backend, operands):
     assert run_and_read(_store_result("""
     ldiq r1, 0x8000000000000000
     sra  r9, r1, #60
-    """)) == 0xFFFFFFFFFFFFFFF8
+    """), backend, operands) == 0xFFFFFFFFFFFFFFF8
 
 
-def test_cmplt_signed():
+def test_cmplt_signed(backend, operands):
     assert run_and_read(_store_result("""
     ldiq r1, 0xFFFFFFFFFFFFFFFF   ; -1
     ldiq r2, 1
     cmplt r9, r1, r2
-    """)) == 1
+    """), backend, operands) == 1
 
 
-def test_ornot():
+@pytest.mark.parametrize("op,a,b,expected", [
+    ("cmplt", -1, 1, 1), ("cmplt", 1, -1, 0), ("cmplt", -2, -2, 0),
+    ("cmple", -1, 1, 1), ("cmple", 1, -1, 0), ("cmple", -2, -2, 1),
+    ("cmple", 5, 5, 1), ("cmple", 6, 5, 0),
+    ("cmple", -(1 << 63), (1 << 63) - 1, 1),
+    ("cmple", (1 << 63) - 1, -(1 << 63), 0),
+    ("cmple", -1, "#0", 1), ("cmple", 1, "#0", 0), ("cmplt", -1, "#0", 1),
+])
+def test_signed_compares(op, a, b, expected, backend, operands):
+    """CMPLT/CMPLE compare as signed 64-bit values, register or literal."""
+    rb = b if isinstance(b, str) else "r2"
+    source = _store_result(f"""
+    ldiq r1, {a & M64:#x}
+    ldiq r2, {(b if isinstance(b, int) else 0) & M64:#x}
+    {op} r9, r1, {rb}
+    """)
+    assert run_and_read(source, backend, operands) == expected
+
+
+def test_ornot(backend, operands):
     assert run_and_read(_store_result("""
     ldiq r1, 0
     ldiq r2, 0xFFFFFFFFFFFFFFF0
     ornot r9, r1, r2
-    """)) == 0xF
+    """), backend, operands) == 0xF
 
 
-def test_cmov_both_ways():
+def test_cmov_both_ways(backend, operands):
     assert run_and_read(_store_result("""
     ldiq r1, 0
     ldiq r2, 111
     ldiq r9, 5
     cmoveq r9, r1, r2
-    """)) == 111
+    """), backend, operands) == 111
     assert run_and_read(_store_result("""
     ldiq r1, 7
     ldiq r2, 111
     ldiq r9, 5
     cmovne r9, r1, r2
-    """)) == 111
+    """), backend, operands) == 111
     assert run_and_read(_store_result("""
     ldiq r1, 7
     ldiq r2, 111
     ldiq r9, 5
     cmoveq r9, r1, r2
-    """)) == 5
+    """), backend, operands) == 5
 
 
-def test_lda_displacement():
+def test_lda_displacement(backend, operands):
     assert run_and_read(_store_result("""
     ldiq r1, 1000
     lda  r9, 24(r1)
-    """)) == 1024
+    """), backend, operands) == 1024
     assert run_and_read(_store_result("""
     ldiq r1, 1000
     lda  r9, -24(r1)
-    """)) == 976
+    """), backend, operands) == 976
 
 
-def test_r31_reads_zero_and_ignores_writes():
+def test_r31_reads_zero_and_ignores_writes(backend, operands):
     assert run_and_read(_store_result("""
     ldiq r31, 123
     addq r9, r31, #0
-    """)) == 0
+    """), backend, operands) == 0
 
 
-def test_memory_roundtrip_all_widths():
+def test_memory_roundtrip_all_widths(backend, operands):
     memory = Memory(1 << 16)
     source = """
     ldiq r1, 0x0123456789ABCDEF
@@ -135,19 +164,19 @@ def test_memory_roundtrip_all_widths():
     stq r5, 0x400(r31)
     halt
     """
-    assert run_and_read(source, memory=memory) == 0xEF
+    assert run_and_read(source, backend, operands, memory=memory) == 0xEF
     assert memory.read(0x510, 4) == 0x89ABCDEF
 
 
-def test_ldl_zero_extends():
+def test_ldl_zero_extends(backend, operands):
     assert run_and_read(_store_result("""
     ldiq r1, 0xFFFFFFFF
     stl r1, 0x500(r31)
     ldl r9, 0x500(r31)
-    """)) == 0xFFFFFFFF
+    """), backend, operands) == 0xFFFFFFFF
 
 
-def test_branches():
+def test_branches(backend, operands):
     source = """
     ldiq r1, 3
     ldiq r9, 0
@@ -158,7 +187,7 @@ loop:
     stq r9, 0x400(r31)
     halt
     """
-    assert run_and_read(source) == 30
+    assert run_and_read(source, backend, operands) == 30
 
 
 @pytest.mark.parametrize("br,value,branches", [
@@ -169,7 +198,7 @@ loop:
     ("bgt", 1, True), ("bgt", 0, False),
     ("bge", 0, True), ("bge", 0xFFFFFFFFFFFFFFFF, False),
 ])
-def test_conditional_branches(br, value, branches):
+def test_conditional_branches(br, value, branches, backend, operands):
     source = f"""
     ldiq r1, {value}
     ldiq r9, 1
@@ -179,10 +208,10 @@ yes:
     stq r9, 0x400(r31)
     halt
     """
-    assert run_and_read(source) == (1 if branches else 2)
+    assert run_and_read(source, backend, operands) == (1 if branches else 2)
 
 
-def test_unconditional_branch():
+def test_unconditional_branch(backend, operands):
     source = """
     ldiq r9, 1
     br skip
@@ -191,16 +220,22 @@ skip:
     stq r9, 0x400(r31)
     halt
     """
-    assert run_and_read(source) == 1
+    assert run_and_read(source, backend, operands) == 1
 
 
-def test_runaway_detection():
-    with pytest.raises(SimulationError):
-        Machine(assemble("loop: br loop\n halt"), Memory(1024)).execute(
-            max_instructions=1000
-        )
+def test_runaway_detection(backend, operands):
+    with pytest.raises(SimulationError, match="exceeded 1000 instructions"):
+        run_source("loop: br loop\n halt", Memory(1 << 16), backend,
+                   operands, max_instructions=1000)
 
 
-def test_unaligned_access_faults():
-    with pytest.raises(SimulationError):
-        Machine(assemble("ldl r1, 2(r31)\n halt"), Memory(1024)).execute()
+def test_unaligned_access_faults(backend, operands):
+    with pytest.raises(SimulationError, match=r"LDL at 0x2 \(pc 1\)"):
+        run_source("ldiq r2, 2\n ldl r1, 0(r2)\n halt", Memory(1 << 16),
+                   backend, operands)
+
+
+def test_out_of_range_access_faults(backend, operands):
+    with pytest.raises(SimulationError, match=r"STQ at 0x10000 \(pc 1\)"):
+        run_source("ldiq r2, 0x10000\n stq r2, 0(r2)\n halt",
+                   Memory(1 << 16), backend, operands)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isa import Features, Imm, KernelBuilder
+from repro.isa.opcodes import SPECS
 from repro.kernels import KERNEL_NAMES, make_kernel
 from repro.sim import FOURW, Machine, Memory, simulate
 from repro.sim.backends import UNBOUNDED_CHUNK, backend_names
@@ -173,8 +174,14 @@ def test_equivalence_failure_names_the_exact_instruction():
 
 # -- property-based cross-backend fuzzing -----------------------------------
 
-_OPS = ("addq", "subq", "xor", "and_", "bis", "sll", "srl", "mull",
-        "roll", "rotl32ish")
+#: Every operate-format opcode, by builder method name (``and`` is
+#: ``and_``), plus a builder idiom; each is drawn in register and literal
+#: form (ROLX/RORX take only a literal amount).
+_OPS = tuple(
+    "and_" if spec.name == "and" else spec.name
+    for spec in SPECS.values() if spec.fmt == "op"
+) + ("rotl32ish",)
+_LITERAL_ONLY = ("rolxl", "rorxl")
 
 
 @st.composite
@@ -195,8 +202,10 @@ def random_programs(draw):
         src = draw(st.sampled_from(regs))
         if op == "rotl32ish":
             kb.rotl32(dst, src, draw(st.integers(0, 31)))
-        elif op in ("sll", "srl", "roll"):
-            getattr(kb, op)(dst, src, Imm(draw(st.integers(0, 31))))
+        elif op in _LITERAL_ONLY:
+            getattr(kb, op)(dst, src, draw(st.integers(0, 31)))
+        elif draw(st.booleans()):
+            getattr(kb, op)(dst, src, Imm(draw(st.integers(0, 255))))
         else:
             getattr(kb, op)(dst, src, draw(st.sampled_from(regs)))
     if draw(st.booleans()):

@@ -40,6 +40,7 @@ from repro.isa.analysis.dataflow import (
 from repro.isa.analysis.lattices import (
     UNKNOWN_WIDTH,
     WRITES_DEST,
+    ZAPNOT_MASKS,
     const_join,
     infer_constants,
     infer_ranges,
@@ -52,7 +53,6 @@ from repro.isa.analysis.lattices import (
     make_width_step,
     range_join,
     tz_of_int,
-    zapnot_mask,
 )
 from repro.isa.analysis.passes import (
     POINTER_OPS,
@@ -77,12 +77,12 @@ __all__ = [
     "BRANCH_CODES", "BasicBlock", "CFG", "CostReport", "ENTRY",
     "IMPLEMENTED_CODES", "Liveness", "MemoryFacts", "MemoryReplay",
     "NaturalLoops", "POINTER_OPS", "ProgramAnalyses", "ProgramArrays",
-    "ReachingDefs", "UNKNOWN_WIDTH", "WRITES_DEST", "analyses_for",
+    "ReachingDefs", "UNKNOWN_WIDTH", "WRITES_DEST", "ZAPNOT_MASKS",
+    "analyses_for",
     "block_successors", "chain_weights", "const_join", "defs_of",
     "estimate_cost", "infer_constants", "infer_dataflow", "infer_ranges",
     "infer_trailing_zeros", "infer_widths", "iterate", "lit_width",
     "make_const_step", "make_range_step", "make_tz_step",
     "make_width_step", "range_join", "replay_memory", "split_blocks",
     "table_pointer_taint", "taint_step", "tz_of_int", "uses_of",
-    "zapnot_mask",
 ]

@@ -23,10 +23,10 @@ Lattices:
   no information.  Join is the interval hull; :func:`infer_ranges` adds
   widening so loop-carried intervals converge.
 
-The width/trailing-zeros/constant transfer functions moved here verbatim
-from :mod:`repro.sim.backends.compiled`, which imports them back: the
-backend's elision decisions (and every ``CompileReport`` counter) are
-unchanged by the move.
+The compiled backend runs the width, trailing-zeros and constant
+fixpoints to decide which masks and checks its code can drop; the
+verifier, the cost model and the alias pass read the same lattices
+through :class:`~repro.isa.analysis.passes.ProgramAnalyses`.
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ from __future__ import annotations
 from typing import Callable, Protocol, Sequence
 
 from repro.isa.analysis.solver import infer_dataflow
+from repro.isa.opcodes import (
+    ADDL, ADDQ, AND, BIC, BIS, CMOVEQ, CMOVNE, INSBL, LDA, LDIQ, MULL, MULQ,
+    ORNOT, ROLQ, RORQ, S4ADDQ, S8ADDQ, SLL, SPECS, SRA, SRL, SUBL, SUBQ,
+    XBOX, XOR, ZAPNOT,
+)
 
 M32 = 0xFFFFFFFF
 M64 = 0xFFFFFFFFFFFFFFFF
@@ -46,10 +51,15 @@ UNKNOWN_WIDTH = 999
 #: stores, SBOXSYNC and HALT).  CMOV writes conditionally but still
 #: needs its destination pinned and written back.
 WRITES_DEST = frozenset(
-    {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18,
-     19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 30, 31, 32, 33, 48, 49,
-     50, 51, 52, 53, 54, 55, 56, 57, 59}
+    spec.code for spec in SPECS.values() if spec.writes_dest
 )
+
+#: Opcodes whose result always fits in a fixed number of bits.
+_RESULT_BITS = {
+    spec.code: spec.result_bits for spec in SPECS.values()
+    if spec.result_bits is not None
+}
+_ADD_SUB = frozenset({ADDQ, SUBQ, ADDL, SUBL})
 
 
 class InstructionArrays(Protocol):
@@ -74,8 +84,11 @@ def lit_width(value: "int | None") -> "int | None":
     return value.bit_length() if value >= 0 else UNKNOWN_WIDTH
 
 
-def zapnot_mask(sel: int) -> int:
-    return sum(0xFF << (8 * bit) for bit in range(8) if sel & (1 << bit))
+#: ZAPNOT byte-select -> 64-bit mask keeping the selected bytes.
+ZAPNOT_MASKS = tuple(
+    sum(0xFF << (8 * bit) for bit in range(8) if sel & (1 << bit))
+    for sel in range(256)
+)
 
 
 def tz_of_int(value: int) -> int:
@@ -114,65 +127,59 @@ def make_width_step(arrays: InstructionArrays) -> Step:
         wb = lw if lw is not None else (
             0 if src2[i] == 31 else state[src2[i]]
         )
-        if c == 1:  # ADDQ
+        if c == ADDQ:
             w = max(w1, wb) + 1 if max(w1, wb) < 64 else 64
-        elif c == 2:  # SUBQ
+        elif c == SUBQ:
             w = 64
-        elif c == 3:  # ADDL
+        elif c == ADDL:
             w = max(w1, wb) + 1 if max(w1, wb) < 32 else 32
-        elif c == 4:  # SUBL
-            w = 32
-        elif c == 5:  # AND (a >= 0 so result <= a even for negative b)
+        elif c == AND:  # a >= 0, so the result <= a even for negative b
             w = min(w1, wb) if wb != UNKNOWN_WIDTH else w1
-        elif c in (6, 7):  # BIS / XOR
+        elif c == BIS or c == XOR:
             w = max(w1, wb)
-        elif c == 8:  # BIC: result <= a
+        elif c == BIC:  # result <= a
             w = min(w1, 64)
-        elif c == 9:  # ORNOT
+        elif c == ORNOT:
             w = 64
-        elif c == 10:  # SLL
+        elif c == SLL:
             if L is not None and w1 != UNKNOWN_WIDTH:
                 w = min(w1 + (L & 63), 64)
             else:
                 w = 64
-        elif c == 11:  # SRL
+        elif c == SRL:
             if w1 == UNKNOWN_WIDTH:
                 w = UNKNOWN_WIDTH
             elif L is not None:
                 w = max(w1 - (L & 63), 0)
             else:
                 w = w1
-        elif c == 12:  # SRA
+        elif c == SRA:
             if w1 <= 63:
                 w = max(w1 - (L & 63), 0) if L is not None else w1
             else:
                 w = 64
-        elif c == 13:  # MULL
+        elif c == MULL:
             w1m = min(w1, 32)
             wbm = (L & M32).bit_length() if L is not None else min(wb, 32)
             w = min(w1m + wbm, 32)
-        elif c == 14:  # MULQ
+        elif c == MULQ:
             w = w1 + wb if w1 + wb <= 64 else 64
-        elif c in (15, 16, 17, 18, 19):  # compares
-            w = 1
-        elif c == 20:  # EXTBL
-            w = 8
-        elif c == 21:  # INSBL
+        elif c == INSBL:
             w = 8 + (L & 7) * 8 if L is not None else 64
-        elif c == 22:  # ZAPNOT
+        elif c == ZAPNOT:
             if L is not None:
-                w = min(w1, zapnot_mask(L & 0xFF).bit_length())
+                w = min(w1, ZAPNOT_MASKS[L & 0xFF].bit_length())
             else:
                 w = min(w1, 64)
-        elif c == 23:  # S4ADDQ
+        elif c == S4ADDQ:
             m = max(w1 + 2, wb)
             w = m + 1 if m < 64 else 64
-        elif c == 24:  # S8ADDQ
+        elif c == S8ADDQ:
             m = max(w1 + 3, wb)
             w = m + 1 if m < 64 else 64
-        elif c in (25, 26):  # CMOV: may keep the old value
+        elif c == CMOVEQ or c == CMOVNE:  # may keep the old value
             w = max(state[d], wb)
-        elif c == 27:  # LDA
+        elif c == LDA:
             base = src2[i]
             dp = disp[i]
             if base == 31:
@@ -186,31 +193,15 @@ def make_width_step(arrays: InstructionArrays) -> Step:
                     w = m + 1 if m < 64 else 64
                 else:
                     w = 64
-        elif c == 28:  # LDIQ
+        elif c == LDIQ:
             w = lw if lw is not None else UNKNOWN_WIDTH
-        elif c == 30:  # LDQ
-            w = 64
-        elif c in (31, 57):  # LDL / SBOX
-            w = 32
-        elif c == 32:  # LDWU
-            w = 16
-        elif c == 33:  # LDBU
-            w = 8
-        elif c == 48:  # GRPL
-            w = 32
-        elif c == 49:  # GRPQ
-            w = 64
-        elif c in (50, 51, 54, 55):  # ROLL/RORL/ROLXL/RORXL
-            w = 32
-        elif c in (52, 53):  # ROLQ / RORQ
+        elif c == ROLQ or c == RORQ:
             w = w1 if (L is not None and not (
-                (L & 63) if c == 52 else ((64 - (L & 63)) & 63))) else 64
-        elif c == 56:  # MULMOD
-            w = 16
-        elif c == 59:  # XBOX
+                (L & 63) if c == ROLQ else ((64 - (L & 63)) & 63))) else 64
+        elif c == XBOX:
             w = bsel[i] * 8 + 8
-        else:  # pragma: no cover - WRITES_DEST covers every case above
-            w = UNKNOWN_WIDTH
+        else:
+            w = _RESULT_BITS[c]
         state[d] = min(w, UNKNOWN_WIDTH)
 
     return step
@@ -258,33 +249,33 @@ def make_tz_step(arrays: InstructionArrays) -> Step:
             tb = 64
         else:
             tb = state[src2[i]]
-        if c in (1, 2, 3, 4):  # add/sub: masking never touches low bits
+        if c in _ADD_SUB:  # add/sub: masking never touches low bits
             state[d] = min(t1, tb)
-        elif c == 5:  # AND only clears bits
+        elif c == AND:  # only clears bits
             state[d] = max(t1, tb)
-        elif c in (6, 7):  # BIS / XOR
+        elif c == BIS or c == XOR:
             state[d] = min(t1, tb)
-        elif c in (8, 22):  # BIC / ZAPNOT keep-or-clear source bits
+        elif c == BIC or c == ZAPNOT:  # keep or clear source bits
             state[d] = t1
-        elif c == 10:  # SLL
+        elif c == SLL:
             state[d] = min(t1 + (L & 63), 64) if L is not None else t1
-        elif c in (11, 12):  # SRL / SRA
+        elif c == SRL or c == SRA:
             state[d] = max(t1 - (L & 63), 0) if L is not None else 0
-        elif c in (13, 14):  # MULL / MULQ
+        elif c == MULL or c == MULQ:
             state[d] = min(t1 + tb, 64)
-        elif c == 21:  # INSBL: (a & 0xFF) << (s * 8)
+        elif c == INSBL:  # (a & 0xFF) << (s * 8)
             state[d] = min(t1 + (L & 7) * 8, 64) if L is not None else t1
-        elif c == 23:  # S4ADDQ
+        elif c == S4ADDQ:
             state[d] = min(t1 + 2, tb)
-        elif c == 24:  # S8ADDQ
+        elif c == S8ADDQ:
             state[d] = min(t1 + 3, tb)
-        elif c in (25, 26):  # CMOV: old value or the new operand
+        elif c == CMOVEQ or c == CMOVNE:  # old value or the new operand
             state[d] = min(state[d], tb)
-        elif c == 27:  # LDA
+        elif c == LDA:
             dtz = tz_of_int(disp[i])
             base = src2[i]
             state[d] = dtz if base == 31 else min(state[base], dtz)
-        elif c == 28:  # LDIQ
+        elif c == LDIQ:
             state[d] = tz_of_int(L)
         else:  # loads, compares, rotates, GRP, XBOX, MULMOD, SBOX...
             state[d] = 0
@@ -328,9 +319,9 @@ def make_const_step(arrays: InstructionArrays) -> Step:
         if c not in WRITES_DEST:
             return
         d = dest[i]
-        if c == 28:  # LDIQ
+        if c == LDIQ:
             state[d] = lit[i]
-        elif c == 27:  # LDA
+        elif c == LDA:
             base = src2[i]
             bv = 0 if base == 31 else state[base]
             state[d] = None if bv is None else (bv + disp[i]) & M64
@@ -398,83 +389,77 @@ def make_range_step(arrays: InstructionArrays) -> Step:
         else:
             rb = operand(src2[i], state)
         out: Range = None
-        if c == 1:  # ADDQ
+        if c == ADDQ:
             if r1 is not None and rb is not None \
                     and r1[1] + rb[1] <= M64:
                 out = (r1[0] + rb[0], r1[1] + rb[1])
-        elif c == 3:  # ADDL
+        elif c == ADDL:
             if r1 is not None and rb is not None \
                     and r1[1] + rb[1] <= M32:
                 out = (r1[0] + rb[0], r1[1] + rb[1])
             else:
                 out = (0, M32)
-        elif c == 4:  # SUBL: masked to 32 bits
-            out = (0, M32)
-        elif c == 5:  # AND: result in [0, min(hi)] when either side is known
+        elif c == AND:  # in [0, min(hi)] when either side is known
             if r1 is not None and rb is not None:
                 out = (0, min(r1[1], rb[1]))
             elif r1 is not None:
                 out = (0, r1[1])
             elif rb is not None:
                 out = (0, rb[1])
-        elif c == 6:  # BIS: >= each operand, < next power of two
+        elif c == BIS:  # >= each operand, < next power of two
             if r1 is not None and rb is not None:
                 bits = max(r1[1].bit_length(), rb[1].bit_length())
                 out = (max(r1[0], rb[0]), min((1 << bits) - 1, M64))
-        elif c == 7:  # XOR
+        elif c == XOR:
             if r1 is not None and rb is not None:
                 bits = max(r1[1].bit_length(), rb[1].bit_length())
                 out = (0, min((1 << bits) - 1, M64))
-        elif c == 8:  # BIC: result <= a
+        elif c == BIC:  # result <= a
             if r1 is not None:
                 out = (0, r1[1])
-        elif c == 10:  # SLL
+        elif c == SLL:
             if L is not None and r1 is not None \
                     and (r1[1] << (L & 63)) <= M64:
                 out = (r1[0] << (L & 63), r1[1] << (L & 63))
-        elif c == 11:  # SRL
+        elif c == SRL:
             if r1 is not None:
                 if L is not None:
                     out = (r1[0] >> (L & 63), r1[1] >> (L & 63))
                 else:
                     out = (0, r1[1])
-        elif c == 12:  # SRA: equals SRL while the sign bit is clear
+        elif c == SRA:  # equals SRL while the sign bit is clear
             if r1 is not None and r1[1] < 1 << 63:
                 if L is not None:
                     out = (r1[0] >> (L & 63), r1[1] >> (L & 63))
                 else:
                     out = (0, r1[1])
-        elif c == 13:  # MULL
+        elif c == MULL:
             out = (0, M32)
-        elif c == 14:  # MULQ
+        elif c == MULQ:
             if r1 is not None and rb is not None \
                     and r1[1] * rb[1] <= M64:
                 out = (r1[0] * rb[0], r1[1] * rb[1])
-        elif c in (15, 16, 17, 18, 19):  # compares
-            out = (0, 1)
-        elif c == 20:  # EXTBL
-            out = (0, 0xFF)
-        elif c == 21:  # INSBL
+        elif c == INSBL:
             if L is not None:
                 out = (0, 0xFF << ((L & 7) * 8))
-        elif c == 22:  # ZAPNOT: a & mask, so bounded by both
+        elif c == ZAPNOT:  # a & mask, so bounded by both
             if L is not None:
-                mask = zapnot_mask(L & 0xFF)
+                mask = ZAPNOT_MASKS[L & 0xFF]
                 hi = min(r1[1], mask) if r1 is not None else mask
                 out = (0, hi)
             elif r1 is not None:
                 out = (0, r1[1])
-        elif c == 23:  # S4ADDQ
+        elif c == S4ADDQ:
             if r1 is not None and rb is not None \
                     and 4 * r1[1] + rb[1] <= M64:
                 out = (4 * r1[0] + rb[0], 4 * r1[1] + rb[1])
-        elif c == 24:  # S8ADDQ
+        elif c == S8ADDQ:
             if r1 is not None and rb is not None \
                     and 8 * r1[1] + rb[1] <= M64:
                 out = (8 * r1[0] + rb[0], 8 * r1[1] + rb[1])
-        elif c in (25, 26):  # CMOV: old value or the new operand
+        elif c == CMOVEQ or c == CMOVNE:  # old value or the new operand
             out = range_join(state[d], rb)
-        elif c == 27:  # LDA
+        elif c == LDA:
             base = src2[i]
             dp = disp[i]
             if base == 31:
@@ -485,29 +470,15 @@ def make_range_step(arrays: InstructionArrays) -> Step:
                 if rb2 is not None and rb2[0] + dp >= 0 \
                         and rb2[1] + dp <= M64:
                     out = (rb2[0] + dp, rb2[1] + dp)
-        elif c == 28:  # LDIQ (raw literal; negative stays unmasked)
+        elif c == LDIQ:  # raw literal; a negative one stays unmasked
             if L is not None and 0 <= L <= M64:
                 out = (L, L)
-        elif c == 30:  # LDQ
+        elif c == ROLQ or c == RORQ:
             out = (0, M64)
-        elif c in (31, 57):  # LDL / SBOX
-            out = (0, M32)
-        elif c == 32:  # LDWU
-            out = (0, 0xFFFF)
-        elif c == 33:  # LDBU
-            out = (0, 0xFF)
-        elif c == 48:  # GRPL
-            out = (0, M32)
-        elif c == 49:  # GRPQ
-            out = (0, M64)
-        elif c in (50, 51, 54, 55):  # 32-bit rotates
-            out = (0, M32)
-        elif c in (52, 53):  # ROLQ / RORQ
-            out = (0, M64)
-        elif c == 56:  # MULMOD
-            out = (0, 0xFFFF)
-        elif c == 59:  # XBOX
+        elif c == XBOX:
             out = (0, (1 << (bsel[i] * 8 + 8)) - 1)
+        elif c in _RESULT_BITS:
+            out = (0, (1 << _RESULT_BITS[c]) - 1)
         state[d] = out
 
     return step
@@ -531,35 +502,5 @@ def infer_ranges(
     :data:`WIDEN_AFTER` times it is widened straight to top.  Widening
     only ever *loses* precision, so soundness is unaffected.
     """
-    nb = len(blocks)
-    ins: "list[list | None]" = [None] * nb
-    bumps: dict[tuple[int, int], int] = {}
-    entry = block_of[0]
-    ins[entry] = [None] * 33
-    work = [entry]
-    while work:
-        k = work.pop()
-        state = list(ins[k])  # type: ignore[arg-type]
-        start, end = blocks[k]
-        for i in range(start, end):
-            step(state, i)
-        for s in succs[k]:
-            j = block_of[s]
-            existing = ins[j]
-            if existing is None:
-                ins[j] = list(state)
-                work.append(j)
-            else:
-                changed = False
-                for r in range(33):
-                    merged = range_join(state[r], existing[r])
-                    if merged != existing[r]:
-                        count = bumps.get((j, r), 0) + 1
-                        bumps[(j, r)] = count
-                        existing[r] = (merged if count <= WIDEN_AFTER
-                                       else None)
-                        if existing[r] != merged or merged is not None:
-                            changed = True
-                if changed:
-                    work.append(j)
-    return [s if s is not None else [None] * 33 for s in ins]
+    return infer_dataflow(blocks, block_of, succs, step, top=None,
+                          join=range_join, widen_after=WIDEN_AFTER)

@@ -50,21 +50,19 @@ POINTER_OPS = frozenset(
 ) | {op.LDA}
 
 #: Bytes a memory opcode touches (SBOX reads one 4-byte table entry).
-_MEM_SIZES = {
-    op.LDQ: 8, op.LDL: 4, op.LDWU: 2, op.LDBU: 1,
-    op.STQ: 8, op.STL: 4, op.STW: 2, op.STB: 1,
-    op.SBOX: 4,
-}
+_MEM_SIZES = {**op.MEM_SIZES, op.SBOX: 4}
 
 
 class ProgramArrays:
-    """The compiled backend's parallel-array view, built from a Program.
+    """A program decoded into the parallel arrays both backends read.
 
-    Matches :meth:`repro.sim.machine.Machine._compile` field for field
-    (``dest`` slot 32 is the discard slot for ``r31`` writes; absent
-    sources read as ``r31``) so the lattice transfer functions in
+    One entry per instruction in each of ``code``, ``dest``, ``src1``,
+    ``src2``, ``lit``, ``disp``, ``target`` and ``bsel``.  ``dest`` slot
+    32 is the discard slot for ``r31`` and absent destinations; absent
+    sources read as ``r31``.  :class:`repro.sim.machine.Machine` decodes
+    through this class, so the lattice transfer functions in
     :mod:`repro.isa.analysis.lattices` see identical inputs whether they
-    run here or inside the backend's elision fixpoint.
+    run here or inside the compiled backend's elision fixpoint.
     """
 
     def __init__(self, program: Program):
@@ -80,7 +78,6 @@ class ProgramArrays:
         self.lit: "list[int | None]" = [None] * n
         self.disp = [0] * n
         self.target = [0] * n
-        self.tbl = [0] * n
         self.bsel = [0] * n
         for i, instr in enumerate(instructions):
             self.code[i] = instr.code
@@ -94,7 +91,6 @@ class ProgramArrays:
             self.disp[i] = instr.disp
             if isinstance(instr.target, int):
                 self.target[i] = instr.target
-            self.tbl[i] = instr.table
             self.bsel[i] = instr.bsel
 
 

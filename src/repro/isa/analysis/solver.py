@@ -8,19 +8,13 @@ Three pieces, deliberately tiny:
   with a different transfer function; sharing it pins one iteration
   order so ports cannot silently change convergence behavior.
 * :func:`split_blocks` / :func:`block_successors` -- basic-block
-  decomposition over the parallel instruction arrays (the compiled
-  backend's representation; :class:`repro.isa.analysis.passes.\
-ProgramArrays` builds the same arrays from a plain
-  :class:`~repro.isa.program.Program`).
-* :func:`infer_dataflow` -- the monotone per-register fixpoint the
-  compiled backend's elision analyses run on, now shared by the width,
-  trailing-zeros, constant and value-range lattices in
-  :mod:`repro.isa.analysis.lattices`.
-
-``split_blocks``/``infer_dataflow`` moved here verbatim from
-:mod:`repro.sim.backends.compiled` (which now imports them back), so the
-elision decisions -- and therefore every ``CompileReport`` counter --
-are unchanged by the move.
+  decomposition over the parallel instruction arrays
+  (:class:`repro.isa.analysis.passes.ProgramArrays`, which both
+  functional backends read).
+* :func:`infer_dataflow` -- the monotone per-register fixpoint behind the
+  width, trailing-zeros, constant and value-range lattices in
+  :mod:`repro.isa.analysis.lattices`; the compiled backend's elision
+  decisions read the first three.
 """
 
 from __future__ import annotations
@@ -28,17 +22,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
-#: Opcodes that end a basic block by redirecting control flow.
-BRANCH_CODES = frozenset({40, 41, 42, 43, 44, 45, 46})
+from repro.isa.opcodes import BR, BRANCH_CODES, HALT, SPECS
 
-#: Every opcode the functional interpreter implements (anything else
-#: raises, so analyses treat it as a block terminator).
-IMPLEMENTED_CODES = frozenset(
-    {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18,
-     19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 30, 31, 32, 33, 34, 35, 36,
-     37, 40, 41, 42, 43, 44, 45, 46, 48, 49, 50, 51, 52, 53, 54, 55, 56,
-     57, 58, 59}
-)
+#: Every opcode the functional backends implement: each has an emitter
+#: in :mod:`repro.isa.semantics`.  Anything else raises, so analyses
+#: treat it as a block terminator.
+IMPLEMENTED_CODES = frozenset(SPECS)
 
 T = TypeVar("T", bound=Hashable)
 
@@ -80,7 +69,7 @@ def split_blocks(
         end = start
         while True:
             c = code[end]
-            if c in BRANCH_CODES or c == 0 or c not in IMPLEMENTED_CODES:
+            if c in BRANCH_CODES or c == HALT or c not in IMPLEMENTED_CODES:
                 end += 1
                 break
             end += 1
@@ -102,9 +91,9 @@ def block_successors(
     for start, end in blocks:
         last = end - 1
         c = code[last]
-        if c == 0 or c not in IMPLEMENTED_CODES:
+        if c == HALT or c not in IMPLEMENTED_CODES:
             succs.append(())
-        elif c == 40:
+        elif c == BR:
             succs.append((target[last],) if target[last] < n else ())
         elif c in BRANCH_CODES:
             out = []
@@ -126,6 +115,7 @@ def infer_dataflow(
     *,
     top: object,
     join: Callable,
+    widen_after: "int | None" = None,
 ) -> "list[list]":
     """Per-block entry states via a monotone worklist fixpoint.
 
@@ -134,10 +124,14 @@ def infer_dataflow(
     merges the states reaching a block so a proved fact is valid on
     every path.  States are 33-slot lists: registers 0..31 plus the
     discard slot the array representation maps ``r31``/no-dest writes
-    to.
+    to.  With ``widen_after``, a (block, register) entry fact enlarged
+    more than that many times goes straight to ``top``, so a lattice of
+    unbounded height (intervals) converges; widening only loses
+    precision.
     """
     nb = len(blocks)
     ins: "list[list | None]" = [None] * nb
+    bumps: "dict[tuple[int, int], int]" = {}
     entry = block_of[0]
     ins[entry] = [top] * 33
     work = [entry]
@@ -158,6 +152,10 @@ def infer_dataflow(
                 for r in range(33):
                     merged = join(state[r], existing[r])
                     if merged != existing[r]:
+                        if widen_after is not None:
+                            bumps[j, r] = count = bumps.get((j, r), 0) + 1
+                            if count > widen_after:
+                                merged = top
                         existing[r] = merged
                         changed = True
                 if changed:

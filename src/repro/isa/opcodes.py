@@ -57,13 +57,17 @@ class OpSpec:
     category: str   # default Figure 7 category
     writes_dest: bool = True
     reads_dest: bool = False  # ROLX/RORX and CMOV read their destination
+    #: Bits the result always fits in, whatever the operands (or None).
+    result_bits: "int | None" = None
 
 
 _SPECS: list[OpSpec] = []
 
 
-def _op(code, name, fmt, klass, category, writes_dest=True, reads_dest=False):
-    spec = OpSpec(code, name, fmt, klass, category, writes_dest, reads_dest)
+def _op(code, name, fmt, klass, category, writes_dest=True, reads_dest=False,
+        result_bits=None):
+    spec = OpSpec(code, name, fmt, klass, category, writes_dest, reads_dest,
+                  result_bits)
     _SPECS.append(spec)
     return code
 
@@ -75,7 +79,7 @@ HALT = _op(0, "halt", "none", IALU, CONTROL, writes_dest=False)
 ADDQ = _op(1, "addq", "op", IALU, ARITH)
 SUBQ = _op(2, "subq", "op", IALU, ARITH)
 ADDL = _op(3, "addl", "op", IALU, ARITH)
-SUBL = _op(4, "subl", "op", IALU, ARITH)
+SUBL = _op(4, "subl", "op", IALU, ARITH, result_bits=32)
 AND = _op(5, "and", "op", IALU, LOGIC)
 BIS = _op(6, "bis", "op", IALU, LOGIC)
 XOR = _op(7, "xor", "op", IALU, LOGIC)
@@ -86,12 +90,12 @@ SRL = _op(11, "srl", "op", IALU, LOGIC)
 SRA = _op(12, "sra", "op", IALU, LOGIC)
 MULL = _op(13, "mull", "op", MUL32, MULTIPLY)
 MULQ = _op(14, "mulq", "op", MUL64, MULTIPLY)
-CMPEQ = _op(15, "cmpeq", "op", IALU, ARITH)
-CMPULT = _op(16, "cmpult", "op", IALU, ARITH)
-CMPULE = _op(17, "cmpule", "op", IALU, ARITH)
-CMPLT = _op(18, "cmplt", "op", IALU, ARITH)
-CMPLE = _op(19, "cmple", "op", IALU, ARITH)
-EXTBL = _op(20, "extbl", "op", IALU, LOGIC)
+CMPEQ = _op(15, "cmpeq", "op", IALU, ARITH, result_bits=1)
+CMPULT = _op(16, "cmpult", "op", IALU, ARITH, result_bits=1)
+CMPULE = _op(17, "cmpule", "op", IALU, ARITH, result_bits=1)
+CMPLT = _op(18, "cmplt", "op", IALU, ARITH, result_bits=1)
+CMPLE = _op(19, "cmple", "op", IALU, ARITH, result_bits=1)
+EXTBL = _op(20, "extbl", "op", IALU, LOGIC, result_bits=8)
 INSBL = _op(21, "insbl", "op", IALU, LOGIC)
 ZAPNOT = _op(22, "zapnot", "op", IALU, LOGIC)
 S4ADDQ = _op(23, "s4addq", "op", IALU, ARITH)
@@ -104,10 +108,11 @@ LDA = _op(27, "lda", "mem", IALU, ARITH)    # rc = rb + sext16(disp)
 LDIQ = _op(28, "ldiq", "ldi", IALU, ARITH)  # rc = imm64 (simulator pseudo-op)
 
 # Memory.
-LDQ = _op(30, "ldq", "mem", LOAD, LDST)
-LDL = _op(31, "ldl", "mem", LOAD, LDST)     # zero-extending (see module doc)
-LDWU = _op(32, "ldwu", "mem", LOAD, LDST)
-LDBU = _op(33, "ldbu", "mem", LOAD, LDST)
+LDQ = _op(30, "ldq", "mem", LOAD, LDST, result_bits=64)
+# LDL zero-extends (see the module docstring).
+LDL = _op(31, "ldl", "mem", LOAD, LDST, result_bits=32)
+LDWU = _op(32, "ldwu", "mem", LOAD, LDST, result_bits=16)
+LDBU = _op(33, "ldbu", "mem", LOAD, LDST, result_bits=8)
 STQ = _op(34, "stq", "mem", STORE, LDST, writes_dest=False)
 STL = _op(35, "stl", "mem", STORE, LDST, writes_dest=False)
 STW = _op(36, "stw", "mem", STORE, LDST, writes_dest=False)
@@ -126,18 +131,18 @@ BGE = _op(46, "bge", "br", IALU, CONTROL, writes_dest=False)
 # stable bit partition -- source bits whose control bit is 0 pack into the
 # low end (original order), bits with 1 above them.  log2(N) GRPs realize
 # any N-bit permutation (5 instructions for 32 bits vs XBOX's 7).
-GRPL = _op(48, "grpl", "op", ROTATOR, PERMUTE)
-GRPQ = _op(49, "grpq", "op", ROTATOR, PERMUTE)
+GRPL = _op(48, "grpl", "op", ROTATOR, PERMUTE, result_bits=32)
+GRPQ = _op(49, "grpq", "op", ROTATOR, PERMUTE, result_bits=64)
 
 # Cryptography extensions (paper Figure 8).
-ROLL = _op(50, "roll", "op", ROTATOR, ROTATE)
-RORL = _op(51, "rorl", "op", ROTATOR, ROTATE)
+ROLL = _op(50, "roll", "op", ROTATOR, ROTATE, result_bits=32)
+RORL = _op(51, "rorl", "op", ROTATOR, ROTATE, result_bits=32)
 ROLQ = _op(52, "rolq", "op", ROTATOR, ROTATE)
 RORQ = _op(53, "rorq", "op", ROTATOR, ROTATE)
-ROLXL = _op(54, "rolxl", "op", ROTATOR, ROTATE, reads_dest=True)
-RORXL = _op(55, "rorxl", "op", ROTATOR, ROTATE, reads_dest=True)
-MULMOD = _op(56, "mulmod", "op", MULMOD_UNIT, MULTIPLY)
-SBOX = _op(57, "sbox", "sbox", SBOX_UNIT, SUBST)
+ROLXL = _op(54, "rolxl", "op", ROTATOR, ROTATE, reads_dest=True, result_bits=32)
+RORXL = _op(55, "rorxl", "op", ROTATOR, ROTATE, reads_dest=True, result_bits=32)
+MULMOD = _op(56, "mulmod", "op", MULMOD_UNIT, MULTIPLY, result_bits=16)
+SBOX = _op(57, "sbox", "sbox", SBOX_UNIT, SUBST, result_bits=32)
 SBOXSYNC = _op(58, "sboxsync", "sync", SYNC, CONTROL, writes_dest=False)
 XBOX = _op(59, "xbox", "xbox", ROTATOR, PERMUTE)
 

@@ -37,22 +37,22 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 from repro.isa.analysis.lattices import (
     UNKNOWN_WIDTH,
     WRITES_DEST,
+    ZAPNOT_MASKS,
     const_join,
     infer_widths,
-    lit_width,
     make_const_step,
     make_tz_step,
     make_width_step,
-    tz_of_int,
-    zapnot_mask,
 )
 from repro.isa.analysis.solver import (
-    BRANCH_CODES,
     IMPLEMENTED_CODES,
     block_successors,
     infer_dataflow,
     split_blocks,
 )
+from repro.isa.opcodes import AND, BR, BRANCH_CODES, HALT, MEM_SIZES, SPECS
+from repro.isa.semantics import EMITTERS, Facts, grp, xbox
+from repro.sim.backends.interpreter import _drain, _loop
 from repro.sim.trace import (
     ADDR_TYPECODE,
     SEQ_TYPECODE,
@@ -63,74 +63,11 @@ from repro.sim.trace import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.machine import Machine
 
-M32 = 0xFFFFFFFF
 M64 = 0xFFFFFFFFFFFFFFFF
-_MSB = 0x8000000000000000
 
 #: Generated code reads memory through ``memoryview.cast`` (native byte
 #: order); on a big-endian host we delegate to the interpreter instead.
 _LITTLE = sys.byteorder == "little"
-
-
-_LOADS = {30: ("LDQ", 8, 8), 31: ("LDL", 4, 4),
-          32: ("LDWU", 2, 2), 33: ("LDBU", 1, 1)}
-_STORES = {34: ("STQ", 8, 8), 35: ("STL", 4, 4),
-           36: ("STW", 2, 2), 37: ("STB", 1, 1)}
-
-
-def _grp(x: int, ctrl: int, width: int) -> int:
-    """GRPL/GRPQ (Shi & Lee) bit-gather, shared by all generated code."""
-    low = high = 0
-    low_count = high_count = 0
-    for i in range(width):
-        bit = (x >> i) & 1
-        if (ctrl >> i) & 1:
-            high |= bit << high_count
-            high_count += 1
-        else:
-            low |= bit << low_count
-            low_count += 1
-    return low | (high << low_count)
-
-
-def _xbox(operand: int, perm_map: int, base_bit: int) -> int:
-    """XBOX 8-bit permutation lookup, shared by all generated code."""
-    result = 0
-    for j in range(8):
-        bit = (operand >> ((perm_map >> (6 * j)) & 0x3F)) & 1
-        result |= bit << (base_bit + j)
-    return result
-
-
-def _drain(
-    seq: list,
-    addrs: list,
-    values: "list | None",
-    chunk_limit: int,
-    trace_base: int,
-) -> Iterator[TraceChunk]:
-    """Carve exactly ``chunk_limit``-sized chunks off the staged lists.
-
-    Generated code stages a whole basic block before checking the limit,
-    so the staged lists can run past it; slicing here restores the exact
-    interpreter chunk boundaries (every chunk full except the final
-    partial).  Returns the updated ``trace_base`` via StopIteration so
-    callers use ``trace_base = yield from _drain(...)``.
-    """
-    while len(seq) >= chunk_limit:
-        yield TraceChunk(
-            seq=array(SEQ_TYPECODE, seq[:chunk_limit]),
-            addrs=array(ADDR_TYPECODE, addrs[:chunk_limit]),
-            start=trace_base,
-            values=(None if values is None
-                    else array(VALUE_TYPECODE, values[:chunk_limit])),
-        )
-        del seq[:chunk_limit]
-        del addrs[:chunk_limit]
-        if values is not None:
-            del values[:chunk_limit]
-        trace_base += chunk_limit
-    return trace_base
 
 
 class CompiledBackend:
@@ -152,12 +89,8 @@ class CompiledBackend:
             # little-endian host and an 8-byte-divisible buffer.  Every
             # Memory in the repo is a power of two; for exotic sizes the
             # interpreter is the (bit-identical) fallback.
-            from repro.sim.backends.interpreter import _interpret
-
-            return _interpret(
-                machine, chunk_limit, record_trace, record_values,
-                max_instructions,
-            )
+            return _loop()(machine, chunk_limit, record_trace,
+                           record_values, max_instructions)
         fn = compiled_function(machine, record_trace, record_values)
         return fn(machine, chunk_limit, max_instructions)
 
@@ -316,7 +249,7 @@ def _compile(
     record_values: bool,
     digest: str,
 ) -> Callable[..., Any]:
-    from repro.sim.machine import SimulationError, _ZAPNOT_MASKS
+    from repro.sim.machine import SimulationError
 
     began = time.perf_counter()
     func_name = f"_compiled_{digest[:8]}"
@@ -340,9 +273,9 @@ def _compile(
         "ADDR_T": ADDR_TYPECODE,
         "VAL_T": VALUE_TYPECODE,
         "_drain": _drain,
-        "_grp": _grp,
-        "_xbox": _xbox,
-        "_ZAPNOT": _ZAPNOT_MASKS,
+        "_grp": grp,
+        "_xbox": xbox,
+        "_ZAPNOT": ZAPNOT_MASKS,
     }
     exec(compile(source, filename, "exec"), namespace)
     _COMPILE_REPORTS[
@@ -359,6 +292,62 @@ def _compile(
         counters=counters,
     )
     return namespace[func_name]
+
+
+def _constant(value: int) -> "tuple[str, int]":
+    """A known operand: its literal text and width (negatives unknown)."""
+    return str(value), (value.bit_length() if value >= 0 else UNKNOWN_WIDTH)
+
+
+class _Site(Facts):
+    """Facts about one static instruction, as the lattices proved them."""
+
+    def __init__(self, machine: "Machine", record_trace: bool,
+                 counters: "dict[str, int]") -> None:
+        self.src2 = machine.src2
+        self.mem_size = machine.memory.size
+        self.trace = record_trace
+        self.counters = counters
+
+    def at(self, i: int, state: list, tz: list, cst: list) -> "_Site":
+        """Re-aim at instruction ``i`` under the block's current facts."""
+        self.pc, self.state, self.tz, self.cst = i, state, tz, cst
+        self.addr_name = f"a{i}"
+        self.addr = None
+        return self
+
+    def operand(self, slot: int) -> "tuple[str, int]":
+        """Expression and width for a register read (const-folded)."""
+        if slot == 31:
+            return "0", 0
+        v = self.cst[slot]
+        if v is not None:
+            self.count("constants_folded")
+            return _constant(v)
+        return f"r{slot}", self.state[slot]
+
+    def count(self, key: str) -> None:
+        self.counters[key] += 1
+
+    def reg2(self) -> "tuple[str, int]":
+        return self.operand(self.src2[self.pc])
+
+    def base(self) -> "tuple[str, int, int | None, int]":
+        base = self.src2[self.pc]
+        if base == 31:
+            return "0", 0, 0, 64
+        return f"r{base}", self.state[base], self.cst[base], self.tz[base]
+
+    def load(self, size: int, addr: str) -> str:
+        if size == 1:
+            return f"data[{addr}]"
+        return f"mv{size}[{addr} >> {size.bit_length() - 1}]"
+
+    def load_word(self, index: str) -> str:
+        return f"mv4[{index}]"
+
+    def store(self, size: int, addr: str, value: str) -> str:
+        return f"{self.load(size, addr)} = {value}"
 
 
 def _generate_source(
@@ -411,22 +400,23 @@ def _generate_source(
         blocks, block_of, succs, const_step,
         top=None, join=const_join,  # type: ignore[arg-type]
     )
-    # Bounds proofs below compare against the machine's memory size, so
-    # the generated function is specialized to it (part of the cache key).
+    # Bounds proofs compare against the machine's memory size, so the
+    # generated function is specialized to it (part of the cache key).
     mem_size = machine.memory.size
+    site = _Site(machine, record_trace, counters)
 
     # Register-usage scan: which slots to pin in locals / write back.
     reads: set[int] = set()
     writes: set[int] = set()
     for i in range(n):
-        c = code[i]
-        if c not in IMPLEMENTED_CODES:
+        spec = SPECS.get(code[i])
+        if spec is None:
             continue
         reads.add(src1[i])
         reads.add(src2[i])
-        if c in (54, 55):  # ROLXL/RORXL xor into their destination
+        if spec.reads_dest:
             reads.add(dest[i])
-        if c in WRITES_DEST:
+        if spec.writes_dest:
             writes.add(dest[i])
     reads.discard(31)
     writes.discard(31)
@@ -434,552 +424,39 @@ def _generate_source(
 
     # The block bodies are generated first so the preamble only sets up
     # what they actually use (memoryview casts, bounds limits, tables).
-    need_mv: set[int] = set()
-    need_lims: set[int] = set()
-    need_zap = False
     body: list[str] = []
 
     def wb(indent: int, text: str) -> None:
         body.append("    " * indent + text)
 
-    def R(slot: int) -> str:
-        return "0" if slot == 31 else f"r{slot}"
-
-    def addr_code(
-        i: int, state: list, tz: list, cst: list
-    ) -> "tuple[list[str], str, int, int, str]":
-        """Effective-address statements, its name, and proved facts.
-
-        Returns ``(stmts, name, bound, align, expr)``: the address is
-        known to be <= ``bound`` with its low ``align`` bits zero, so
-        callers can elide range and alignment checks the proof covers
-        (and inline ``expr`` when the temporary itself is unneeded).
-        """
-        base, dp = src2[i], disp[i]
-        a = f"a{i}"
-        bv = 0 if base == 31 else cst[base]
-        if bv is not None:
-            if base != 31:
-                count("constants_folded")
-            val = (bv + dp) & M64
-            expr = f"{val:#x}"
-            return [], expr, val, tz_of_int(val), expr
-        rb = R(base)
-        wb2 = state[base]
-        atz = min(tz[base], tz_of_int(dp)) if dp else tz[base]
-        if dp == 0:
-            if wb2 <= 64:
-                expr, bound = rb, (1 << wb2) - 1
-            else:
-                expr, bound = f"{rb} & {M64:#x}", M64
-        elif wb2 != UNKNOWN_WIDTH and dp > 0 and max(wb2, dp.bit_length()) < 64:
-            expr, bound = f"{rb} + {dp}", (1 << wb2) - 1 + dp
-        else:
-            expr, bound = f"({rb} + {dp}) & {M64:#x}", M64
-        if not record_trace and expr == rb:
-            # No trace entry will quote the address and the register
-            # itself is the address: skip the temporary entirely.
-            return [], rb, bound, atz, rb
-        return [f"{a} = {expr}"], a, bound, atz, expr
-
-    def operand(slot: int, state: list, cst: list) -> "tuple[str, int]":
-        """Expression and width for a register read (const-folded)."""
-        if slot == 31:
-            return "0", 0
-        v = cst[slot]
-        if v is not None:
-            count("constants_folded")
-            return str(v), (v.bit_length() if v >= 0 else UNKNOWN_WIDTH)
-        return f"r{slot}", state[slot]
-
     def instr_stmts(
         i: int, state: list, tz: list, cst: list
     ) -> "tuple[list[str], str | None]":
-        nonlocal need_zap
-        c = code[i]
-        D = f"r{dest[i]}"
-        A, w1 = operand(src1[i], state, cst)
-        L = lit[i]
-        if L is not None:
-            B, wb_ = str(L), lit_width(L)
-        else:
-            B, wb_ = operand(src2[i], state, cst)
-        out: list[str] = []
-        addr: "str | None" = None
-        if c == 7:  # XOR
-            if A == "0":
-                out = [f"{D} = {B}"]
-            elif B == "0":
-                out = [f"{D} = {A}"]
-            else:
-                out = [f"{D} = {A} ^ {B}"]
-        elif c == 6:  # BIS
-            if A == "0":
-                out = [f"{D} = {B}"]
-            elif B == "0":
-                out = [f"{D} = {A}"]
-            else:
-                out = [f"{D} = {A} | {B}"]
-        elif c == 5:  # AND
-            if A == "0" or B == "0":
-                out = [f"{D} = 0"]
-            elif (L is not None and w1 <= 64
-                    and (L & M64) & ((1 << w1) - 1) == (1 << w1) - 1):
-                count("masks_elided")
-                out = [f"{D} = {A}"]  # mask covers the proved width
-            else:
-                out = [f"{D} = {A} & {B}"]
-        elif c in (1, 3):  # ADDQ / ADDL
-            bits = 64 if c == 1 else 32
-            mask = M64 if c == 1 else M32
-            if A == "0":
-                expr = B
-            elif B == "0":
-                expr = A
-            else:
-                expr = f"{A} + {B}"
-            if max(w1, wb_) < bits:
-                count("masks_elided")
-                out = [f"{D} = {expr}"]
-            elif expr in (A, B):
-                out = [f"{D} = {expr} & {mask:#x}"]
-            else:
-                out = [f"{D} = ({expr}) & {mask:#x}"]
-        elif c in (2, 4):  # SUBQ / SUBL
-            bits = 64 if c == 2 else 32
-            mask = M64 if c == 2 else M32
-            if B == "0" and w1 <= bits:
-                count("masks_elided")
-                out = [f"{D} = {A}"]
-            else:
-                out = [f"{D} = ({A} - {B}) & {mask:#x}"]
-        elif c == 8:  # BIC
-            if L is not None:
-                out = [f"{D} = {A} & {(~L) & M64:#x}"]
-            elif B == "0":
-                if w1 <= 64:
-                    count("masks_elided")
-                    out = [f"{D} = {A}"]
-                else:
-                    out = [f"{D} = {A} & {M64:#x}"]
-            else:
-                out = [f"{D} = {A} & ~{B} & {M64:#x}"]
-        elif c == 9:  # ORNOT
-            if L is not None:
-                inner = f"{(~L) & M64:#x}"
-            else:
-                inner = f"(~{B} & {M64:#x})"
-            if w1 <= 64:
-                count("masks_elided")
-                out = [f"{D} = {A} | {inner}"]
-            else:
-                out = [f"{D} = ({A} | {inner}) & {M64:#x}"]
-        elif c == 10:  # SLL
-            if L is not None:
-                s = L & 63
-                if s == 0:
-                    if w1 <= 64:
-                        count("masks_elided")
-                        out = [f"{D} = {A}"]
-                    else:
-                        out = [f"{D} = {A} & {M64:#x}"]
-                elif w1 + s <= 64:
-                    count("masks_elided")
-                    out = [f"{D} = {A} << {s}"]
-                else:
-                    out = [f"{D} = ({A} << {s}) & {M64:#x}"]
-            else:
-                out = [f"{D} = ({A} << ({B} & 63)) & {M64:#x}"]
-        elif c == 11:  # SRL
-            if L is not None:
-                s = L & 63
-                out = [f"{D} = {A}" if s == 0 else f"{D} = {A} >> {s}"]
-            else:
-                out = [f"{D} = {A} >> ({B} & 63)"]
-        elif c == 12:  # SRA
-            sh = str(L & 63) if L is not None else f"({B} & 63)"
-            if w1 <= 63:
-                count("masks_elided")
-                if L is not None and L & 63 == 0:
-                    out = [f"{D} = {A}"]
-                else:
-                    out = [f"{D} = {A} >> {sh}"]
-            else:
-                out = [
-                    f"t = {A}",
-                    f"if t & {_MSB:#x}:",
-                    f"    t -= {1 << 64:#x}",
-                    f"{D} = (t >> {sh}) & {M64:#x}",
-                ]
-        elif c == 13:  # MULL
-            am = A if w1 <= 32 else f"({A} & {M32:#x})"
-            if L is not None:
-                bv = L & M32
-                bm, wbm = str(bv), bv.bit_length()
-            else:
-                bm = B if wb_ <= 32 else f"({B} & {M32:#x})"
-                wbm = min(wb_, 32)
-            if min(w1, 32) + wbm <= 32:
-                count("masks_elided")
-                out = [f"{D} = {am} * {bm}"]
-            else:
-                out = [f"{D} = ({am} * {bm}) & {M32:#x}"]
-        elif c == 14:  # MULQ
-            if w1 + wb_ <= 64:
-                count("masks_elided")
-                out = [f"{D} = {A} * {B}"]
-            else:
-                out = [f"{D} = ({A} * {B}) & {M64:#x}"]
-        elif c == 15:
-            out = [f"{D} = 1 if {A} == {B} else 0"]
-        elif c == 16:
-            out = [f"{D} = 1 if {A} < {B} else 0"]
-        elif c == 17:
-            out = [f"{D} = 1 if {A} <= {B} else 0"]
-        elif c in (18, 19):  # CMPLT / CMPLE (signed)
-            cmp = "<" if c == 18 else "<="
-            if w1 <= 63:
-                count("masks_elided")
-                left = A
-            else:
-                out += [
-                    f"t = {A}",
-                    f"if t & {_MSB:#x}:",
-                    f"    t -= {1 << 64:#x}",
-                ]
-                left = "t"
-            if L is not None:
-                right = str(L - (1 << 64) if L & _MSB else L)
-            elif wb_ <= 63:
-                count("masks_elided")
-                right = B
-            else:
-                out += [
-                    f"u = {B}",
-                    f"if u & {_MSB:#x}:",
-                    f"    u -= {1 << 64:#x}",
-                ]
-                right = "u"
-            out.append(f"{D} = 1 if {left} {cmp} {right} else 0")
-        elif c == 20:  # EXTBL
-            if L is not None:
-                s = (L & 7) * 8
-                if s == 0 and w1 <= 8:
-                    count("masks_elided")
-                out = [f"{D} = ({A} >> {s}) & 0xFF" if s
-                       else (f"{D} = {A}" if w1 <= 8
-                             else f"{D} = {A} & 0xFF")]
-            else:
-                out = [f"{D} = ({A} >> (({B} & 7) * 8)) & 0xFF"]
-        elif c == 21:  # INSBL
-            am = A if w1 <= 8 else f"({A} & 0xFF)"
-            if L is not None:
-                s = (L & 7) * 8
-                out = [f"{D} = {am} << {s}" if s else f"{D} = {am}"]
-            else:
-                out = [f"{D} = {am} << (({B} & 7) * 8)"]
-        elif c == 22:  # ZAPNOT
-            if L is not None:
-                mask = zapnot_mask(L & 0xFF)
-                if w1 <= 64 and mask & ((1 << w1) - 1) == (1 << w1) - 1:
-                    count("masks_elided")
-                    out = [f"{D} = {A}"]
-                else:
-                    out = [f"{D} = {A} & {mask:#x}"]
-            else:
-                need_zap = True
-                out = [f"{D} = {A} & _zap[{B} & 0xFF]"]
-        elif c in (23, 24):  # S4ADDQ / S8ADDQ
-            scale = 4 if c == 23 else 8
-            extra = 2 if c == 23 else 3
-            prod = f"{A} * {scale}"
-            expr = prod if B == "0" else f"{prod} + {B}"
-            if max(w1 + extra, wb_) < 64:
-                count("masks_elided")
-                out = [f"{D} = {expr}"]
-            else:
-                out = [f"{D} = ({expr}) & {M64:#x}"]
-        elif c in (25, 26):  # CMOVEQ / CMOVNE
-            if A == "0":
-                out = [f"{D} = {B}"] if c == 25 else []
-            else:
-                test = "==" if c == 25 else "!="
-                out = [f"if {A} {test} 0:", f"    {D} = {B}"]
-        elif c == 27:  # LDA
-            base, dp = src2[i], disp[i]
-            bv = 0 if base == 31 else cst[base]
-            if bv is not None:
-                out = [f"{D} = {(bv + dp) & M64:#x}"]
-            else:
-                rb = R(base)
-                wb2 = state[base]
-                if dp == 0:
-                    if wb2 <= 64:
-                        count("masks_elided")
-                    out = [f"{D} = {rb}" if wb2 <= 64
-                           else f"{D} = {rb} & {M64:#x}"]
-                elif (wb2 != UNKNOWN_WIDTH and dp > 0
-                      and max(wb2, dp.bit_length()) < 64):
-                    count("masks_elided")
-                    out = [f"{D} = {rb} + {dp}"]
-                else:
-                    out = [f"{D} = ({rb} + {dp}) & {M64:#x}"]
-        elif c == 28:  # LDIQ
-            out = [f"{D} = {L}"]
-        elif c in (30, 31, 32, 33):  # loads
-            al, av, bound, atz, aex = addr_code(i, state, tz, cst)
-            out = list(al)
-            name, size, shift = {
-                30: ("LDQ", 8, 3), 31: ("LDL", 4, 2),
-                32: ("LDWU", 2, 1), 33: ("LDBU", 1, 0),
-            }[c]
-            conds = []
-            if atz < shift:
-                conds.append(f"{av} & {size - 1}")
-            elif shift:
-                count("align_checks_elided")
-            if bound > mem_size - size:
-                need_lims.add(size)
-                conds.append(f"{av} > lim{size}")
-            else:
-                count("bounds_checks_elided")
-            if not record_trace and not conds and al:
-                # Checks are proved away and nothing quotes the address:
-                # fold the computation into the access itself.
-                out, av = [], f"({aex})"
-            if conds:
-                out += [
-                    f"if {' or '.join(conds)}:",
-                    f"    raise SimulationError('{name} at 0x%x (pc {i})'"
-                    f" % {av})",
-                ]
-            if c == 33:
-                out.append(f"{D} = data[{av}]")
-            else:
-                need_mv.add(size)
-                out.append(f"{D} = mv{size}[{av} >> {shift}]")
-            addr = av
-            base = src2[i]
-            if (disp[i] == 0 and base != 31 and cst[base] is None
-                    and state[base] <= 64):
-                # Past this point the base register itself was a valid
-                # address (checked or proved), so it is < mem_size.
-                state[base] = min(
-                    state[base], (mem_size - size).bit_length()
-                )
-        elif c in (34, 35, 36, 37):  # stores
-            al, av, bound, atz, aex = addr_code(i, state, tz, cst)
-            out = list(al)
-            name, size, shift = {
-                34: ("STQ", 8, 3), 35: ("STL", 4, 2),
-                36: ("STW", 2, 1), 37: ("STB", 1, 0),
-            }[c]
-            conds = []
-            if atz < shift:
-                conds.append(f"{av} & {size - 1}")
-            elif shift:
-                count("align_checks_elided")
-            if bound > mem_size - size:
-                need_lims.add(size)
-                conds.append(f"{av} > lim{size}")
-            else:
-                count("bounds_checks_elided")
-            if not record_trace and not conds and al:
-                out, av = [], f"({aex})"
-            if conds:
-                out += [
-                    f"if {' or '.join(conds)}:",
-                    f"    raise SimulationError('{name} at 0x%x (pc {i})'"
-                    f" % {av})",
-                ]
-            if c == 37:
-                vexpr = A if w1 <= 8 else f"{A} & 0xFF"
-                out.append(f"data[{av}] = {vexpr}")
-            elif c == 34 and w1 > 64:
-                # Value not proved < 2**64: the to_bytes path keeps
-                # the interpreter's OverflowError behaviour.
-                out.append(
-                    f"data[{av} : {av} + 8] = ({A}).to_bytes(8, 'little')"
-                )
-            else:
-                need_mv.add(size)
-                bits = {34: 64, 35: 32, 36: 16}[c]
-                mask = {34: M64, 35: M32, 36: 0xFFFF}[c]
-                vexpr = A if w1 <= bits else f"{A} & {mask:#x}"
-                out.append(f"mv{size}[{av} >> {shift}] = {vexpr}")
-            addr = av
-            base = src2[i]
-            if (disp[i] == 0 and base != 31 and cst[base] is None
-                    and state[base] <= 64):
-                state[base] = min(
-                    state[base], (mem_size - size).bit_length()
-                )
-        elif c in (50, 51):  # ROLL / RORL
-            if L is not None:
-                am = (L & 31) if c == 50 else ((32 - (L & 31)) & 31)
-                if am == 0:
-                    if w1 <= 32:
-                        count("masks_elided")
-                    out = [f"{D} = {A}" if w1 <= 32
-                           else f"{D} = {A} & {M32:#x}"]
-                elif w1 <= 32:
-                    count("masks_elided")
-                    out = [
-                        f"{D} = (({A} << {am}) | ({A} >> {32 - am}))"
-                        f" & {M32:#x}"
-                    ]
-                else:
-                    out = [
-                        f"u = {A} & {M32:#x}",
-                        f"{D} = ((u << {am}) | (u >> {32 - am}))"
-                        f" & {M32:#x}",
-                    ]
-            else:
-                amount = (f"({B} & 31)" if c == 50
-                          else f"((32 - ({B} & 31)) & 31)")
-                out = [
-                    f"t = {amount}",
-                    (f"u = {A}" if w1 <= 32
-                     else f"u = {A} & {M32:#x}"),
-                    f"{D} = ((u << t) | (u >> (32 - t))) & {M32:#x}"
-                    " if t else u",
-                ]
-        elif c in (52, 53):  # ROLQ / RORQ
-            if L is not None:
-                am = (L & 63) if c == 52 else ((64 - (L & 63)) & 63)
-                if am == 0:
-                    out = [f"{D} = {A}"]
-                else:
-                    out = [
-                        f"{D} = (({A} << {am}) | ({A} >> {64 - am}))"
-                        f" & {M64:#x}"
-                    ]
-            else:
-                amount = (f"({B} & 63)" if c == 52
-                          else f"((64 - ({B} & 63)) & 63)")
-                out = [
-                    f"t = {amount}",
-                    f"u = {A}",
-                    f"{D} = ((u << t) | (u >> (64 - t))) & {M64:#x}"
-                    " if t else u",
-                ]
-        elif c in (54, 55):  # ROLXL / RORXL (xor-rotate into dest)
-            am = (L & 31) if c == 54 else ((32 - (L & 31)) & 31)
-            if w1 <= 32:
-                count("masks_elided")
-                rot = (A if am == 0
-                       else f"(({A} << {am}) | ({A} >> {32 - am}))")
-                out = [f"{D} = ({rot} ^ {D}) & {M32:#x}"]
-            else:
-                out = [f"u = {A} & {M32:#x}"]
-                rot = ("u" if am == 0
-                       else f"((u << {am}) | (u >> {32 - am}))")
-                out.append(f"{D} = ({rot} ^ {D}) & {M32:#x}")
-        elif c == 56:  # MULMOD (IDEA multiply, 0 represents 2^16)
-            if w1 <= 16:
-                count("masks_elided")
-            texpr = (f"({A} or 0x10000)" if w1 <= 16
-                     else f"(({A} & 0xFFFF) or 0x10000)")
-            if L is not None:
-                uexpr = str((L & 0xFFFF) or 0x10000)
-            elif wb_ <= 16:
-                count("masks_elided")
-                uexpr = f"({B} or 0x10000)"
-            else:
-                uexpr = f"(({B} & 0xFFFF) or 0x10000)"
-            out = [f"{D} = (({texpr} * {uexpr}) % 0x10001) & 0xFFFF"]
-        elif c == 57:  # SBOX
-            a = f"a{i}"
-            sh = bsel[i] * 8
-            s2, ws2 = operand(src2[i], state, cst)
-            if sh:
-                idx = f"(({s2} >> {sh}) & 0xFF)"
-            elif ws2 <= 8:
-                idx = s2
-            else:
-                idx = f"({s2} & 0xFF)"
-            if w1 <= 10:
-                count("masks_elided")
-            base_expr = "" if w1 <= 10 else f"({A} & -1024) | "
-            cv1 = None if src1[i] == 31 else cst[src1[i]]
-            if cv1 is not None and cv1 >= 0:
-                bound = (cv1 & -1024) | 1020
-            elif w1 <= 10:
-                bound = 1020
-            elif w1 <= 64:
-                bound = (((1 << w1) - 1) & ~1023) | 1020
-            else:
-                bound = M64
-            need_mv.add(4)
-            if not record_trace and bound <= mem_size - 4:
-                # Nothing records the byte address, so emit the word
-                # index directly: (base | (idx << 2)) >> 2 distributes
-                # to (base >> 2) | idx (disjoint bit ranges).
-                count("sbox_index_folds")
-                count("bounds_checks_elided")
-                if w1 <= 10:
-                    out = [f"{D} = mv4[{idx}]"]
-                elif cv1 is not None and cv1 >= 0:
-                    out = [f"{D} = mv4[{(cv1 & -1024) >> 2} | {idx}]"]
-                else:
-                    out = [
-                        f"{D} = mv4[({base_expr}({idx} << 2)) >> 2]"
-                    ]
-                addr = None
-            else:
-                out = [f"{a} = {base_expr}({idx} << 2)"]
-                if bound > mem_size - 4:
-                    need_lims.add(4)
-                    out += [
-                        f"if {a} > lim4:",
-                        f"    raise SimulationError('SBOX access at 0x%x"
-                        f" oob' % {a})",
-                    ]
-                else:
-                    count("bounds_checks_elided")
-                out.append(f"{D} = mv4[{a} >> 2]")
-                addr = a
-        elif c == 58:  # SBOXSYNC: timing-only
-            out = []
-        elif c == 59:  # XBOX
-            pm, _wpm = operand(src2[i], state, cst)
-            out = [f"{D} = _xbox({A}, {pm}, {bsel[i] * 8})"]
-        elif c in (48, 49):  # GRPL / GRPQ
-            out = [f"{D} = _grp({A}, {B}, {32 if c == 48 else 64})"]
-        else:  # pragma: no cover - callers filter unimplemented opcodes
-            raise AssertionError(f"no emitter for opcode {c}")
-        return out, addr
+        """One instruction's statements and the address it records."""
+        f = site.at(i, state, tz, cst)
+        f.D = f"r{dest[i]}"
+        f.A, f.wa = f.operand(src1[i])
+        f.ca = 0 if src1[i] == 31 else cst[src1[i]]
+        f.L = L = lit[i]
+        f.B, f.wb = f.operand(src2[i]) if L is None else _constant(L)
+        f.disp, f.bsel = disp[i], bsel[i]
+        out = EMITTERS[SPECS[code[i]].name](f)
+        size = MEM_SIZES.get(code[i])
+        base = src2[i]
+        if (size is not None and disp[i] == 0 and base != 31
+                and cst[base] is None and state[base] <= 64):
+            # Past this point the base register itself was a valid
+            # address (checked or proved), so it is < mem_size.
+            state[base] = min(state[base], (mem_size - size).bit_length())
+        return out, f.addr
 
     def branch_cond(i: int, state: list, cst: list) -> "bool | str":
-        c = code[i]
+        """The taken condition of the branch at ``i``, folded if proved."""
+        f = site.at(i, state, [], cst)
         s1 = src1[i]
-        if s1 == 31:
-            return c in (41, 44, 46)
-        v = cst[s1]
-        if v is not None:  # fold the whole condition at codegen time
-            sv = v - (1 << 64) if (v >= 0 and v & _MSB) else v
-            return {41: sv == 0, 42: sv != 0, 43: sv < 0,
-                    44: sv <= 0, 45: sv > 0, 46: sv >= 0}[c]
-        A = f"r{s1}"
-        if c == 41:
-            return f"{A} == 0"
-        if c == 42:
-            return f"{A} != 0"
-        if state[s1] <= 63:  # provably non-negative as a signed value
-            if c == 43:
-                return False
-            if c == 46:
-                return True
-            if c == 44:
-                return f"{A} == 0"
-            return f"{A} != 0"  # BGT
-        if c == 43:
-            return f"{A} & {_MSB:#x}"
-        if c == 44:
-            return f"{A} == 0 or {A} & {_MSB:#x}"
-        if c == 45:
-            return f"{A} != 0 and not {A} & {_MSB:#x}"
-        return f"not {A} & {_MSB:#x}"  # BGE
+        f.A, f.wa = f"r{s1}", state[s1]
+        f.ca = 0 if s1 == 31 else cst[s1]
+        return EMITTERS[SPECS[code[i]].name](f)
 
     def goto_lines(p: int) -> list[str]:
         if p in block_of:
@@ -1003,7 +480,7 @@ def _generate_source(
         j = i + 1
         if record_values or j >= body_end:
             return None
-        if code[j] != 5 or lit[j] is None:
+        if code[j] != AND or lit[j] is None:
             return None
         d = dest[i]
         if d == 32 or src1[j] != d or dest[j] != d:
@@ -1034,11 +511,11 @@ def _generate_source(
         last = end - 1
         term = code[last]
         is_branch = term in BRANCH_CODES
-        is_halt = term == 0
+        is_halt = term == HALT
         is_unimpl = term not in IMPLEMENTED_CODES
         self_loop = is_branch and (
             block_of.get(target[last]) == k
-            or (term != 40 and block_of.get(last + 1) == k)
+            or (term != BR and block_of.get(last + 1) == k)
         )
         head = "if" if k == 0 else "elif"
         wb(3, f"{head} b == {k}:  # pc {start}..{last}")
@@ -1120,11 +597,11 @@ def _generate_source(
             wb(bi, "raise SimulationError(")
             wb(bi + 1, f"'unimplemented opcode {term} at pc {last}')")
         elif self_loop:
-            cond = True if term == 40 else branch_cond(last, state, cst)
+            cond = True if term == BR else branch_cond(last, state, cst)
             tk = block_of.get(target[last])
             fk = block_of.get(last + 1)
             if cond is True or cond is False:
-                if term != 40:
+                if term != BR:
                     count("branches_folded")
                 dest_pc = target[last] if cond is True else last + 1
                 if block_of.get(dest_pc) == k:
@@ -1146,7 +623,7 @@ def _generate_source(
                 for line in goto_lines(target[last]):
                     wb(bi + 1, line)
                 wb(bi + 1, "break")
-        elif term == 40:  # BR
+        elif term == BR:
             for line in goto_lines(target[last]):
                 wb(4, line)
         elif is_branch:
@@ -1174,18 +651,21 @@ def _generate_source(
     wb(4, "raise SimulationError(")
     wb(5, "'fell off program end at pc=%d' % pc_exit)")
 
-    # Preamble (now that the bodies declared what they need).
+    # Preamble: set up only what the bodies use.
+    used = "\n".join(body)
+    need_mv = [size for size in (2, 4, 8) if f"mv{size}[" in used]
     w(1, "memory = machine.memory")
     w(1, "data = memory.data")
     w(1, "mem_size = memory.size")
     if need_mv:
         w(1, "_mvb = memoryview(data)")
-        for size in sorted(need_mv):
+        for size in need_mv:
             cast = {2: "H", 4: "I", 8: "Q"}[size]
             w(1, f"mv{size} = _mvb.cast('{cast}')")
-    for size in sorted(need_lims):
-        w(1, f"lim{size} = mem_size - {size}")
-    if need_zap:
+    for size in (1, 2, 4, 8):
+        if f"lim{size}" in used:
+            w(1, f"lim{size} = mem_size - {size}")
+    if "_zap[" in used:
         w(1, "_zap = _ZAPNOT")
     for s in pinned:
         w(1, f"r{s} = regs[{s}]")
@@ -1211,7 +691,7 @@ def _generate_source(
     if writes or need_mv:
         for s in sorted(writes):
             w(2, f"regs[{s}] = r{s}")
-        for size in sorted(need_mv):
+        for size in need_mv:
             w(2, f"mv{size}.release()")
         if need_mv:
             w(2, "_mvb.release()")

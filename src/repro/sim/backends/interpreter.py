@@ -1,16 +1,33 @@
 """The portable dispatch-loop backend.
 
-This is the original ``Machine._interpret`` hot loop, extracted verbatim
-into a backend: a single ``while`` over precompiled per-instruction field
-arrays -- the fastest portable shape for a pure-Python ISA interpreter,
-and the semantic reference every other backend must match bit for bit.
+One ``while`` loop over the decoded instruction arrays
+(:class:`~repro.isa.analysis.passes.ProgramArrays`) dispatches on the
+opcode through an ``if``/``elif`` chain, most frequent opcodes first --
+the fastest portable shape for a pure-Python ISA interpreter.  The arms
+are not written here: :func:`generated_source` calls each opcode's
+emitter in :mod:`repro.isa.semantics` with nothing known, so every
+operand, literal, displacement and byte select is read from the arrays
+at run time, and each arm is the semantics the compiled backend
+specializes per instruction.  Memory goes through ``int.from_bytes`` /
+``to_bytes`` slices, which work for any host byte order and memory
+size: the compiled backend delegates here on big-endian hosts and for
+memory sizes not divisible by 8.
+
+The loop is generated and compiled once per process, on first use, and
+registered in :mod:`linecache` as ``<repro-interpreter>`` so tracebacks
+show its lines and the profiler counts it as ``functional``.
 """
 
 from __future__ import annotations
 
+import linecache
 from array import array
-from typing import TYPE_CHECKING, Iterator
+from functools import cache
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
+from repro.isa.analysis.lattices import ZAPNOT_MASKS
+from repro.isa.opcodes import HALT, SPECS_BY_NAME
+from repro.isa.semantics import EMITTERS, Facts, grp, xbox
 from repro.sim.trace import (
     ADDR_TYPECODE,
     SEQ_TYPECODE,
@@ -36,26 +53,76 @@ class InterpreterBackend:
         record_values: bool,
         max_instructions: int,
     ) -> Iterator[TraceChunk]:
-        return _interpret(
-            machine, chunk_limit, record_trace, record_values,
-            max_instructions,
-        )
+        return _loop()(machine, chunk_limit, record_trace, record_values,
+                       max_instructions)
 
 
-def _interpret(
-    machine: "Machine",
+def _drain(
+    seq: list,
+    addrs: list,
+    values: "list | None",
     chunk_limit: int,
-    record_trace: bool,
-    record_values: bool,
-    max_instructions: int,
+    trace_base: int,
 ) -> Iterator[TraceChunk]:
-    from repro.sim.machine import M32, M64, SimulationError, _ZAPNOT_MASKS
+    """Carve exactly ``chunk_limit``-sized chunks off the staged lists.
 
+    Both generated frames flush through it.  The compiled backend stages
+    a whole basic block before checking the limit, so its lists can run
+    past it; slicing restores the exact chunk boundaries (every chunk
+    full except the final partial one).  Returns the updated
+    ``trace_base`` via StopIteration: ``trace_base = yield from
+    _drain(...)``.
+    """
+    while len(seq) >= chunk_limit:
+        yield TraceChunk(
+            seq=array(SEQ_TYPECODE, seq[:chunk_limit]),
+            addrs=array(ADDR_TYPECODE, addrs[:chunk_limit]),
+            start=trace_base,
+            values=(None if values is None
+                    else array(VALUE_TYPECODE, values[:chunk_limit])),
+        )
+        del seq[:chunk_limit]
+        del addrs[:chunk_limit]
+        if values is not None:
+            del values[:chunk_limit]
+        trace_base += chunk_limit
+    return trace_base
+
+
+#: Dispatch order: the shipped kernels' most frequent opcodes first.
+_ARM_ORDER = (
+    "xor", "addl", "addq", "and", "bis", "sll", "srl", "extbl", "sbox",
+    "ldl", "ldq", "ldbu", "ldwu", "stl", "stq", "stb", "stw", "roll",
+    "rorl", "rolxl", "rorxl", "mulmod", "xbox", "subq", "subl", "bic",
+    "ornot", "sra", "mull", "mulq", "cmpeq", "cmpult", "cmpule", "cmplt",
+    "cmple", "insbl", "zapnot", "s4addq", "s8addq", "cmoveq", "cmovne",
+    "lda", "ldiq", "br", "beq", "bne", "blt", "ble", "bgt", "bge", "rolq",
+    "rorq", "grpl", "grpq", "sboxsync", "halt",
+)
+
+_FILENAME = "<repro-interpreter>"
+
+
+#: HALT stages its own trace entry (address and value 0) and stops.
+_HALT_ARM = """\
+if record_trace:
+    seq_append(pc)
+    addrs_append(0)
+    if values is not None:
+        values.append(0)
+    filled += 1
+break"""
+
+_HEAD = """\
+def _interpret(machine, chunk_limit, record_trace, record_values,
+               max_instructions):
     regs = machine.regs
     regs[31] = 0
-    memory = machine.memory
-    data = memory.data
-    mem_size = memory.size
+    data = machine.memory.data
+    mem_size = machine.memory.size
+    lim1, lim2, lim4, lim8 = (mem_size - 1, mem_size - 2, mem_size - 4,
+                              mem_size - 8)
+    _zap = _ZAPNOT
     code, dest, src1, src2 = (
         machine.code, machine.dest, machine.src1, machine.src2,
     )
@@ -64,9 +131,9 @@ def _interpret(
 
     # Entries stage into plain lists (fastest append) and flush to
     # compact arrays at each chunk boundary.
-    seq: list[int] = []
-    addrs: list[int] = []
-    values: list[int] | None = [] if record_values else None
+    seq = []
+    addrs = []
+    values = [] if record_values else None
     seq_append = seq.append
     addrs_append = addrs.append
     filled = 0
@@ -86,269 +153,13 @@ def _interpret(
             )
         addr = 0
         next_pc = pc + 1
-        if c == 7:  # XOR
-            regs[dest[pc]] = regs[src1[pc]] ^ (
-                lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            )
-        elif c == 3:  # ADDL
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            regs[dest[pc]] = (regs[src1[pc]] + b) & M32
-        elif c == 1:  # ADDQ
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            regs[dest[pc]] = (regs[src1[pc]] + b) & M64
-        elif c == 5:  # AND
-            regs[dest[pc]] = regs[src1[pc]] & (
-                lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            )
-        elif c == 6:  # BIS
-            regs[dest[pc]] = regs[src1[pc]] | (
-                lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            )
-        elif c == 10:  # SLL
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            regs[dest[pc]] = (regs[src1[pc]] << (b & 63)) & M64
-        elif c == 11:  # SRL
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            regs[dest[pc]] = regs[src1[pc]] >> (b & 63)
-        elif c == 20:  # EXTBL
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            regs[dest[pc]] = (regs[src1[pc]] >> ((b & 7) * 8)) & 0xFF
-        elif c == 57:  # SBOX
-            base = regs[src1[pc]]
-            index = (regs[src2[pc]] >> (bsel[pc] * 8)) & 0xFF
-            addr = (base & ~0x3FF) | (index << 2)
-            if addr + 4 > mem_size:
-                raise SimulationError(f"SBOX access at 0x{addr:x} oob")
-            regs[dest[pc]] = int.from_bytes(data[addr : addr + 4], "little")
-        elif c == 31:  # LDL
-            addr = (regs[src2[pc]] + disp[pc]) & M64
-            if addr % 4 or addr + 4 > mem_size:
-                raise SimulationError(f"LDL at 0x{addr:x} (pc {pc})")
-            regs[dest[pc]] = int.from_bytes(data[addr : addr + 4], "little")
-        elif c == 30:  # LDQ
-            addr = (regs[src2[pc]] + disp[pc]) & M64
-            if addr % 8 or addr + 8 > mem_size:
-                raise SimulationError(f"LDQ at 0x{addr:x} (pc {pc})")
-            regs[dest[pc]] = int.from_bytes(data[addr : addr + 8], "little")
-        elif c == 33:  # LDBU
-            addr = (regs[src2[pc]] + disp[pc]) & M64
-            if addr >= mem_size:
-                raise SimulationError(f"LDBU at 0x{addr:x} (pc {pc})")
-            regs[dest[pc]] = data[addr]
-        elif c == 32:  # LDWU
-            addr = (regs[src2[pc]] + disp[pc]) & M64
-            if addr % 2 or addr + 2 > mem_size:
-                raise SimulationError(f"LDWU at 0x{addr:x} (pc {pc})")
-            regs[dest[pc]] = int.from_bytes(data[addr : addr + 2], "little")
-        elif c == 35:  # STL
-            addr = (regs[src2[pc]] + disp[pc]) & M64
-            if addr % 4 or addr + 4 > mem_size:
-                raise SimulationError(f"STL at 0x{addr:x} (pc {pc})")
-            data[addr : addr + 4] = (regs[src1[pc]] & M32).to_bytes(4, "little")
-        elif c == 34:  # STQ
-            addr = (regs[src2[pc]] + disp[pc]) & M64
-            if addr % 8 or addr + 8 > mem_size:
-                raise SimulationError(f"STQ at 0x{addr:x} (pc {pc})")
-            data[addr : addr + 8] = regs[src1[pc]].to_bytes(8, "little")
-        elif c == 37:  # STB
-            addr = (regs[src2[pc]] + disp[pc]) & M64
-            if addr >= mem_size:
-                raise SimulationError(f"STB at 0x{addr:x} (pc {pc})")
-            data[addr] = regs[src1[pc]] & 0xFF
-        elif c == 36:  # STW
-            addr = (regs[src2[pc]] + disp[pc]) & M64
-            if addr % 2 or addr + 2 > mem_size:
-                raise SimulationError(f"STW at 0x{addr:x} (pc {pc})")
-            data[addr : addr + 2] = (regs[src1[pc]] & 0xFFFF).to_bytes(2, "little")
-        elif c == 50:  # ROLL
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            amount = b & 31
-            value = regs[src1[pc]] & M32
-            regs[dest[pc]] = (
-                ((value << amount) | (value >> (32 - amount))) & M32
-                if amount else value
-            )
-        elif c == 51:  # RORL
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            amount = (32 - (b & 31)) & 31
-            value = regs[src1[pc]] & M32
-            regs[dest[pc]] = (
-                ((value << amount) | (value >> (32 - amount))) & M32
-                if amount else value
-            )
-        elif c == 54:  # ROLXL
-            amount = lit[pc] & 31
-            value = regs[src1[pc]] & M32
-            rotated = (
-                ((value << amount) | (value >> (32 - amount))) & M32
-                if amount else value
-            )
-            regs[dest[pc]] = (rotated ^ regs[dest[pc]]) & M32
-        elif c == 55:  # RORXL
-            amount = (32 - (lit[pc] & 31)) & 31
-            value = regs[src1[pc]] & M32
-            rotated = (
-                ((value << amount) | (value >> (32 - amount))) & M32
-                if amount else value
-            )
-            regs[dest[pc]] = (rotated ^ regs[dest[pc]]) & M32
-        elif c == 56:  # MULMOD (IDEA multiply, 0 represents 2^16)
-            a = regs[src1[pc]] & 0xFFFF
-            b = (lit[pc] if lit[pc] is not None else regs[src2[pc]]) & 0xFFFF
-            if a == 0:
-                a = 0x10000
-            if b == 0:
-                b = 0x10000
-            regs[dest[pc]] = ((a * b) % 0x10001) & 0xFFFF
-        elif c == 59:  # XBOX
-            operand = regs[src1[pc]]
-            perm_map = regs[src2[pc]]
-            result = 0
-            base_bit = bsel[pc] * 8
-            for j in range(8):
-                bit = (operand >> ((perm_map >> (6 * j)) & 0x3F)) & 1
-                result |= bit << (base_bit + j)
-            regs[dest[pc]] = result
-        elif c == 2:  # SUBQ
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            regs[dest[pc]] = (regs[src1[pc]] - b) & M64
-        elif c == 4:  # SUBL
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            regs[dest[pc]] = (regs[src1[pc]] - b) & M32
-        elif c == 8:  # BIC
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            regs[dest[pc]] = regs[src1[pc]] & ~b & M64
-        elif c == 9:  # ORNOT
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            regs[dest[pc]] = (regs[src1[pc]] | (~b & M64)) & M64
-        elif c == 12:  # SRA
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            value = regs[src1[pc]]
-            if value & 0x8000000000000000:
-                value -= 1 << 64
-            regs[dest[pc]] = (value >> (b & 63)) & M64
-        elif c == 13:  # MULL
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            regs[dest[pc]] = ((regs[src1[pc]] & M32) * (b & M32)) & M32
-        elif c == 14:  # MULQ
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            regs[dest[pc]] = (regs[src1[pc]] * b) & M64
-        elif c == 15:  # CMPEQ
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            regs[dest[pc]] = 1 if regs[src1[pc]] == b else 0
-        elif c == 16:  # CMPULT
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            regs[dest[pc]] = 1 if regs[src1[pc]] < b else 0
-        elif c == 17:  # CMPULE
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            regs[dest[pc]] = 1 if regs[src1[pc]] <= b else 0
-        elif c == 18:  # CMPLT
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            a = regs[src1[pc]]
-            if a & 0x8000000000000000:
-                a -= 1 << 64
-            if b & 0x8000000000000000:
-                b -= 1 << 64
-            regs[dest[pc]] = 1 if a < b else 0
-        elif c == 19:  # CMPLE
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            a = regs[src1[pc]]
-            if a & 0x8000000000000000:
-                a -= 1 << 64
-            if b & 0x8000000000000000:
-                b -= 1 << 64
-            regs[dest[pc]] = 1 if a <= b else 0
-        elif c == 21:  # INSBL
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            regs[dest[pc]] = (regs[src1[pc]] & 0xFF) << ((b & 7) * 8)
-        elif c == 22:  # ZAPNOT
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            regs[dest[pc]] = regs[src1[pc]] & _ZAPNOT_MASKS[b & 0xFF]
-        elif c == 23:  # S4ADDQ
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            regs[dest[pc]] = (regs[src1[pc]] * 4 + b) & M64
-        elif c == 24:  # S8ADDQ
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            regs[dest[pc]] = (regs[src1[pc]] * 8 + b) & M64
-        elif c == 25:  # CMOVEQ
-            if regs[src1[pc]] == 0:
-                b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-                regs[dest[pc]] = b
-        elif c == 26:  # CMOVNE
-            if regs[src1[pc]] != 0:
-                b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-                regs[dest[pc]] = b
-        elif c == 27:  # LDA
-            regs[dest[pc]] = (regs[src2[pc]] + disp[pc]) & M64
-        elif c == 28:  # LDIQ
-            regs[dest[pc]] = lit[pc]
-        elif c == 40:  # BR
-            next_pc = target[pc]
-        elif c == 41:  # BEQ
-            if regs[src1[pc]] == 0:
-                next_pc = target[pc]
-        elif c == 42:  # BNE
-            if regs[src1[pc]] != 0:
-                next_pc = target[pc]
-        elif c == 43:  # BLT
-            if regs[src1[pc]] & 0x8000000000000000:
-                next_pc = target[pc]
-        elif c == 44:  # BLE
-            a = regs[src1[pc]]
-            if a == 0 or a & 0x8000000000000000:
-                next_pc = target[pc]
-        elif c == 45:  # BGT
-            a = regs[src1[pc]]
-            if a != 0 and not a & 0x8000000000000000:
-                next_pc = target[pc]
-        elif c == 46:  # BGE
-            if not regs[src1[pc]] & 0x8000000000000000:
-                next_pc = target[pc]
-        elif c == 52:  # ROLQ
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            amount = b & 63
-            value = regs[src1[pc]]
-            regs[dest[pc]] = (
-                ((value << amount) | (value >> (64 - amount))) & M64
-                if amount else value
-            )
-        elif c == 53:  # RORQ
-            b = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            amount = (64 - (b & 63)) & 63
-            value = regs[src1[pc]]
-            regs[dest[pc]] = (
-                ((value << amount) | (value >> (64 - amount))) & M64
-                if amount else value
-            )
-        elif c == 48 or c == 49:  # GRPL / GRPQ (Shi & Lee)
-            width = 32 if c == 48 else 64
-            x = regs[src1[pc]]
-            ctrl = lit[pc] if lit[pc] is not None else regs[src2[pc]]
-            low = high = 0
-            low_count = high_count = 0
-            for i in range(width):
-                bit = (x >> i) & 1
-                if (ctrl >> i) & 1:
-                    high |= bit << high_count
-                    high_count += 1
-                else:
-                    low |= bit << low_count
-                    low_count += 1
-            regs[dest[pc]] = low | (high << low_count)
-        elif c == 58:  # SBOXSYNC: timing-only
-            pass
-        elif c == 0:  # HALT
-            if record_trace:
-                seq_append(pc)
-                addrs_append(0)
-                if values is not None:
-                    values.append(0)
-                filled += 1
-            break
+"""
+
+_TAIL = """\
         else:
             raise SimulationError(f"unimplemented opcode {c} at pc {pc}")
 
-        # Writes to r31 were remapped to shadow slot 32 at compile time,
+        # Writes to r31 were remapped to shadow slot 32 at decode time,
         # so regs[31] stays zero without a per-instruction reset.
         if record_trace:
             seq_append(pc)
@@ -358,28 +169,57 @@ def _interpret(
                 values.append(regs[d] if d != 32 else 0)
             filled += 1
             if filled >= chunk_limit:
-                yield TraceChunk(
-                    seq=array(SEQ_TYPECODE, seq),
-                    addrs=array(ADDR_TYPECODE, addrs),
-                    start=trace_base,
-                    values=(None if values is None
-                            else array(VALUE_TYPECODE, values)),
-                )
-                trace_base += filled
+                trace_base = yield from _drain(
+                    seq, addrs, values, chunk_limit, trace_base)
                 filled = 0
-                del seq[:]
-                del addrs[:]
-                if values is not None:
-                    del values[:]
         pc = next_pc
 
     machine.instructions_executed = executed
     machine.halted = True
-    if record_trace and filled:
-        yield TraceChunk(
-            seq=array(SEQ_TYPECODE, seq),
-            addrs=array(ADDR_TYPECODE, addrs),
-            start=trace_base,
-            values=(None if values is None
-                    else array(VALUE_TYPECODE, values)),
-        )
+    if record_trace and filled:  # the final, partial chunk
+        yield from _drain(seq, addrs, values, filled, trace_base)
+"""
+
+
+def _arm(name: str) -> "list[str]":
+    """One opcode's dispatch arm, from its emitter with nothing known."""
+    if SPECS_BY_NAME[name].code == HALT:
+        return _HALT_ARM.splitlines()
+    out = EMITTERS[name](Facts())
+    if SPECS_BY_NAME[name].fmt == "br":
+        if out is True:
+            return ["next_pc = target[pc]"]
+        return [f"if {out}:", "    next_pc = target[pc]"]
+    return out or ["pass"]
+
+
+def generated_source() -> str:
+    """The interpreter's source: the loop frame around one arm per opcode."""
+    assert sorted(_ARM_ORDER) == sorted(SPECS_BY_NAME), "one arm per opcode"
+    lines = [_HEAD.rstrip("\n")]
+    for k, name in enumerate(_ARM_ORDER):
+        head = "if" if k == 0 else "elif"
+        lines.append(f"        {head} c == {SPECS_BY_NAME[name].code}:"
+                     f"  # {name.upper()}")
+        lines += ["            " + line for line in _arm(name)]
+    return "\n".join(lines) + "\n" + _TAIL
+
+
+@cache
+def _loop() -> Callable[..., Any]:
+    """The generated loop, compiled once per process."""
+    from repro.sim.machine import SimulationError
+
+    source = generated_source()
+    linecache.cache[_FILENAME] = (
+        len(source), None, source.splitlines(True), _FILENAME,
+    )
+    namespace: dict[str, Any] = {
+        "SimulationError": SimulationError,
+        "_drain": _drain,
+        "_grp": grp,
+        "_xbox": xbox,
+        "_ZAPNOT": ZAPNOT_MASKS,
+    }
+    exec(compile(source, _FILENAME, "exec"), namespace)
+    return namespace["_interpret"]

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
+from repro.isa.analysis.passes import ProgramArrays
 from repro.isa.program import Program
 from repro.sim.memory import Memory
 from repro.sim.trace import (
@@ -35,15 +36,6 @@ from repro.sim.trace import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (backends -> here)
     from repro.sim.backends import ExecutionBackend
-
-M32 = 0xFFFFFFFF
-M64 = 0xFFFFFFFFFFFFFFFF
-
-_ZAPNOT_MASKS = [
-    sum(0xFF << (8 * bit) for bit in range(8) if mask & (1 << bit))
-    for mask in range(256)
-]
-
 
 class SimulationError(RuntimeError):
     """Raised when execution fails (bad memory access, runaway program)."""
@@ -71,32 +63,12 @@ class Machine:
         self._compile()
 
     def _compile(self) -> None:
-        """Flatten instruction fields into parallel arrays for the hot loop."""
-        instructions = self.program.instructions
-        n = len(instructions)
-        self.code = [0] * n
-        self.dest = [32] * n
-        self.src1 = [31] * n
-        self.src2 = [31] * n
-        self.lit = [None] * n
-        self.disp = [0] * n
-        self.target = [0] * n
-        self.tbl = [0] * n
-        self.bsel = [0] * n
-        for i, instr in enumerate(instructions):
-            self.code[i] = instr.code
-            if instr.dest is not None:
-                self.dest[i] = 32 if instr.dest == 31 else instr.dest
-            if instr.src1 is not None:
-                self.src1[i] = instr.src1
-            if instr.src2 is not None:
-                self.src2[i] = instr.src2
-            self.lit[i] = instr.lit
-            self.disp[i] = instr.disp
-            if isinstance(instr.target, int):
-                self.target[i] = instr.target
-            self.tbl[i] = instr.table
-            self.bsel[i] = instr.bsel
+        """Decode the program into the parallel arrays the backends read."""
+        arrays = ProgramArrays(self.program)
+        self.code, self.dest = arrays.code, arrays.dest
+        self.src1, self.src2 = arrays.src1, arrays.src2
+        self.lit, self.disp = arrays.lit, arrays.disp
+        self.target, self.bsel = arrays.target, arrays.bsel
 
     def execute(
         self,

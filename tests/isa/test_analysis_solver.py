@@ -210,5 +210,5 @@ def test_program_arrays_match_machine_compile():
     arrays = ProgramArrays(program)
     machine = Machine(program, Memory(1 << 13))
     for field in ("code", "dest", "src1", "src2", "lit", "disp",
-                  "target", "tbl", "bsel"):
+                  "target", "bsel"):
         assert getattr(arrays, field) == getattr(machine, field), field

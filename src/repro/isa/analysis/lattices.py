@@ -55,7 +55,7 @@ WRITES_DEST = frozenset(
 )
 
 #: Opcodes whose result always fits in a fixed number of bits.
-_RESULT_BITS = {
+_RESULT_BITS: "dict[int, int]" = {
     spec.code: spec.result_bits for spec in SPECS.values()
     if spec.result_bits is not None
 }

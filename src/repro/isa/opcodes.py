@@ -4,13 +4,18 @@ RISC-A is the 64-bit Alpha-like load/store ISA the reproduction's kernels are
 written in, plus the paper's cryptography extensions (Figure 8).  Each opcode
 carries:
 
-* an integer code (the functional simulator dispatches on it),
+* an integer code (both functional backends dispatch on it),
 * a *timing class* that selects the functional unit pool and latency in the
-  timing simulator, and
+  timing simulator,
 * a default *operation category* for the paper's Figure 7 kernel
   characterization (builder helpers override it when an instruction is part
   of a synthesized idiom, e.g. a shift inside a software rotate counts as
-  "rotate", matching the paper's by-hand classification).
+  "rotate", matching the paper's by-hand classification), and
+* the register facts the analyses read: whether it writes or reads its
+  destination, and how many bits its result always fits in.
+
+Its semantics is one emitter in :mod:`repro.isa.semantics`, keyed by the
+opcode's name, from which both functional backends are generated.
 
 Deviations from real Alpha, chosen for clarity and documented in DESIGN.md:
 ``ADDL``-family results are zero-extended rather than sign-extended (cipher

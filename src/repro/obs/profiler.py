@@ -46,11 +46,13 @@ DEFAULT_HZ = 97
 SUBSYSTEMS = (
     ("cipher", ("repro/ciphers/",)),
     # Code generation for the compiled execution backend.  Stacks *running*
-    # generated code carry the synthetic "<repro-compiled:...>" filename and
+    # generated code carry the synthetic "<repro-compiled:...>" (or, for
+    # the interpreter's generated loop, "<repro-interpreter>") filename and
     # land in "functional"; only codegen/cache time lands here.
     ("compile", ("repro/sim/backends/compiled",)),
     ("functional", ("repro/sim/machine", "repro/sim/backends",
-                    "<repro-compiled", "repro/kernels/", "repro/isa/")),
+                    "<repro-compiled", "<repro-interpreter",
+                    "repro/kernels/", "repro/isa/")),
     ("timing", ("repro/sim/timing", "repro/sim/caches", "repro/sim/branch",
                 "repro/sim/sboxcache", "repro/sim/memory",
                 "repro/sim/trace", "repro/sim/config")),
@@ -62,16 +64,36 @@ SUBSYSTEMS = (
 
 OTHER = "other"
 
+#: Library code several subsystems call: the static analyses and the
+#: opcode emitters serve code generation, lint and analysis alike, so a
+#: frame here is attributed to its caller.
+SHARED = ("repro/isa/analysis/", "repro/isa/semantics")
+
+
+def _match(normalized: str, subsystems) -> "str | None":
+    for subsystem, fragments in subsystems:
+        for fragment in fragments:
+            if fragment in normalized:
+                return subsystem
+    return None
+
 
 def classify_stack(filenames, subsystems=SUBSYSTEMS) -> str:
-    """Attribute one stack (innermost filename first) to a subsystem."""
+    """Attribute one stack (innermost filename first) to a subsystem.
+
+    The innermost frame that matches wins, except that frames of
+    :data:`SHARED` library code defer to their callers; a stack of
+    nothing but shared frames keeps the innermost one's subsystem.
+    """
+    fallback = None
     for filename in filenames:
         normalized = filename.replace("\\", "/")
-        for subsystem, fragments in subsystems:
-            for fragment in fragments:
-                if fragment in normalized:
-                    return subsystem
-    return OTHER
+        subsystem = _match(normalized, subsystems)
+        if any(fragment in normalized for fragment in SHARED):
+            fallback = fallback or subsystem
+        elif subsystem is not None:
+            return subsystem
+    return fallback or OTHER
 
 
 def _frame_label(frame) -> str:

@@ -9,12 +9,16 @@ as they produce bit-identical chunks (the equivalence suite in
 
 Two backends ship with the repo:
 
-* ``"interpreter"`` -- the portable dispatch-loop interpreter, extracted
-  from ``Machine`` (see :mod:`repro.sim.backends.interpreter`).
+* ``"interpreter"`` -- the portable dispatch loop, one arm per opcode
+  (see :mod:`repro.sim.backends.interpreter`).
 * ``"compiled"`` -- a per-program specializer that translates a finalized
   ``Program`` into one Python generator function (unrolled per-instruction
-  dispatch, locals-pinned registers, list-of-words memory staging), cached
-  by program digest (see :mod:`repro.sim.backends.compiled`).
+  dispatch, locals-pinned registers, ``memoryview``-cast memory access),
+  cached by program digest (see :mod:`repro.sim.backends.compiled`).
+
+Both are generated from the per-opcode emitters in
+:mod:`repro.isa.semantics`: the interpreter's arms with nothing known, the
+compiled code per static instruction with what its lattices proved.
 
 See ``docs/backends.md`` for the protocol contract and codegen shape.
 """

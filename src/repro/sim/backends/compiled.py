@@ -5,9 +5,13 @@ specialized Python generator function: every static instruction becomes
 a handful of straight-line statements (operands constant-folded,
 registers pinned in locals), basic blocks dispatch through a small
 ``while``/``elif`` chain, and the dynamic trace is staged
-block-at-a-time with constant tuples.  The generated source is compiled
-once and cached by program digest, so repeated sessions of the same
-kernel pay zero codegen cost.
+block-at-a-time with constant tuples.  Each instruction's statements
+come from its opcode's emitter in :mod:`repro.isa.semantics`, called
+with the widths, trailing zeros and constants the lattices proved (a
+:class:`_Site`); the interpreter is generated from the same emitters
+with nothing known.  The generated source is compiled once and cached
+by program digest, so repeated sessions of the same kernel pay zero
+codegen cost.
 
 The output contract is bit-identical to the interpreter backend on every
 successful execution: same ``TraceChunk`` entries *and boundaries*, same

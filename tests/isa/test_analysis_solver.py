@@ -157,6 +157,40 @@ def test_ranges_widen_loop_carried_counters_to_top():
     assert entry[loop_block][1] is None       # r1 decrements via SUBQ
 
 
+#: r2 enters the loop as 100; the first trip through ``body`` sets it
+#: from the unknown r7 - r8, so ``head`` joins it to top.
+WIDENED_ENTRY = """
+    ldiq r2, 100
+    ldiq r3, 3
+head:
+    subq r3, r3, #1
+    bne r3, body
+    halt
+body:
+    sll r4, r5, r2
+    subq r2, r7, r8
+    br head
+"""
+
+
+def test_ranges_requeue_a_block_whose_entry_widens_to_top():
+    arrays = arrays_for(WIDENED_ENTRY)
+    blocks, block_of, succs = decompose(arrays)
+    entry = infer_ranges(blocks, block_of, succs, make_range_step(arrays))
+    assert entry[block_of[2]][2] is None      # head
+    # body is reached from head, so it must not keep the stale (100, 100)
+    # that held only on the first trip.
+    assert entry[block_of[5]][2] is None
+
+
+def test_value_range_lint_silent_after_entry_widens():
+    from repro.isa.verify import verify_program
+
+    result = verify_program(assemble(WIDENED_ENTRY))
+    assert [d for d in result.diagnostics
+            if d.checker == "value-range"] == []
+
+
 def test_ranges_join_is_the_interval_hull():
     arrays = arrays_for("""
         ldiq r3, 0

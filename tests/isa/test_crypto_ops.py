@@ -1,6 +1,5 @@
 """Semantics tests for the paper's crypto ISA extensions."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,6 +1,7 @@
 """Tests for the benchmark history and its regression detector."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -94,13 +95,29 @@ def test_validate_bench_flags_shape_errors():
     assert validate_bench_history([good]) == []
 
 
-def test_environment_fingerprint_shape():
-    env = environment_fingerprint()
+def _no_enclosing_repo(monkeypatch, path):
+    """Keep git from finding a repository above ``path`` (or the env)."""
+    monkeypatch.delenv("REPRO_GIT_SHA", raising=False)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(path.parent))
+
+
+def test_environment_fingerprint_shape(tmp_path, monkeypatch):
+    _no_enclosing_repo(monkeypatch, tmp_path)
+    git = ["git", "-c", "user.name=repro", "-c", "user.email=repro@example.com"]
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "init"],
+                   cwd=tmp_path, check=True)
+    env = environment_fingerprint(cwd=str(tmp_path))
     assert set(env) >= {"git_sha", "python", "platform",
                         "machine", "hostname", "cpu_count"}
     assert all(isinstance(value, str) for value in env.values())
-    # This repo is a git checkout: the sha must resolve.
+    # A git checkout: the sha must resolve.
     assert len(env["git_sha"]) == 40
+
+
+def test_environment_fingerprint_outside_a_checkout(tmp_path, monkeypatch):
+    _no_enclosing_repo(monkeypatch, tmp_path)
+    assert environment_fingerprint(cwd=str(tmp_path))["git_sha"] == "unknown"
 
 
 def test_git_sha_env_override(monkeypatch):

@@ -67,6 +67,40 @@ def test_classify_stack_compile_bucket():
     ) == "functional"
 
 
+def test_classify_stack_codegen_through_shared_analyses_is_compile():
+    # Codegen spends most of its time in the width fixpoint and the
+    # opcode emitters; those shared frames defer to the backend calling.
+    assert classify_stack([
+        "/x/src/repro/isa/analysis/lattices.py",
+        "/x/src/repro/isa/analysis/solver.py",
+        "/x/src/repro/sim/backends/compiled.py",
+        "/x/src/repro/runner/engine.py",
+    ]) == "compile"
+    assert classify_stack([
+        "/x/src/repro/isa/semantics.py",
+        "/x/src/repro/sim/backends/compiled.py",
+    ]) == "compile"
+
+
+def test_classify_stack_generated_interpreter_is_functional():
+    assert classify_stack([
+        "<repro-interpreter>",
+        "/x/src/repro/sim/machine.py",
+        "/x/src/repro/runner/engine.py",
+    ]) == "functional"
+
+
+def test_classify_stack_lint_through_shared_analyses_is_not_compile():
+    stack = [
+        "/x/src/repro/isa/analysis/lattices.py",
+        "/x/src/repro/isa/verify/checkers.py",
+        "/x/src/repro/tools/lint.py",
+    ]
+    assert classify_stack(stack) == "functional"
+    # A stack of nothing but shared frames keeps their own subsystem.
+    assert classify_stack(stack[:1]) == "functional"
+
+
 def test_classify_stack_other_and_windows_paths():
     assert classify_stack(["/usr/lib/python3.11/json/decoder.py"]) == "other"
     assert classify_stack([r"C:\x\src\repro\ciphers\rc6.py"]) == "cipher"

@@ -57,6 +57,17 @@ def test_compiled_backend_calls_the_same_emitters(monkeypatch):
     assert "r2 = r1 ^ r1" in source
 
 
+def test_compiled_backend_falls_back_to_the_generated_interpreter():
+    # memoryview casts need a size divisible by 8; 4100 is not.
+    program = assemble("ldiq r1, 7\n stq r1, 0x400(r31)\n halt")
+    before = compiled.cache_info()["size"]
+    memory = Memory(4100)
+    result = Machine(program, memory).execute(backend="compiled")
+    assert compiled.cache_info()["size"] == before
+    assert (result.instructions, memory.read(0x400, 8)) == (3, 7)
+    assert list(result.trace.seq) == [0, 1, 2]
+
+
 def test_no_opcode_is_named_by_number():
     pattern = re.compile(r"\b(c|term) (==|!=|in|not in) \(?[0-9]")
     paths = [*(SRC / "sim" / "backends").glob("*.py"),

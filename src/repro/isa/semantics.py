@@ -378,7 +378,7 @@ def _address(f: Facts) -> "tuple[list[str], str, int, int, str]":
     return [f"{f.addr_name} = {expr}"], f.addr_name, bound, atz, expr
 
 
-def _checked_address(f: Facts, name: str, size: int) -> "tuple[list[str], str]":
+def _checked_address(f: Facts, what: str, size: int) -> "tuple[list[str], str]":
     """Address statements plus the alignment and range checks not proved."""
     shift = size.bit_length() - 1
     stmts, av, bound, atz, aex = _address(f)
@@ -397,33 +397,31 @@ def _checked_address(f: Facts, name: str, size: int) -> "tuple[list[str], str]":
         stmts, av = [], f"({aex})"
     if conds:
         if isinstance(f.pc, Run):
-            fault = f"'{name} at 0x%x (pc %d)' % ({av}, {f.pc})"
+            fault = f"'{what} at 0x%x (pc %d)' % ({av}, {f.pc})"
         else:
-            fault = f"'{name} at 0x%x (pc {f.pc})' % {av}"
+            fault = f"'{what} at 0x%x (pc {f.pc})' % {av}"
         stmts += [f"if {' or '.join(conds)}:",
                   f"    raise SimulationError({fault})"]
     f.addr = av
     return stmts, av
 
 
-@_emits("ldq", size=8)
-@_emits("ldl", size=4)
-@_emits("ldwu", size=2)
-@_emits("ldbu", size=1)
-def _load(f: Facts, size: int) -> "list[str]":
-    name = {8: "LDQ", 4: "LDL", 2: "LDWU", 1: "LDBU"}[size]
-    out, av = _checked_address(f, name, size)
+@_emits("ldq", size=8, what="LDQ")
+@_emits("ldl", size=4, what="LDL")
+@_emits("ldwu", size=2, what="LDWU")
+@_emits("ldbu", size=1, what="LDBU")
+def _load(f: Facts, size: int, what: str) -> "list[str]":
+    out, av = _checked_address(f, what, size)
     out.append(f"{f.D} = {f.load(size, av)}")
     return out
 
 
-@_emits("stq", size=8)
-@_emits("stl", size=4)
-@_emits("stw", size=2)
-@_emits("stb", size=1)
-def _store(f: Facts, size: int) -> "list[str]":
-    name = {8: "STQ", 4: "STL", 2: "STW", 1: "STB"}[size]
-    out, av = _checked_address(f, name, size)
+@_emits("stq", size=8, what="STQ")
+@_emits("stl", size=4, what="STL")
+@_emits("stw", size=2, what="STW")
+@_emits("stb", size=1, what="STB")
+def _store(f: Facts, size: int, what: str) -> "list[str]":
+    out, av = _checked_address(f, what, size)
     bits = size * 8
     if size == 1:
         value = f.A if f.wa <= 8 else f"{f.A} & 0xFF"

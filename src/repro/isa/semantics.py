@@ -8,9 +8,10 @@ constants, the literal, displacement, byte select, static pc, memory size
 and recording mode.  A fact known at generation time folds into the code
 and drops the masks and checks its proof covers; a :class:`Run` fact is
 the expression that reads it at run time.  Both functional backends are
-generated here: the interpreter's dispatch arms come from the default
-facts, where nothing is known, and the compiled backend calls each
-emitter per static instruction with what its lattices proved.
+generated from these emitters: the interpreter's dispatch arms from the
+default facts, where nothing is known, and the compiled backend's code
+by calling each emitter per static instruction with what its lattices
+proved.
 """
 
 from __future__ import annotations

@@ -2,7 +2,10 @@
 
 The directed opcode tests pin hand-written expected values; running them
 on both backends makes those values the oracle for each backend's
-generated code.  Two details keep the compiled leg honest:
+generated code.  :func:`every_backend` runs a test's legs (each backend,
+and each operand source if the test takes ``operands``) inside the test's
+one pytest item, so a test keeps its own id whichever backends exist.
+Two details keep the compiled leg honest:
 
 * :func:`execute` asserts that the compiled backend really generated code
   (a memory size it cannot cast falls back to the interpreter silently);
@@ -11,25 +14,54 @@ generated code.  Two details keep the compiled leg honest:
   the compiled backend's unproved arms run.
 """
 
+import functools
+import inspect
+import itertools
 import re
-
-import pytest
 
 from repro.isa import assemble
 from repro.sim import Machine
 from repro.sim.backends import backend_names, compiled
 
-#: Parametrize a test over every registered backend.
-BACKENDS = pytest.mark.parametrize("backend", backend_names())
-
-#: Parametrize a test over where its operands come from.
-OPERANDS = pytest.mark.parametrize("operands", ("ldiq", "memory"))
+#: Where a test's operands come from.
+OPERAND_SOURCES = ("ldiq", "memory")
 
 #: Where :func:`from_memory` parks operand values (clear of the result
 #: slot at 0x400, the tests' scratch words and their 0x1000 tables).
 OPERAND_BASE = 0x8000
 
 _LDIQ = re.compile(r"^(\s*)ldiq\s+(r\d+)\s*,\s*([^\s;]+)", re.MULTILINE)
+
+
+def every_backend(test):
+    """Run ``test`` once per backend, and per operand source if it takes
+    ``operands``, all in one pytest item under the test's own id.
+
+    Put it below any ``pytest.mark`` decorator and above ``@given``.  A
+    failing leg is named in a note on the error.
+    """
+    signature = inspect.signature(test)
+    axes = {name: values
+            for name, values in (("backend", backend_names()),
+                                 ("operands", OPERAND_SOURCES))
+            if name in signature.parameters}
+    legs = [dict(zip(axes, values))
+            for values in itertools.product(*axes.values())]
+
+    @functools.wraps(test, updated=())
+    def run_legs(*args, **kwargs):
+        for leg in legs:
+            try:
+                test(*args, **kwargs, **leg)
+            except Exception as error:
+                error.add_note(f"leg: {leg}")
+                raise
+
+    run_legs.__signature__ = signature.replace(parameters=[
+        param for name, param in signature.parameters.items()
+        if name not in axes
+    ])
+    return run_legs
 
 
 def _compilations() -> int:

@@ -1,14 +1,14 @@
-"""Semantics tests for the paper's crypto ISA extensions."""
+"""Semantics tests for the paper's crypto ISA extensions.
+
+Every test runs on every backend, operands from ``ldiq`` and from memory.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ciphers.idea import mul_mod
 from repro.sim import Memory
-from tests.isa.backend_run import BACKENDS, OPERANDS, run_source
-
-#: Every test runs on every backend, operands from ``ldiq`` and memory.
-pytestmark = [BACKENDS, OPERANDS]
+from tests.isa.backend_run import every_backend, run_source
 
 words32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 words16 = st.integers(min_value=0, max_value=0xFFFF)
@@ -21,6 +21,7 @@ def run_expr(source: str, backend: str, operands: str) -> int:
     return memory.read(0x400, 8)
 
 
+@every_backend
 @given(words32, st.integers(min_value=0, max_value=63))
 @settings(max_examples=30, deadline=None)
 def test_roll_matches_reference(backend, operands, value, amount):
@@ -34,6 +35,7 @@ def test_roll_matches_reference(backend, operands, value, amount):
     assert got == rotl32(value, amount & 31)
 
 
+@every_backend
 @given(words32, st.integers(min_value=0, max_value=63))
 @settings(max_examples=30, deadline=None)
 def test_rorl_matches_reference(backend, operands, value, amount):
@@ -47,6 +49,7 @@ def test_rorl_matches_reference(backend, operands, value, amount):
     assert got == rotr32(value, amount & 31)
 
 
+@every_backend
 def test_rolq_rorq(backend, operands):
     assert run_expr("""
     ldiq r1, 0x0123456789ABCDEF
@@ -68,6 +71,7 @@ def test_rolq_rorq(backend, operands):
     """, backend, operands) == expected
 
 
+@every_backend
 @given(words32, st.integers(min_value=0, max_value=63))
 @settings(max_examples=30, deadline=None)
 def test_rorl_register_amount(backend, operands, value, amount):
@@ -81,6 +85,7 @@ def test_rorl_register_amount(backend, operands, value, amount):
     assert got == rotr32(value, amount & 31)
 
 
+@every_backend
 @given(words32, words32, st.integers(min_value=0, max_value=31))
 @settings(max_examples=30, deadline=None)
 def test_rolxl_semantics(backend, operands, value, accum, amount):
@@ -95,6 +100,7 @@ def test_rolxl_semantics(backend, operands, value, accum, amount):
     assert got == rotl32(value, amount) ^ accum
 
 
+@every_backend
 @given(words32, words32, st.integers(min_value=0, max_value=31))
 @settings(max_examples=30, deadline=None)
 def test_rorxl_semantics(backend, operands, value, accum, amount):
@@ -108,6 +114,7 @@ def test_rorxl_semantics(backend, operands, value, accum, amount):
     assert got == rotr32(value, amount) ^ accum
 
 
+@every_backend
 @given(words16, words16)
 @settings(max_examples=50, deadline=None)
 def test_mulmod_matches_idea_multiply(backend, operands, a, b):
@@ -119,6 +126,7 @@ def test_mulmod_matches_idea_multiply(backend, operands, a, b):
     assert got == mul_mod(a, b)
 
 
+@every_backend
 def test_mulmod_zero_convention(backend, operands):
     # 0 represents 2^16: 0 (*) 1 = 2^16 -> represented as 0.
     assert run_expr("""
@@ -128,6 +136,7 @@ def test_mulmod_zero_convention(backend, operands):
     """, backend, operands) == 0
 
 
+@every_backend
 def test_sbox_instruction_indexes_table(backend, operands):
     memory = Memory(1 << 16)
     table_base = 0x1000  # 1 KB aligned
@@ -144,6 +153,7 @@ def test_sbox_instruction_indexes_table(backend, operands):
     assert memory.read(0x400, 8) == 0xAA000047
 
 
+@every_backend
 def test_sbox_ignores_low_table_bits(backend, operands):
     """The table base is masked to a 1 KB boundary (paper Figure 8)."""
     memory = Memory(1 << 16)
@@ -161,6 +171,7 @@ def test_sbox_ignores_low_table_bits(backend, operands):
     assert memory.read(0x400, 8) == 15
 
 
+@every_backend
 def test_xbox_partial_permutation(backend, operands):
     """XBOX writes 8 permuted bits into its destination byte, rest zero."""
     memory = Memory(1 << 16)
@@ -179,6 +190,7 @@ def test_xbox_partial_permutation(backend, operands):
     assert memory.read(0x400, 8) == 0xBB
 
 
+@every_backend
 def test_xbox_byte_position(backend, operands):
     perm_map = 0
     for j in range(8):
@@ -195,6 +207,7 @@ def test_xbox_byte_position(backend, operands):
     assert memory.read(0x400, 8) == 0xCD << 24
 
 
+@every_backend
 def test_xbox_pair_composes_full_permutation(backend, operands):
     """Two XBOXes with an OR reproduce a 16-bit permutation (paper's idiom)."""
     import random
@@ -227,6 +240,7 @@ def test_xbox_pair_composes_full_permutation(backend, operands):
     assert memory.read(0x400, 8) == expected
 
 
+@every_backend
 def test_sboxsync_is_functionally_neutral(backend, operands):
     memory = Memory(1 << 16)
     source = """

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.isa import Features, KernelBuilder
 from repro.isa.grp import grp_apply, grp_controls, grp_controls_for_transform
 from repro.sim import Memory
-from tests.isa.backend_run import BACKENDS, OPERANDS, execute, run_source
+from tests.isa.backend_run import every_backend, execute, run_source
 
 
 def test_grp_semantics_basic():
@@ -28,28 +28,26 @@ def test_grp_control_all_ones_is_identity():
     assert grp_apply(0xDEADBEEF, 0xFFFFFFFF, 32) == 0xDEADBEEF
 
 
-@BACKENDS
-@OPERANDS
-@pytest.mark.parametrize("opname,width", [("grpq", 64), ("grpl", 32)])
-def test_grp_instruction_matches_reference(opname, width, backend, operands):
-    """The simulator's GRP against the independent ``grp_apply``."""
-    random.seed(8)
-    for _ in range(10):
-        value = random.getrandbits(64)
-        control = random.getrandbits(64)
-        memory = Memory(1 << 16)
-        run_source(f"""
-        ldiq r1, {value}
-        ldiq r2, {control}
-        {opname} r3, r1, r2
-        stq r3, 0x400(r31)
-        halt
-        """, memory, backend, operands)
-        assert memory.read(0x400, 8) == grp_apply(value, control, width)
+@every_backend
+def test_grp_instruction_matches_reference(backend, operands):
+    """The simulator's GRPQ and GRPL against the independent ``grp_apply``."""
+    for opname, width in (("grpq", 64), ("grpl", 32)):
+        random.seed(8)
+        for _ in range(10):
+            value = random.getrandbits(64)
+            control = random.getrandbits(64)
+            memory = Memory(1 << 16)
+            run_source(f"""
+            ldiq r1, {value}
+            ldiq r2, {control}
+            {opname} r3, r1, r2
+            stq r3, 0x400(r31)
+            halt
+            """, memory, backend, operands)
+            assert memory.read(0x400, 8) == grp_apply(value, control, width)
 
 
-@BACKENDS
-@OPERANDS
+@every_backend
 def test_grpl_is_32_bit(backend, operands):
     memory = Memory(1 << 16)
     run_source("""
@@ -99,7 +97,7 @@ def test_controls_for_transform():
     assert staged == ((value << 1) | (value >> 63)) & 0xFFFFFFFFFFFFFFFF
 
 
-@BACKENDS
+@every_backend
 def test_builder_permute64_grp(backend):
     random.seed(9)
     permutation = list(range(64))
@@ -126,7 +124,7 @@ def test_grp_requires_opt_features():
         kb.grpq(kb.reg("a"), kb.reg("b"), kb.reg("c"))
 
 
-@BACKENDS
+@every_backend
 def test_des3_grp_coding_validates(backend):
     from repro.kernels.des3_kernel import TripleDESKernel
 

@@ -8,9 +8,7 @@ cannot), so the hand-written expected values check both generated forms.
 import pytest
 
 from repro.sim import Memory, SimulationError
-from tests.isa.backend_run import BACKENDS, OPERANDS, run_source
-
-pytestmark = [BACKENDS, OPERANDS]
+from tests.isa.backend_run import every_backend, run_source
 
 M64 = 0xFFFFFFFFFFFFFFFF
 
@@ -52,6 +50,7 @@ def _store_result(expr_lines: str, result_reg: str = "r9") -> str:
     ("insbl", 0xEF, 2, 0xEF0000),
     ("zapnot", 0x0123456789ABCDEF, 0x0F, 0x89ABCDEF),
 ])
+@every_backend
 def test_operate_register_forms(op, a, b, expected, backend, operands):
     source = _store_result(f"""
     ldiq r1, {a}
@@ -61,6 +60,7 @@ def test_operate_register_forms(op, a, b, expected, backend, operands):
     assert run_and_read(source, backend, operands) == expected
 
 
+@every_backend
 def test_operate_literal_form(backend, operands):
     assert run_and_read(_store_result("""
     ldiq r1, 40
@@ -68,6 +68,7 @@ def test_operate_literal_form(backend, operands):
     """), backend, operands) == 42
 
 
+@every_backend
 def test_sra_sign_extension(backend, operands):
     assert run_and_read(_store_result("""
     ldiq r1, 0x8000000000000000
@@ -75,6 +76,7 @@ def test_sra_sign_extension(backend, operands):
     """), backend, operands) == 0xFFFFFFFFFFFFFFF8
 
 
+@every_backend
 def test_cmplt_signed(backend, operands):
     assert run_and_read(_store_result("""
     ldiq r1, 0xFFFFFFFFFFFFFFFF   ; -1
@@ -91,6 +93,7 @@ def test_cmplt_signed(backend, operands):
     ("cmple", (1 << 63) - 1, -(1 << 63), 0),
     ("cmple", -1, "#0", 1), ("cmple", 1, "#0", 0), ("cmplt", -1, "#0", 1),
 ])
+@every_backend
 def test_signed_compares(op, a, b, expected, backend, operands):
     """CMPLT/CMPLE compare as signed 64-bit values, register or literal."""
     rb = b if isinstance(b, str) else "r2"
@@ -102,6 +105,7 @@ def test_signed_compares(op, a, b, expected, backend, operands):
     assert run_and_read(source, backend, operands) == expected
 
 
+@every_backend
 def test_ornot(backend, operands):
     assert run_and_read(_store_result("""
     ldiq r1, 0
@@ -110,6 +114,7 @@ def test_ornot(backend, operands):
     """), backend, operands) == 0xF
 
 
+@every_backend
 def test_cmov_both_ways(backend, operands):
     assert run_and_read(_store_result("""
     ldiq r1, 0
@@ -131,6 +136,7 @@ def test_cmov_both_ways(backend, operands):
     """), backend, operands) == 5
 
 
+@every_backend
 def test_lda_displacement(backend, operands):
     assert run_and_read(_store_result("""
     ldiq r1, 1000
@@ -142,6 +148,7 @@ def test_lda_displacement(backend, operands):
     """), backend, operands) == 976
 
 
+@every_backend
 def test_r31_reads_zero_and_ignores_writes(backend, operands):
     assert run_and_read(_store_result("""
     ldiq r31, 123
@@ -149,6 +156,7 @@ def test_r31_reads_zero_and_ignores_writes(backend, operands):
     """), backend, operands) == 0
 
 
+@every_backend
 def test_memory_roundtrip_all_widths(backend, operands):
     memory = Memory(1 << 16)
     source = """
@@ -168,6 +176,7 @@ def test_memory_roundtrip_all_widths(backend, operands):
     assert memory.read(0x510, 4) == 0x89ABCDEF
 
 
+@every_backend
 def test_ldl_zero_extends(backend, operands):
     assert run_and_read(_store_result("""
     ldiq r1, 0xFFFFFFFF
@@ -176,6 +185,7 @@ def test_ldl_zero_extends(backend, operands):
     """), backend, operands) == 0xFFFFFFFF
 
 
+@every_backend
 def test_branches(backend, operands):
     source = """
     ldiq r1, 3
@@ -198,6 +208,7 @@ loop:
     ("bgt", 1, True), ("bgt", 0, False),
     ("bge", 0, True), ("bge", 0xFFFFFFFFFFFFFFFF, False),
 ])
+@every_backend
 def test_conditional_branches(br, value, branches, backend, operands):
     source = f"""
     ldiq r1, {value}
@@ -211,6 +222,7 @@ yes:
     assert run_and_read(source, backend, operands) == (1 if branches else 2)
 
 
+@every_backend
 def test_unconditional_branch(backend, operands):
     source = """
     ldiq r9, 1
@@ -223,18 +235,21 @@ skip:
     assert run_and_read(source, backend, operands) == 1
 
 
+@every_backend
 def test_runaway_detection(backend, operands):
     with pytest.raises(SimulationError, match="exceeded 1000 instructions"):
         run_source("loop: br loop\n halt", Memory(1 << 16), backend,
                    operands, max_instructions=1000)
 
 
+@every_backend
 def test_unaligned_access_faults(backend, operands):
     with pytest.raises(SimulationError, match=r"LDL at 0x2 \(pc 1\)"):
         run_source("ldiq r2, 2\n ldl r1, 0(r2)\n halt", Memory(1 << 16),
                    backend, operands)
 
 
+@every_backend
 def test_out_of_range_access_faults(backend, operands):
     with pytest.raises(SimulationError, match=r"STQ at 0x10000 \(pc 1\)"):
         run_source("ldiq r2, 0x10000\n stq r2, 0(r2)\n halt",

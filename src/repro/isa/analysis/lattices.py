@@ -13,7 +13,9 @@ Lattices:
 
 * **width** (`make_width_step`): register -> ``w`` such that the value is
   known to be a non-negative int < 2**w (``w`` <= 64), or
-  :data:`UNKNOWN_WIDTH`.  Join is ``max`` (wider is less precise).
+  :data:`UNKNOWN_WIDTH`.  Join is ``max`` (wider is less precise);
+  :func:`infer_widths` widens and then narrows, so a loop-carried width
+  does not climb one bit per pass.
 * **trailing zeros** (`make_tz_step`): register -> ``t`` such that the low
   ``t`` bits are known zero.  Join is ``min``.
 * **constants** (`make_const_step`): register -> the exact interpreter
@@ -21,7 +23,7 @@ Lattices:
 * **value range** (`make_range_step`): register -> ``(lo, hi)`` bounds on
   the held value (which is then provably non-negative), or ``None`` for
   no information.  Join is the interval hull; :func:`infer_ranges` adds
-  widening so loop-carried intervals converge.
+  widening, then narrowing, so loop-carried intervals converge.
 
 The compiled backend runs the width, trailing-zeros and constant
 fixpoints to decide which masks and checks its code can drop; the
@@ -213,8 +215,15 @@ def infer_widths(
     succs: "list[tuple[int, ...]]",
     step: Step,
 ) -> "list[list[int]]":
-    """Register widths: bigger is less precise, so the join is ``max``."""
-    return infer_dataflow(blocks, block_of, succs, step, top=64, join=max)
+    """Register widths: bigger is less precise, so the join is ``max``.
+
+    A loop-carried width climbs one bit per pass around its loop, so a
+    (block, register) fact enlarged a second time widens to 64 (or
+    stays :data:`UNKNOWN_WIDTH`), and narrowing then recomputes what the
+    loop actually bounds, such as a counter masked to 8 bits.
+    """
+    return infer_dataflow(blocks, block_of, succs, step, top=64, join=max,
+                          widen_after=1)
 
 
 # --------------------------------------------------------------------- #
@@ -500,7 +509,8 @@ def infer_ranges(
     variable's interval grows by one step per fixpoint pass), so after a
     register's interval at a block entry has been enlarged
     :data:`WIDEN_AFTER` times it is widened straight to top.  Widening
-    only ever *loses* precision, so soundness is unaffected.
+    only ever *loses* precision, so soundness is unaffected; the
+    narrowing phase that follows wins back intervals a loop re-bounds.
     """
     return infer_dataflow(blocks, block_of, succs, step, top=None,
                           join=range_join, widen_after=WIDEN_AFTER)

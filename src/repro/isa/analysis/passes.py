@@ -6,7 +6,8 @@ reaching definitions, liveness, the four register lattices, SBOX pointer
 taint, natural loops and the memory-interval alias pass -- each computed
 lazily and memoized on the instance.  :func:`analyses_for` adds a
 digest-keyed bounded cache on top so repeated verification / timing /
-cost-estimation of the same program shares one set of results.
+cost-estimation / compiled codegen of the same program shares one set
+of results.
 
 The SBOX pointer-taint analysis lives here (moved from
 :mod:`repro.isa.verify.checkers`, which imports it back) because the
@@ -282,8 +283,9 @@ class ProgramAnalyses:
 
     Every attribute is a ``cached_property``: nothing runs until asked
     for, and nothing runs twice.  Share instances via
-    :func:`analyses_for` so the verifier, the timing IR and the cost
-    model all reuse one CFG and one set of fixpoints per program.
+    :func:`analyses_for` so the verifier, the timing IR, the cost model
+    and the compiled backend's codegen (in every recording mode) reuse
+    one CFG and one set of fixpoints per program.
     """
 
     def __init__(self, program: Program):

@@ -3,18 +3,21 @@
 Three pieces, deliberately tiny:
 
 * :func:`iterate` -- the FIFO worklist loop with an on-list dedup set.
-  Every fixpoint in the repo (reaching definitions, liveness, pointer
-  taint, the dirty-table walk, the lattice fixpoints below) is this loop
-  with a different transfer function; sharing it pins one iteration
-  order so ports cannot silently change convergence behavior.
+  The CFG-level fixpoints (reaching definitions, liveness, pointer
+  taint, the dirty-table walk) are this loop with a different transfer
+  function; sharing it pins one iteration order so ports cannot
+  silently change convergence behavior.
 * :func:`split_blocks` / :func:`block_successors` -- basic-block
   decomposition over the parallel instruction arrays
   (:class:`repro.isa.analysis.passes.ProgramArrays`, which both
   functional backends read).
-* :func:`infer_dataflow` -- the monotone per-register fixpoint behind the
-  width, trailing-zeros, constant and value-range lattices in
+* :func:`infer_dataflow` -- the per-register fixpoint behind the width,
+  trailing-zeros, constant and value-range lattices in
   :mod:`repro.isa.analysis.lattices`; the compiled backend's elision
-  decisions read the first three.
+  decisions read the first three.  It runs its own LIFO stack of
+  blocks, without dedup, not :func:`iterate`; with ``widen_after``
+  (the width and value-range lattices) it widens climbing facts and
+  then narrows them back.
 """
 
 from __future__ import annotations
@@ -107,6 +110,10 @@ def block_successors(
     return succs
 
 
+#: Narrowing passes tried before falling back to the widened result.
+NARROW_PASSES = 8
+
+
 def infer_dataflow(
     blocks: "list[tuple[int, int]]",
     block_of: "dict[int, int]",
@@ -124,10 +131,17 @@ def infer_dataflow(
     merges the states reaching a block so a proved fact is valid on
     every path.  States are 33-slot lists: registers 0..31 plus the
     discard slot the array representation maps ``r31``/no-dest writes
-    to.  With ``widen_after``, a (block, register) entry fact enlarged
-    more than that many times goes straight to ``top``, so a lattice of
-    unbounded height (intervals) converges; widening only loses
-    precision.
+    to.  The ascending phase pops blocks off a LIFO stack and pushes a
+    block again whenever its entry grows (no dedup).
+
+    With ``widen_after``, a (block, register) entry fact enlarged more
+    than that many times widens to ``join(fact, top)``, which keeps an
+    unknown width above the width lattice's ``top``.  Narrowing then
+    recomputes each reachable block's entry from its reachable
+    predecessors' exit states, in place and in block order, until no
+    entry changes.  That stable iterate is a fixpoint; if
+    :data:`NARROW_PASSES` passes do not reach one, the widened result,
+    a post-fixpoint, is returned.
     """
     nb = len(blocks)
     ins: "list[list | None]" = [None] * nb
@@ -135,12 +149,17 @@ def infer_dataflow(
     entry = block_of[0]
     ins[entry] = [top] * 33
     work = [entry]
-    while work:
-        k = work.pop()
-        state = list(ins[k])  # type: ignore[arg-type]
+
+    def exit_state(k: int, state: list) -> list:
+        state = list(state)
         start, end = blocks[k]
         for i in range(start, end):
             step(state, i)
+        return state
+
+    while work:
+        k = work.pop()
+        state = exit_state(k, ins[k])  # type: ignore[arg-type]
         for s in succs[k]:
             j = block_of[s]
             existing = ins[j]
@@ -155,9 +174,31 @@ def infer_dataflow(
                         if widen_after is not None:
                             bumps[j, r] = count = bumps.get((j, r), 0) + 1
                             if count > widen_after:
-                                merged = top
+                                merged = join(merged, top)
                         existing[r] = merged
                         changed = True
                 if changed:
                     work.append(j)
-    return [s if s is not None else [top] * 33 for s in ins]
+    ascended = [s if s is not None else [top] * 33 for s in ins]
+    if widen_after is None:
+        return ascended
+    reachable = [k for k, s in enumerate(ins) if s is not None]
+    preds: "dict[int, list[int]]" = {k: [] for k in reachable}
+    for k in reachable:
+        for s in succs[k]:
+            preds[block_of[s]].append(k)
+    narrowed = list(ascended)
+    exits = {k: exit_state(k, narrowed[k]) for k in reachable}
+    for _ in range(NARROW_PASSES):
+        changed = False
+        for k in reachable:
+            state = [top] * 33 if k == entry else exits[preds[k][0]]
+            for p in preds[k]:
+                state = list(map(join, state, exits[p]))
+            if state != narrowed[k]:
+                narrowed[k] = state
+                exits[k] = exit_state(k, state)
+                changed = True
+        if not changed:
+            return narrowed
+    return ascended

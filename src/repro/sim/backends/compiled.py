@@ -42,18 +42,12 @@ from repro.isa.analysis.lattices import (
     UNKNOWN_WIDTH,
     WRITES_DEST,
     ZAPNOT_MASKS,
-    const_join,
-    infer_widths,
     make_const_step,
     make_tz_step,
     make_width_step,
 )
-from repro.isa.analysis.solver import (
-    IMPLEMENTED_CODES,
-    block_successors,
-    infer_dataflow,
-    split_blocks,
-)
+from repro.isa.analysis.passes import analyses_for
+from repro.isa.analysis.solver import IMPLEMENTED_CODES
 from repro.isa.opcodes import AND, BR, BRANCH_CODES, HALT, MEM_SIZES, SPECS
 from repro.isa.semantics import EMITTERS, Facts, grp, xbox
 from repro.sim.backends.interpreter import _drain, _loop
@@ -391,19 +385,16 @@ def _generate_source(
         w(2, "yield None")
         return "\n".join(lines) + "\n", counters, 0
 
-    blocks, block_of = split_blocks(code, target, n)
-    succs = block_successors(blocks, code, target, n)
+    # Entry facts come from the program's shared analyses, so every
+    # recording mode (and the verifier) reuses one set of fixpoints.
+    analyses = analyses_for(machine.program)
+    blocks, block_of = analyses.array_blocks
+    widths = analyses.array_widths
+    tzs = analyses.array_trailing_zeros
+    consts = analyses.array_constants
     step = make_width_step(machine)
-    widths = infer_widths(blocks, block_of, succs, step)
     tz_step = make_tz_step(machine)
-    tzs = infer_dataflow(
-        blocks, block_of, succs, tz_step, top=0, join=min,
-    )
     const_step = make_const_step(machine)
-    consts = infer_dataflow(
-        blocks, block_of, succs, const_step,
-        top=None, join=const_join,  # type: ignore[arg-type]
-    )
     # Bounds proofs compare against the machine's memory size, so the
     # generated function is specialized to it (part of the cache key).
     mem_size = machine.memory.size

@@ -2,13 +2,20 @@
 
 Covers the generic :func:`iterate` worklist, the array-level block
 decomposition, and the generic :func:`infer_dataflow` driver with each
-shipped lattice.
+shipped lattice, including widening and the narrowing phase after it.
 """
+
+from collections import OrderedDict
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.isa import Features, Imm, KernelBuilder, assemble
 from repro.isa.analysis import (
+    UNKNOWN_WIDTH,
     block_successors,
     infer_constants,
+    infer_dataflow,
     infer_ranges,
     infer_trailing_zeros,
     infer_widths,
@@ -17,9 +24,12 @@ from repro.isa.analysis import (
     make_range_step,
     make_tz_step,
     make_width_step,
+    range_join,
+    solver,
     split_blocks,
 )
 from repro.isa.analysis.passes import ProgramArrays, analyses_for
+from repro.isa.opcodes import LDIQ, SPECS
 
 
 def arrays_for(source: str) -> ProgramArrays:
@@ -208,13 +218,207 @@ def test_ranges_join_is_the_interval_hull():
     assert entry[block_of[5]][1] == (10, 90)
 
 
-def test_compiled_backend_shares_the_analysis_lattices():
-    from repro.isa.analysis import lattices, solver
+# -- widening and narrowing -------------------------------------------------
+
+MASKED_COUNTER = """
+    ldiq r1, 100
+    ldiq r2, 0
+loop:
+    addq r2, r2, #1
+    and  r2, r2, #0xff
+    subq r1, r1, #1
+    bne  r1, loop
+    halt
+"""
+
+
+def test_narrowing_keeps_a_masked_counter_at_its_mask_width(monkeypatch):
+    arrays = arrays_for(MASKED_COUNTER)
+    blocks, block_of, succs = decompose(arrays)
+    step = make_width_step(arrays)
+    head = block_of[2]
+    # r2 climbs 0, 1, 2, ... at the loop head until the mask stops it.
+    assert infer_widths(blocks, block_of, succs, step)[head][2] == 8
+    # Widening alone jumps to 64; only the narrowing phase gets 8 back.
+    monkeypatch.setattr(solver, "NARROW_PASSES", 0)
+    assert infer_widths(blocks, block_of, succs, step)[head][2] == 64
+
+
+#: r2 climbs at ``head`` (0, then 1), then the outer loop brings the
+#: unknown-width value of a raw negative literal round to it.
+CLIMB_THEN_UNKNOWN = """
+    ldiq r2, 0
+    ldiq r4, 2
+outer:
+    ldiq r1, 3
+head:
+    addq r2, r2, #1
+    subq r1, r1, #1
+    bne  r1, head
+    ldiq r2, 7
+    subq r4, r4, #1
+    bne  r4, outer
+    halt
+"""
+
+
+def test_widening_keeps_an_unknown_width_above_top(monkeypatch):
+    arrays = arrays_for(CLIMB_THEN_UNKNOWN)
+    # The assembler rejects a negative LDIQ literal, but a hand-built
+    # program can carry one (an unknown width): make it the second
+    # path's ``ldiq r2``.
+    arrays.lit[6] = -1
+    blocks, block_of, succs = decompose(arrays)
+    step = make_width_step(arrays)
+    head = block_of[3]
+    assert infer_widths(blocks, block_of, succs, step)[head][2] \
+        == UNKNOWN_WIDTH
+    # The widened result is returned when narrowing does not settle, so
+    # it must not drop the unknown fact to top (64) either.
+    monkeypatch.setattr(solver, "NARROW_PASSES", 0)
+    assert infer_widths(blocks, block_of, succs, step)[head][2] \
+        == UNKNOWN_WIDTH
+
+
+def test_narrowing_keeps_top_at_a_looping_entry_block():
+    # The caller seeds r1 and r2, so at pc 0 r2 may be any 64-bit value
+    # even though the loop masks it to 8 bits on the back edge.
+    arrays = arrays_for("""
+    loop:
+        addq r2, r2, #1
+        and  r2, r2, #0xff
+        subq r1, r1, #1
+        bne  r1, loop
+        halt
+    """)
+    blocks, block_of, succs = decompose(arrays)
+    entry = infer_widths(blocks, block_of, succs, make_width_step(arrays))
+    assert entry[block_of[0]][2] == 64
+
+
+def test_narrowing_falls_back_when_it_does_not_settle(monkeypatch):
+    arrays = arrays_for(MASKED_COUNTER)
+    blocks, block_of, succs = decompose(arrays)
+    step = make_width_step(arrays)
+    # One pass lowers the loop head to 8 but has not yet seen it stay
+    # there, so the widened result comes back.
+    monkeypatch.setattr(solver, "NARROW_PASSES", 1)
+    assert infer_widths(blocks, block_of, succs, step)[block_of[2]][2] == 64
+
+
+#: Operate-format opcodes by builder method name (``and`` is ``and_``).
+_OPS = tuple(
+    "and_" if spec.name == "and" else spec.name
+    for spec in SPECS.values() if spec.fmt == "op"
+)
+
+
+@st.composite
+def loop_programs(draw):
+    """A random counted loop whose body may skip a stretch and reload a
+    register, so facts at the loop head both climb and meet; a reloaded
+    literal may be a raw negative one (an unknown width)."""
+    kb = KernelBuilder(Features.OPT)
+    regs = kb.regs("a", "b", "c", "d")
+    counter = kb.reg("count")
+    if draw(st.booleans()):  # else the caller seeds them: pc 0 loops
+        for reg in regs:
+            kb.ldiq(reg, draw(st.integers(0, 0xFFFF)))
+        kb.ldiq(counter, draw(st.integers(1, 12)))
+    kb.label("loop")
+    length = draw(st.integers(1, 10))
+    skip_from = draw(st.integers(0, length))
+    skip_to = draw(st.integers(skip_from, length))
+    for position in range(length + 1):
+        if position == skip_from:
+            kb.beq(draw(st.sampled_from(regs)), "skip")
+        if position == skip_to:
+            kb.label("skip")
+        if position == length:
+            break
+        dst = draw(st.sampled_from(regs))
+        src = draw(st.sampled_from(regs))
+        op = draw(st.sampled_from(_OPS + ("ldiq",)))
+        if op == "ldiq":
+            kb.ldiq(dst, draw(st.integers(0, 0xFFFF)))
+        elif op in ("rolxl", "rorxl"):  # literal amount only
+            getattr(kb, op)(dst, src, draw(st.integers(0, 31)))
+        elif draw(st.booleans()):
+            getattr(kb, op)(dst, src, Imm(draw(st.integers(0, 255))))
+        else:
+            getattr(kb, op)(dst, src, draw(st.sampled_from(regs)))
+    kb.subq(counter, counter, Imm(1))
+    kb.bne(counter, "loop")
+    kb.halt()
+    arrays = ProgramArrays(kb.build())
+    for i, code in enumerate(arrays.code):
+        if code == LDIQ and draw(st.integers(0, 7)) == 0:
+            arrays.lit[i] = -draw(st.integers(1, 255))
+    return arrays
+
+
+def _assert_post_fixpoint(entry, arrays, step, top, join):
+    """The entry is at or above ``top``, and no reachable block's exit
+    state adds anything to a successor's entry."""
+    blocks, block_of, succs = decompose(arrays)
+    root = block_of[0]
+    assert [join(v, top) for v in entry[root]] == entry[root]
+    reachable, stack = {root}, [root]
+    while stack:
+        k = stack.pop()
+        state = list(entry[k])
+        for i in range(*blocks[k]):
+            step(state, i)
+        for s in succs[k]:
+            j = block_of[s]
+            assert [join(a, b) for a, b in zip(state, entry[j])] == entry[j]
+            if j not in reachable:
+                reachable.add(j)
+                stack.append(j)
+
+
+@given(loop_programs())
+@settings(max_examples=100, deadline=None)
+def test_widened_fixpoints_are_post_fixpoints(arrays):
+    blocks, block_of, succs = decompose(arrays)
+    width_step = make_width_step(arrays)
+    widths = infer_widths(blocks, block_of, succs, width_step)
+    _assert_post_fixpoint(widths, arrays, width_step, 64, max)
+    plain = infer_dataflow(blocks, block_of, succs, width_step,
+                           top=64, join=max)
+    for widened_state, plain_state in zip(widths, plain):
+        assert all(w >= p for w, p in zip(widened_state, plain_state))
+    range_step = make_range_step(arrays)
+    ranges = infer_ranges(blocks, block_of, succs, range_step)
+    _assert_post_fixpoint(ranges, arrays, range_step, None, range_join)
+
+
+def test_compiled_backend_shares_the_analysis_lattices(monkeypatch):
+    """Codegen reads the program's cached entry facts, so compiling in
+    every recording mode and then verifying runs each fixpoint once."""
+    from repro.isa.analysis import lattices, passes
+    from repro.isa.verify import verify_program
+    from repro.sim import Machine, Memory
     from repro.sim.backends import compiled
 
-    assert compiled.split_blocks is solver.split_blocks
-    assert compiled.infer_widths is lattices.infer_widths
-    assert compiled.make_const_step is lattices.make_const_step
+    monkeypatch.setattr(passes, "_cache", OrderedDict())
+    solved = []
+    real = lattices.infer_dataflow
+
+    def counted(blocks, block_of, succs, step, **kwargs):
+        solved.append(step.__qualname__.split(".")[0])
+        return real(blocks, block_of, succs, step, **kwargs)
+
+    monkeypatch.setattr(lattices, "infer_dataflow", counted)
+    program = assemble(LOOP)
+    for trace, values in ((True, False), (True, True), (False, False)):
+        compiled.generated_source(
+            Machine(program, Memory(1 << 12)), trace, values)
+    verify_program(program)
+    assert sorted(solved) == [
+        "make_const_step", "make_range_step", "make_tz_step",
+        "make_width_step",
+    ]
 
 
 def test_pass_manager_reuses_one_instance_per_program():

@@ -3,15 +3,9 @@
 Session length defaults to 512 bytes so the whole suite regenerates in
 minutes on a laptop; set ``REPRO_SESSION_BYTES=4096`` for the paper's
 full session length.
-
-Set ``REPRO_BENCH_HISTORY=results/bench/history.jsonl`` to append every
-measurement to the benchmark history (schema ``repro.obs.bench/1``) for
-trend tracking and regression detection via ``repro.tools.bench``.
 """
 
 import os
-import resource
-import time
 
 import pytest
 
@@ -36,47 +30,6 @@ def show(capsys):
 
 
 def run_once(benchmark, fn, *args, **kwargs):
-    """Benchmark a deterministic, expensive simulation exactly once.
-
-    With ``REPRO_BENCH_HISTORY`` set, the measurement is also appended to
-    the benchmark history for ``repro.tools.bench compare``/``report``.
-    """
-    timed = _timed(fn) if os.environ.get("REPRO_BENCH_HISTORY") else fn
-    result = benchmark.pedantic(timed, args=args, kwargs=kwargs,
-                                rounds=1, iterations=1, warmup_rounds=0)
-    if timed is not fn:
-        _record_history(benchmark, timed.wall_seconds)
-    return result
-
-
-def _timed(fn):
-    def timed(*args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            timed.wall_seconds = time.perf_counter() - start
-
-    return timed
-
-
-def _record_history(benchmark, wall_seconds):
-    from repro.obs.bench import BenchHistory, BenchRecord, \
-        environment_fingerprint
-    from repro.sim.backends import DEFAULT_BACKEND
-
-    # benchmark.fullname looks like "benchmarks/test_fig4_throughput.py::
-    # test_blowfish[...]"; the module stem names the suite.
-    module, _, name = benchmark.fullname.partition("::")
-    suite = os.path.basename(module).removesuffix(".py")
-    suite = suite.removeprefix("test_") or suite
-    BenchHistory.from_env().append(BenchRecord(
-        suite=suite,
-        benchmark=name or benchmark.name,
-        wall_seconds=wall_seconds,
-        peak_memory_bytes=resource.getrusage(
-            resource.RUSAGE_SELF).ru_maxrss * 1024,
-        extra={"session_bytes": SESSION_BYTES},
-        # Stamp the engine so regression baselines never mix backends.
-        env=dict(environment_fingerprint(), backend=DEFAULT_BACKEND),
-    ))
+    """Benchmark a deterministic, expensive simulation exactly once."""
+    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
+                              rounds=1, iterations=1, warmup_rounds=0)

@@ -6,8 +6,7 @@ magnitude of functional-simulation throughput with *bit-identical*
 results.  This benchmark runs the same traceless RC4 session through both
 backends, asserts identity (ciphertext, final memory, instruction count),
 measures instructions/second, and records the numbers to
-``BENCH_compiled.json`` plus (with ``REPRO_BENCH_HISTORY`` set) the
-benchmark history for trend tracking.
+``BENCH_compiled.json``.
 
 Session length defaults to 64 KiB so CI finishes in seconds; the
 committed artifact was generated with ``REPRO_BACKEND_BENCH_BYTES=1048576``
@@ -73,8 +72,6 @@ def test_compiled_backend_speedup(show):
         "speedup_floor": SPEEDUP_FLOOR,
     }
     BENCH_OUT.write_text(json.dumps(report, indent=2) + "\n")
-    _record_history(interp, interp_time, interp_ips,
-                    compiled_time, compiled_ips, speedup)
     show(
         f"RC4 {BENCH_BYTES}B traceless: interpreter "
         f"{interp_ips / 1e6:.2f}M instr/s, compiled "
@@ -85,33 +82,3 @@ def test_compiled_backend_speedup(show):
         f"compiled backend only {speedup:.2f}x over the interpreter "
         f"(interpreter {interp_time:.3f}s, compiled {compiled_time:.3f}s)"
     )
-
-
-def _record_history(interp, interp_time, interp_ips,
-                    compiled_time, compiled_ips, speedup):
-    if not os.environ.get("REPRO_BENCH_HISTORY"):
-        return
-    from repro.obs.bench import BenchHistory, BenchRecord, \
-        environment_fingerprint
-
-    history = BenchHistory.from_env()
-    extra = {
-        "session_bytes": BENCH_BYTES,
-        "cipher": "RC4",
-        "instructions": interp.instructions,
-        "speedup": round(speedup, 2),
-    }
-    # Each record names the backend it measured, so regression baselines
-    # never mix engines (``_same_environment`` matches on it).
-    history.append(BenchRecord(
-        suite="backend_throughput", benchmark="rc4_interpreter",
-        wall_seconds=interp_time, throughput=interp_ips,
-        throughput_unit="instructions/s", extra=dict(extra),
-        env=dict(environment_fingerprint(), backend="interpreter"),
-    ))
-    history.append(BenchRecord(
-        suite="backend_throughput", benchmark="rc4_compiled",
-        wall_seconds=compiled_time, throughput=compiled_ips,
-        throughput_unit="instructions/s", extra=dict(extra),
-        env=dict(environment_fingerprint(), backend="compiled"),
-    ))

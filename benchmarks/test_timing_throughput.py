@@ -4,8 +4,7 @@ This benchmark runs the repository's canonical timing run -- one RC4
 session across the standard machine grid {4W, 8W+, DF} -- through both
 engines over the full trace, asserts bit-identical SimStats on every leg,
 measures timing-path instructions/second per leg, and records the numbers
-to ``BENCH_timing.json`` plus (with ``REPRO_BENCH_HISTORY`` set) the
-benchmark history for trend tracking.
+to ``BENCH_timing.json``.
 
 Both engines run one per-entry scheduler loop over the same stage state
 (a byte-map store queue, a scalar retire frontier), so the generic
@@ -97,7 +96,6 @@ def test_specialized_timing_speedup(show):
         "legs": legs,
     }
     BENCH_OUT.write_text(json.dumps(report, indent=2) + "\n")
-    _record_history(legs, total_instructions, speedup)
     show(
         f"RC4 {BENCH_BYTES}B timing grid {{4W, 8W+, DF}}: generic "
         f"{seconds['generic']:.2f}s, specialized "
@@ -109,31 +107,3 @@ def test_specialized_timing_speedup(show):
         f"(generic {seconds['generic']:.3f}s, "
         f"specialized {seconds['specialized']:.3f}s)"
     )
-
-
-def _record_history(legs, total_instructions, speedup):
-    if not os.environ.get("REPRO_BENCH_HISTORY"):
-        return
-    from repro.obs.bench import BenchHistory, BenchRecord, \
-        environment_fingerprint
-
-    history = BenchHistory.from_env()
-    for name, leg in legs.items():
-        config_name, _, engine = name.partition("/")
-        # Each record names the engine that produced it, so regression
-        # baselines never mix engines (``_same_environment`` matches on
-        # ``timing_engine``).
-        history.append(BenchRecord(
-            suite="timing_throughput",
-            benchmark=f"rc4_{config_name}_{engine}",
-            wall_seconds=leg["seconds"],
-            throughput=leg["instructions_per_second"],
-            throughput_unit="instructions/s",
-            extra={
-                "session_bytes": BENCH_BYTES,
-                "config": config_name,
-                "instructions": total_instructions,
-                "speedup": round(speedup, 2),
-            },
-            env=dict(environment_fingerprint(), timing_engine=engine),
-        ))

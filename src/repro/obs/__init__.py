@@ -21,25 +21,22 @@ package is that explanation machinery as reusable infrastructure:
   :class:`EventBus` (schema ``repro.obs.events/1``, per-invocation
   ``run_id`` + monotonic ``seq``), the only channel instrumented code
   reports to -- runner telemetry and span events, the cache, codegen,
-  lint and analysis, the bench recorder and the profiler -- with
-  pluggable sinks (JSONL ledger, ring buffer); rendered live or replayed
-  by ``repro.tools.dash``.
+  lint and analysis, and the profiler -- with pluggable sinks (JSONL
+  ledger, ring buffer); rendered live or replayed by
+  ``repro.tools.dash``.
 * :mod:`repro.obs.views` -- the metrics snapshot and the Perfetto trace
   as bus sinks folding the ledger's events (:class:`MetricsView`,
   :class:`TraceView`); the one place the metric catalogue lives.
-* :mod:`repro.obs.bench` -- the append-only benchmark history
-  (``results/bench/history.jsonl``, schema ``repro.obs.bench/1``) with
-  robust regression detection; driven by ``repro.tools.bench``.
 * :mod:`repro.obs.diffing` -- the run-diff engine (schema
   ``repro.obs.diff/1``): SimStats cycle-provenance deltas, ledger phase
-  alignment, metrics/bench deltas with noise floors, and the verdict
-  line; driven by ``repro.tools.diff`` and ``repro.tools.bench compare
-  --explain``.  The first-divergence trace bisector is its sibling,
-  :mod:`repro.sim.diverge`.
+  alignment, metrics deltas, and the verdict line; driven by
+  ``repro.tools.diff``.  The first-divergence trace bisector is its
+  sibling, :mod:`repro.sim.diverge`.
 * :mod:`repro.obs.schema` -- validators for the exported documents (used
   by tests, CI, and ``repro.tools.obs --check``).
 * :mod:`repro.obs.session` -- the :class:`Observability` bundle the CLI
-  tools build from ``--metrics-out`` / ``--trace-out`` / ``--profile``.
+  tools build from ``--metrics-out`` / ``--trace-out`` / ``--profile``,
+  and the environment fingerprint stamped into metrics snapshots.
 
 Stall-attribution itself lives in :mod:`repro.sim.timing`, which classifies
 every issue slot of every cycle; see ``docs/observability.md`` for the
@@ -51,27 +48,22 @@ from __future__ import annotations
 import importlib
 
 # Attributes load on first use (PEP 562): publishing a ledger event needs
-# only ``events`` and ``schema``, not ``bench``'s socket/subprocess/platform
-# imports or the rest of the stack.
+# only ``events`` and ``schema``, not the rest of the stack.
 _SUBMODULE_EXPORTS = {
-    "bench": ("BenchHistory", "BenchRecord", "compare_history",
-              "detect_regression", "environment_fingerprint"),
-    "diffing": ("ProvenanceMismatch", "build_report", "diff_bench_records",
-                "diff_ledger_runs", "diff_metrics_docs", "diff_stats",
-                "explain_stats_delta", "render_report"),
+    "diffing": ("ProvenanceMismatch", "build_report", "diff_ledger_runs",
+                "diff_metrics_docs", "diff_stats", "explain_stats_delta",
+                "render_report"),
     "events": ("EventBus", "JsonlSink", "RingBufferSink",
                "active_bus", "load_ledger", "new_run_id", "publish_event",
                "set_active_bus", "split_runs"),
     "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
     "pipeline": ("schedule_spans", "schedule_trace_events"),
     "profiler": ("SamplingProfiler",),
-    "schema": ("ANALYSIS_SCHEMA", "BENCH_SCHEMA", "DIFF_SCHEMA",
-               "EVENTS_SCHEMA", "LINT_SCHEMA", "METRICS_SCHEMA",
-               "validate_analysis", "validate_bench",
-               "validate_bench_history", "validate_diff", "validate_event",
-               "validate_event_ledger", "validate_lint", "validate_metrics",
-               "validate_trace_events"),
-    "session": ("Observability",),
+    "schema": ("ANALYSIS_SCHEMA", "DIFF_SCHEMA", "EVENTS_SCHEMA",
+               "LINT_SCHEMA", "METRICS_SCHEMA", "validate_analysis",
+               "validate_diff", "validate_event", "validate_event_ledger",
+               "validate_lint", "validate_metrics", "validate_trace_events"),
+    "session": ("Observability", "environment_fingerprint"),
     "tracing": ("Tracer",),
     "views": ("MetricsView", "TraceView"),
 }

@@ -25,7 +25,6 @@ Panels rendered, each fed by one event source:
 * analysis -- static cost-bound estimates (``analysis``/``estimate``
   events from ``repro.tools.analyze``): cells bracketed, unsound cells,
   and the median upper/lower gap;
-* bench -- wall-seconds sparkline per recorded benchmark;
 * diff -- recent run-comparison verdicts (``diff``/``report`` events
   from :mod:`repro.obs.diffing`), flagged when the runs differ;
 * alerts -- stuck-worker warnings, newest last.
@@ -34,8 +33,6 @@ Panels rendered, each fed by one event source:
 from __future__ import annotations
 
 from collections import Counter
-
-from repro.obs.bench import sparkline
 
 #: Width every frame is rendered at unless the caller overrides it.
 DEFAULT_WIDTH = 78
@@ -81,7 +78,6 @@ class DashState:
         self.analysis_estimates = 0
         self.analysis_unsound = 0
         self.analysis_gaps: list[float] = []
-        self.bench: dict[str, list[float]] = {}
         self.diffs: list[dict] = []
         self.stuck: list[tuple[str, float]] = []
         self.profile: dict[str, float] = {}
@@ -130,11 +126,6 @@ class DashState:
             gap = data.get("gap")
             if isinstance(gap, (int, float)):
                 self.analysis_gaps.append(float(gap))
-        elif source == "bench" and type_ == "record":
-            name = f"{data.get('suite', '?')}::{data.get('benchmark', '?')}"
-            seconds = data.get("wall_seconds")
-            if isinstance(seconds, (int, float)):
-                self.bench.setdefault(name, []).append(float(seconds))
         elif source == "diff" and type_ == "report":
             self.diffs.append(data)
             del self.diffs[:-RECENT_DIFFS]
@@ -348,16 +339,6 @@ def render(state: DashState, width: int = DEFAULT_WIDTH) -> str:
             f"analysis: {state.analysis_estimates} estimate(s), "
             f"{soundness}{gap}"
         )
-
-    # bench history
-    if state.bench:
-        lines.append("")
-        lines.append("bench:")
-        for name, seconds in sorted(state.bench.items()):
-            lines.append(
-                f"  {name:<40} {sparkline(seconds)} "
-                f"last {seconds[-1]:.3f}s"
-            )
 
     # run comparisons
     if state.diffs:

@@ -16,23 +16,18 @@ module is that explanation machinery for any pair of recorded runs:
 * :func:`diff_metrics_docs` -- two metrics snapshots
   (``repro.obs.metrics/1``) joined on (name, labels); wall-clock-like
   metrics are marked *noisy* and never fail an identity verdict.
-* :func:`diff_bench_records` -- a bench-history record against its
-  baseline, with the noise floor from :mod:`repro.obs.bench` (scaled
-  MADs over the baseline window) deciding significance.
 * :func:`build_report` -- assembles the sections into a schema-validated
   ``repro.obs.diff/1`` document and publishes a one-line summary to the
   active event bus (the dashboard's diff panel).
 
-``python -m repro.tools.diff`` is the CLI over all of this, and
-``repro.tools.bench compare --explain`` drills flagged regressions into
-:func:`diff_stats` via cached reruns.  The first-divergence *bisector*
-for non-identical traces lives in :mod:`repro.sim.diverge`.  See
-``docs/observability.md`` ("Regression forensics").
+``python -m repro.tools.diff`` is the CLI over all of this.  The
+first-divergence *bisector* for non-identical traces lives in
+:mod:`repro.sim.diverge`.  See ``docs/observability.md`` ("Regression
+forensics").
 """
 
 from __future__ import annotations
 
-from repro.obs.bench import NOISE_FLOOR_MADS, BenchRecord, median, scaled_mad
 from repro.obs.events import publish_event
 from repro.obs.schema import DIFF_SCHEMA, validate_diff
 from repro.sim.stats import STALL_CATEGORIES, WAIT_CATEGORIES, SimStats
@@ -340,13 +335,11 @@ def _metric_values(document) -> dict[str, float]:
     return values
 
 
-def diff_metrics_docs(a_doc, b_doc, noise_floors: dict | None = None) -> list:
+def diff_metrics_docs(a_doc, b_doc) -> list:
     """Joined counter/gauge/histogram deltas of two metrics snapshots.
 
-    ``noise_floors`` (metric name -> absolute floor, typically derived
-    from bench history MADs) marks a row insignificant when its delta
-    sits under the floor; wall-clock metrics are flagged ``noisy``
-    unconditionally.
+    Wall-clock metrics are flagged ``noisy``: their deltas are reported
+    but never break the identity verdict.
     """
     values_a = _metric_values(a_doc)
     values_b = _metric_values(b_doc)
@@ -355,18 +348,13 @@ def diff_metrics_docs(a_doc, b_doc, noise_floors: dict | None = None) -> list:
         a_value = values_a.get(name)
         b_value = values_b.get(name)
         delta = (b_value or 0.0) - (a_value or 0.0)
-        row = {
+        rows.append({
             "name": name,
             "a": a_value,
             "b": b_value,
             "delta": delta,
             "noisy": _is_noisy(name),
-        }
-        floor = (noise_floors or {}).get(name)
-        if floor is not None:
-            row["noise_floor"] = floor
-            row["noisy"] = row["noisy"] or abs(delta) <= floor
-        rows.append(row)
+        })
     rows.sort(key=lambda row: (-abs(row["delta"]), row["name"]))
     return rows
 
@@ -387,53 +375,6 @@ def metrics_verdict(rows, a_label: str, b_label: str) -> str:
             f"{top['name']} {top['delta']:+g}")
 
 
-# -- bench history ---------------------------------------------------------
-
-def diff_bench_records(current: BenchRecord, baseline: list) -> dict:
-    """One bench record against its baseline window, with a noise floor.
-
-    The floor is the detector's own bar (``NOISE_FLOOR_MADS`` scaled MADs
-    over the baseline walls), so a diff report and ``bench compare``
-    never disagree about what counts as noise.
-    """
-    walls = [record.wall_seconds for record in baseline]
-    center = median(walls) if walls else None
-    floor = (NOISE_FLOOR_MADS * scaled_mad(walls)) if len(walls) >= 2 else 0.0
-    delta = current.wall_seconds - center if center is not None else 0.0
-    section = {
-        "suite": current.suite,
-        "benchmark": current.benchmark,
-        "current_wall_seconds": current.wall_seconds,
-        "baseline_runs": len(walls),
-        "baseline_median_seconds": center,
-        "delta_seconds": round(delta, 6),
-        "noise_floor_seconds": round(floor, 6),
-        "significant": bool(walls) and abs(delta) > floor,
-    }
-    if baseline:
-        for key in sorted(set(current.env) | set(baseline[-1].env)):
-            ours, theirs = current.env.get(key), baseline[-1].env.get(key)
-            if ours != theirs:
-                section[f"env.{key}"] = f"{theirs} -> {ours}"
-    return section
-
-
-def bench_verdict(section: dict) -> str:
-    name = f"{section['suite']}::{section['benchmark']}"
-    if not section["baseline_runs"]:
-        return f"{name}: no baseline runs to compare against"
-    if not section["significant"]:
-        return (f"{name}: {section['delta_seconds']:+.3f}s vs baseline "
-                f"median -- within the "
-                f"{section['noise_floor_seconds']:.3f}s noise floor")
-    direction = "slowed" if section["delta_seconds"] > 0 else "sped up"
-    return (f"{name} {direction} {abs(section['delta_seconds']):.3f}s over "
-            f"the baseline median "
-            f"{section['baseline_median_seconds']:.3f}s "
-            f"(noise floor {section['noise_floor_seconds']:.3f}s, "
-            f"{section['baseline_runs']} runs)")
-
-
 # -- report assembly -------------------------------------------------------
 
 def build_report(
@@ -447,7 +388,6 @@ def build_report(
     stats: dict | None = None,
     phases: dict | None = None,
     metrics: list | None = None,
-    bench: dict | None = None,
 ) -> dict:
     """Assemble, validate and announce one ``repro.obs.diff/1`` report.
 
@@ -477,8 +417,6 @@ def build_report(
                        "ledger_duration": phases["b_duration"]}
     if metrics is not None:
         report["metrics"] = metrics
-    if bench is not None:
-        report["bench"] = bench
     errors = validate_diff(report)
     if errors:
         raise ValueError(f"malformed diff report: {errors}")
@@ -569,9 +507,4 @@ def render_report(report: dict, limit: int = 10) -> str:
                 continue
             flag = " (noisy)" if row.get("noisy") else ""
             lines.append(f"  {row['name']:<44} {row['delta']:>+14g}{flag}")
-    bench = report.get("bench")
-    if bench:
-        lines.append("")
-        for key, value in bench.items():
-            lines.append(f"  {key}: {value}")
     return "\n".join(lines)

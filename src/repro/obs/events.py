@@ -2,11 +2,11 @@
 
 Instrumented code reports through one channel.  :class:`EventBus` gives
 the runner, the cache, compiled-backend and timing codegen, the lint and
-analysis CLIs, bench recordings and the profiler one append-only,
-schema-validated stream (``repro.obs.events/1``): every published event
-carries the bus's per-invocation ``run_id``, a monotonic ``seq`` number
-and a timestamp in seconds relative to the run start, so a recorded
-ledger replays deterministically (``repro.tools.dash --replay``).
+analysis CLIs and the profiler one append-only, schema-validated stream
+(``repro.obs.events/1``): every published event carries the bus's
+per-invocation ``run_id``, a monotonic ``seq`` number and a timestamp in
+seconds relative to the run start, so a recorded ledger replays
+deterministically (``repro.tools.dash --replay``).
 
 Event shape (one JSON object per JSONL line)::
 
@@ -31,8 +31,8 @@ Sinks are pluggable and may be attached to one bus simultaneously:
 * the views of :mod:`repro.obs.views` -- the metrics snapshot and the
   Perfetto trace -- and the runner's ``--progress`` line.
 
-Deeply nested publishers (the compiled backend's codegen, the bench
-history recorder) cannot be handed a bus explicitly without threading it
+Deeply nested publishers (the compiled backend's and the timing
+engine's codegen) cannot be handed a bus explicitly without threading it
 through every caller; they use the process-global *active bus* instead
 (:func:`set_active_bus` / :func:`publish_event`), managed by
 :class:`repro.obs.Observability` for the lifetime of a CLI run -- the
@@ -64,7 +64,6 @@ KNOWN_SOURCES = {
     "backend": ("compile", "codegen-cache-hit"),
     "timing": ("specialize", "specialize-cache-hit", "untiered"),
     "lint": ("program",),
-    "bench": ("record",),
     "profiler": ("snapshot",),
     "diff": ("report",),
     "analysis": ("estimate",),

@@ -11,13 +11,12 @@ The schemas themselves are documented in ``docs/observability.md``.
 from __future__ import annotations
 
 METRICS_SCHEMA = "repro.obs.metrics/1"
-BENCH_SCHEMA = "repro.obs.bench/1"
 LINT_SCHEMA = "repro.isa.verify/1"
 EVENTS_SCHEMA = "repro.obs.events/1"
 DIFF_SCHEMA = "repro.obs.diff/1"
 ANALYSIS_SCHEMA = "repro.isa.analysis/1"
 
-_DIFF_KINDS = ("stats", "metrics", "ledger", "bench")
+_DIFF_KINDS = ("stats", "metrics", "ledger")
 
 _LINT_SEVERITIES = ("info", "warning", "error")
 
@@ -101,62 +100,6 @@ def _validate_histogram(metric: dict, where: str) -> list[str]:
     if not errors and _is_number(metric.get("count")) \
             and buckets[-1].get("count") != metric["count"]:
         errors.append(f"{where}: +inf bucket count must equal 'count'")
-    return errors
-
-
-def validate_bench(document) -> list[str]:
-    """Check one ``repro.obs.bench/1`` history record; return errors."""
-    if not isinstance(document, dict):
-        return [f"bench record must be an object, got {type(document).__name__}"]
-    errors: list[str] = []
-    if document.get("schema") != BENCH_SCHEMA:
-        errors.append(
-            f"schema must be {BENCH_SCHEMA!r}, got {document.get('schema')!r}"
-        )
-    for key in ("suite", "benchmark"):
-        if not isinstance(document.get(key), str) or not document.get(key):
-            errors.append(f"missing non-empty '{key}'")
-    wall = document.get("wall_seconds")
-    if not _is_number(wall) or wall < 0:
-        errors.append("'wall_seconds' must be a non-negative number")
-    if "throughput" in document:
-        throughput = document["throughput"]
-        if throughput is not None and (not _is_number(throughput)
-                                       or throughput < 0):
-            errors.append("'throughput' must be a non-negative number or null")
-    if "peak_memory_bytes" in document:
-        peak = document["peak_memory_bytes"]
-        if peak is not None and (not isinstance(peak, int)
-                                 or isinstance(peak, bool) or peak < 0):
-            errors.append("'peak_memory_bytes' must be a non-negative "
-                          "integer or null")
-    env = document.get("env")
-    if not isinstance(env, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in env.items()
-    ):
-        errors.append("'env' must be a str->str object")
-    extra = document.get("extra", {})
-    if not isinstance(extra, dict) or not all(
-        isinstance(k, str) and isinstance(v, _SCALARS)
-        for k, v in extra.items()
-    ):
-        errors.append("'extra' must be a str->scalar object")
-    if not isinstance(document.get("recorded_at"), str) \
-            or not document.get("recorded_at"):
-        errors.append("missing non-empty 'recorded_at'")
-    return errors
-
-
-def validate_bench_history(documents) -> list[str]:
-    """Check a loaded bench-history line list; errors carry line numbers."""
-    if not isinstance(documents, list):
-        return ["bench history must be a list of records"]
-    errors: list[str] = []
-    for index, document in enumerate(documents):
-        errors.extend(
-            f"line {index + 1}: {error}"
-            for error in validate_bench(document)
-        )
     return errors
 
 
@@ -566,8 +509,6 @@ def _validate_diff_metrics(rows, where: str) -> list[str]:
             errors.append(f"{rwhere}: missing numeric 'delta'")
         if "noisy" in row and not isinstance(row["noisy"], bool):
             errors.append(f"{rwhere}: 'noisy' must be a boolean")
-        if "noise_floor" in row and not _is_number(row["noise_floor"]):
-            errors.append(f"{rwhere}: 'noise_floor' must be a number")
     return errors
 
 
@@ -600,10 +541,7 @@ def validate_diff(document) -> list[str]:
         errors.extend(_validate_diff_phases(document["phases"], "phases"))
     if "metrics" in document:
         errors.extend(_validate_diff_metrics(document["metrics"], "metrics"))
-    if "bench" in document and not _scalar_object(document["bench"]):
-        errors.append("'bench' must be a str->scalar object")
-    if not any(key in document for key in ("stats", "phases", "metrics",
-                                           "bench")):
+    if not any(key in document for key in ("stats", "phases", "metrics")):
         errors.append("report must carry at least one comparison section "
-                      "(stats/phases/metrics/bench)")
+                      "(stats/phases/metrics)")
     return errors

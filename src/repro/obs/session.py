@@ -22,25 +22,64 @@ sampling profiler covers exactly the measured region::
         print(f"wrote {path}")
 
 Written metrics snapshots are stamped with the environment fingerprint
-(git sha, python version, platform, hostname, resolved simulator
-backend) under ``extra.environment`` so exported telemetry artifacts
-are attributable to a commit.
+(:func:`environment_fingerprint`: git sha, python version, platform,
+hostname, plus the resolved simulator backend and timing engine) under
+``extra.environment`` so exported telemetry artifacts are attributable
+to a commit.
 
 The bus is installed as the process-wide *active bus*
 (:mod:`repro.obs.events`) for the duration of the session, so deep
-publishers (the compiled backend's codegen, the lint and analysis CLIs,
-the bench recorder) reach the same sinks as the runner and cache.
+publishers (the compiled backend's codegen, the lint and analysis CLIs)
+reach the same sinks as the runner and cache.
 ``repro.tools.dash`` renders an ``--events-out`` ledger live
 (``--follow``) or after the fact (``--replay``).
 """
 
 from __future__ import annotations
 
+import os
+import platform
+
 from repro.obs.events import EventBus, JsonlSink, set_active_bus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import DEFAULT_HZ, SamplingProfiler
 from repro.obs.tracing import Tracer
 from repro.obs.views import MetricsView, TraceView
+
+
+def environment_fingerprint(cwd: str | None = None) -> dict:
+    """Str->str description of where a measurement was taken.
+
+    ``socket`` and ``subprocess`` load on call, so a session that writes
+    no snapshot loads neither.
+    """
+    import socket
+
+    return {
+        "git_sha": _git_sha(cwd),
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpu_count": str(os.cpu_count() or 0),
+        "hostname": socket.gethostname(),
+    }
+
+
+def _git_sha(cwd: str | None = None) -> str:
+    """HEAD of the checkout holding ``cwd`` (this package by default)."""
+    import subprocess
+
+    try:
+        proc = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=cwd or os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, timeout=5,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    sha = proc.stdout.strip()
+    return sha if proc.returncode == 0 and sha else "unknown"
 
 
 class Observability:
@@ -64,8 +103,7 @@ class Observability:
         self.profile_out = profile_out
         self.events_out = events_out
         #: Resolved simulator backend name; the CLI layer stamps this so
-        #: metrics snapshots and bench records name the engine that
-        #: produced them.
+        #: metrics snapshots name the engine that produced them.
         self.backend: str | None = None
         #: Resolved timing-engine name, stamped the same way.
         self.timing_engine: str | None = None
@@ -147,8 +185,6 @@ class Observability:
 
     def write(self) -> list[str]:
         """Write whichever outputs were requested; returns written paths."""
-        from repro.obs.bench import environment_fingerprint
-
         self.finish()
         written: list[str] = []
         if self.metrics is not None and self.metrics_out:

@@ -10,9 +10,6 @@
     python -m repro.tools.diff ledger before.jsonl after.jsonl
     # Two metrics snapshots:
     python -m repro.tools.diff metrics before.json after.json
-    # A benchmark's latest record against its baseline window:
-    python -m repro.tools.diff bench --suite timing \
-        --benchmark rc4_timing_grid
     # First differing trace entry between two execution stacks:
     python -m repro.tools.diff bisect --cipher RC4 \
         --a-backend interpreter --b-backend compiled
@@ -30,12 +27,9 @@ from __future__ import annotations
 import argparse
 import json
 
-from repro.obs.bench import BenchHistory
 from repro.obs.diffing import (
     ProvenanceMismatch,
-    bench_verdict,
     build_report,
-    diff_bench_records,
     diff_ledger_runs,
     diff_metrics_docs,
     diff_stats,
@@ -114,17 +108,6 @@ def main(argv: list[str] | None = None) -> int:
     metrics.add_argument("b", help="second snapshot (JSON)")
     _add_output_arguments(metrics)
 
-    bench = sub.add_parser(
-        "bench", help="diff a benchmark's latest record vs its baseline")
-    bench.add_argument("--suite", required=True)
-    bench.add_argument("--benchmark", required=True)
-    bench.add_argument(
-        "--history", default=None, metavar="PATH",
-        help="bench history file (default: REPRO_BENCH_HISTORY or "
-             "results/bench/history.jsonl)",
-    )
-    _add_output_arguments(bench)
-
     bisect = sub.add_parser(
         "bisect", help="locate the first differing trace entry")
     add_cipher_argument(bisect)
@@ -152,8 +135,6 @@ def main(argv: list[str] | None = None) -> int:
             return _diff_ledger(args)
         if args.command == "metrics":
             return _diff_metrics(args)
-        if args.command == "bench":
-            return _diff_bench(args)
         return _bisect(args)
     except (OSError, ValueError, ProvenanceMismatch) as error:
         print(f"error: {error}")
@@ -303,32 +284,6 @@ def _diff_metrics(args) -> int:
         verdict=metrics_verdict(rows, args.a, args.b),
         generated_by="repro.tools.diff metrics",
         metrics=rows,
-    )
-    return _emit(report, args)
-
-
-def _diff_bench(args) -> int:
-    history = (BenchHistory(args.history) if args.history
-               else BenchHistory.from_env())
-    entries = history.entries(args.suite, args.benchmark)
-    if not entries:
-        raise ValueError(
-            f"{history.path}: no records for "
-            f"{args.suite}::{args.benchmark}"
-        )
-    current, baseline = entries[-1], entries[:-1]
-    section = diff_bench_records(current, baseline)
-    report = build_report(
-        "bench",
-        {"label": f"{args.suite}::{args.benchmark} baseline",
-         "runs": len(baseline), "path": history.path},
-        {"label": f"{args.suite}::{args.benchmark} latest",
-         "recorded_at": current.recorded_at,
-         "wall_seconds": current.wall_seconds},
-        identical=not section["significant"],
-        verdict=bench_verdict(section),
-        generated_by="repro.tools.diff bench",
-        bench=section,
     )
     return _emit(report, args)
 

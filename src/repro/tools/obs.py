@@ -30,14 +30,11 @@ import json
 from repro.kernels import KERNEL_NAMES
 from repro.obs import (
     ANALYSIS_SCHEMA,
-    BENCH_SCHEMA,
     DIFF_SCHEMA,
     EVENTS_SCHEMA,
     LINT_SCHEMA,
     schedule_trace_events,
     validate_analysis,
-    validate_bench,
-    validate_bench_history,
     validate_diff,
     validate_event_ledger,
     validate_lint,
@@ -127,18 +124,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def check_file(path: str) -> int:
-    """Validate a written metrics, trace, or bench-history file.
+    """Validate a written telemetry, report or ledger file.
 
     The document kind is sniffed from its content: a ``metrics`` key means
-    the metrics schema, a ``repro.obs.bench/1`` schema stamp (on a single
-    object or on JSONL lines) means the benchmark history, a
-    ``repro.obs.diff/1`` stamp means a run-comparison report, a
-    ``repro.obs.events/1`` stamp on JSONL lines means a run ledger, a
-    ``repro.isa.verify/1`` stamp means a lint report, a
-    ``repro.isa.analysis/1`` stamp means a static cost-bound report,
-    anything else is checked as Chrome/Perfetto trace events.  A JSONL
-    line that does not parse (a torn final write included) is an error.
-    Returns 0 iff valid.
+    the metrics schema, a ``repro.obs.diff/1`` stamp means a
+    run-comparison report, a ``repro.obs.events/1`` stamp on JSONL lines
+    means a run ledger, a ``repro.isa.verify/1`` stamp means a lint
+    report, a ``repro.isa.analysis/1`` stamp means a static cost-bound
+    report, anything else is checked as Chrome/Perfetto trace events.  A
+    JSONL line that does not parse (a torn final write included) is an
+    error.  Returns 0 iff valid.
     """
     errors: list[str] = []
     with open(path) as handle:
@@ -162,20 +157,12 @@ def check_file(path: str) -> int:
             and document.get("schema") == ANALYSIS_SCHEMA:
         errors, kind = validate_analysis(document), "analysis"
     elif isinstance(document, dict) \
-            and document.get("schema") == BENCH_SCHEMA:
-        errors, kind = validate_bench(document), "bench"
-    elif isinstance(document, dict) \
             and document.get("schema") == DIFF_SCHEMA:
         # Before the "metrics" key sniff: a diff report of kind
         # "metrics" carries delta rows under that key too.
         errors, kind = validate_diff(document), "diff report"
     elif isinstance(document, dict) and "metrics" in document:
         errors, kind = validate_metrics(document), "metrics"
-    elif isinstance(document, list) and document and all(
-        isinstance(entry, dict) and entry.get("schema") == BENCH_SCHEMA
-        for entry in document
-    ):
-        errors, kind = validate_bench_history(document), "bench history"
     elif isinstance(document, list) and document and all(
         isinstance(entry, dict) and entry.get("schema") == EVENTS_SCHEMA
         for entry in document

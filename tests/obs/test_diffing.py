@@ -1,5 +1,5 @@
 """The run-diff engine: cycle-provenance deltas, ledger alignment,
-metrics/bench deltas, report assembly, and the dashboard diff panel.
+metrics deltas, report assembly, and the dashboard diff panel.
 
 The acceptance bar for the stats section is *exactness*: the ranked
 per-static-instruction wait-cycle deltas must sum, category by category,
@@ -22,13 +22,10 @@ from repro.obs import (
     split_runs,
     validate_diff,
 )
-from repro.obs.bench import BenchRecord
 from repro.obs.dashboard import DashState, render
 from repro.obs.diffing import (
     ProvenanceMismatch,
-    bench_verdict,
     build_report,
-    diff_bench_records,
     diff_ledger_runs,
     diff_metrics_docs,
     diff_stats,
@@ -299,14 +296,6 @@ def test_deterministic_metric_delta_breaks_identity():
     assert "runner.cache_hits +2" in metrics_verdict(rows, "a", "b")
 
 
-def test_noise_floor_marks_small_deltas_insignificant():
-    a = metrics_doc({"trace.bytes": 1000})
-    b = metrics_doc({"trace.bytes": 1003})
-    rows = diff_metrics_docs(a, b, noise_floors={"trace.bytes": 5.0})
-    assert rows[0]["noisy"]
-    assert metrics_identical(rows)
-
-
 def test_histograms_expand_to_count_and_sum():
     a = {"metrics": [{"name": "h", "type": "histogram",
                       "count": 3, "sum": 0.6}]}
@@ -314,41 +303,6 @@ def test_histograms_expand_to_count_and_sum():
                       "count": 4, "sum": 0.9}]}
     rows = diff_metrics_docs(a, b)
     assert {row["name"] for row in rows} == {"h.count", "h.sum"}
-
-
-# -- bench ------------------------------------------------------------------
-
-def bench_record(wall, env=None, **extra):
-    return BenchRecord("suite", "bench", wall, extra=extra,
-                       env=env or {"hostname": "ci"}, recorded_at="t")
-
-
-def test_bench_delta_within_noise_floor():
-    baseline = [bench_record(1.0), bench_record(1.01), bench_record(0.99)]
-    section = diff_bench_records(bench_record(1.005), baseline)
-    assert not section["significant"]
-    assert "within the" in bench_verdict(section)
-
-
-def test_bench_regression_is_significant():
-    baseline = [bench_record(1.0), bench_record(1.01), bench_record(0.99)]
-    section = diff_bench_records(bench_record(2.0), baseline)
-    assert section["significant"]
-    assert "slowed" in bench_verdict(section)
-
-
-def test_bench_env_changes_are_reported():
-    baseline = [bench_record(1.0, env={"hostname": "ci", "backend": "a"})]
-    section = diff_bench_records(
-        bench_record(1.0, env={"hostname": "ci", "backend": "b"}), baseline)
-    assert section["env.backend"] == "a -> b"
-
-
-def test_bench_without_baseline():
-    section = diff_bench_records(bench_record(1.0), [])
-    assert not section["significant"]
-    assert section["baseline_median_seconds"] is None
-    assert "no baseline" in bench_verdict(section)
 
 
 # -- report assembly and rendering ------------------------------------------

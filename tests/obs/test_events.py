@@ -57,7 +57,7 @@ def test_non_scalar_data_values_are_dropped():
 def test_every_published_event_validates():
     bus = EventBus()
     for source, type_ in (("runner", "start"), ("cache", "miss"),
-                          ("backend", "compile"), ("bench", "record")):
+                          ("backend", "compile")):
         assert validate_event(bus.publish(source, type_, {"n": 1})) == []
 
 
@@ -276,11 +276,10 @@ def test_obs_check_reports_unparseable_jsonl_lines(tmp_path, capsys):
 
 
 def test_publishing_needs_only_the_ledger_modules():
-    """Importing the runner and the ledger loads neither ``repro.obs.bench``
-    nor the ``socket``/``subprocess`` modules it needs, while every
-    package-level name still resolves.  A ``Runner.run`` without a bus --
-    codegen on both stacks included -- publishes nothing and loads no
-    ``repro.obs`` module at all."""
+    """Importing the runner and the ledger loads neither ``socket`` nor
+    ``subprocess``, while every package-level name still resolves.  A
+    ``Runner.run`` without a bus -- codegen on both stacks included --
+    publishes nothing and loads no ``repro.obs`` module at all."""
     import subprocess
     import sys
     from pathlib import Path
@@ -297,7 +296,7 @@ def test_publishing_needs_only_the_ledger_modules():
 
     assert run(
         "import sys; import repro.runner, repro.obs.events; "
-        "print([m for m in ('repro.obs.bench', 'socket', 'subprocess') "
+        "print([m for m in ('socket', 'subprocess') "
         "if m in sys.modules])"
     ) == "[]"
     assert run(

@@ -1,6 +1,7 @@
 """Tests for the CLI observability bundle (metrics + trace + profiler)."""
 
 import json
+import subprocess
 
 from repro.obs import (
     active_bus,
@@ -9,7 +10,7 @@ from repro.obs import (
     validate_metrics,
     validate_trace_events,
 )
-from repro.obs.session import Observability
+from repro.obs.session import Observability, environment_fingerprint
 from tests.obs.test_profiler import busy_cipher_work
 
 
@@ -76,7 +77,7 @@ def test_events_out_writes_valid_ledger_and_installs_bus(tmp_path):
     assert active_bus() is None
     with obs:
         # The session installs its bus as the process-global active bus so
-        # deep publishers (codegen, bench history) reach the same ledger.
+        # deep publishers (codegen) reach the same ledger.
         assert active_bus() is obs.bus
         obs.bus.publish("runner", "start", {"total_groups": 1})
         obs.bus.publish("runner", "finish", {"done": 1})
@@ -95,3 +96,27 @@ def test_events_out_writes_valid_ledger_and_installs_bus(tmp_path):
     published = [metric for metric in document["metrics"]
                  if metric["name"] == "events.published"]
     assert sum(metric["value"] for metric in published) == 2
+
+
+def _no_enclosing_repo(monkeypatch, path):
+    """Keep git from finding a repository above ``path``."""
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(path.parent))
+
+
+def test_environment_fingerprint_shape(tmp_path, monkeypatch):
+    _no_enclosing_repo(monkeypatch, tmp_path)
+    git = ["git", "-c", "user.name=repro", "-c", "user.email=repro@example.com"]
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "init"],
+                   cwd=tmp_path, check=True)
+    env = environment_fingerprint(cwd=str(tmp_path))
+    assert set(env) >= {"git_sha", "python", "platform",
+                        "machine", "hostname", "cpu_count"}
+    assert all(isinstance(value, str) for value in env.values())
+    # A git checkout: the sha must resolve.
+    assert len(env["git_sha"]) == 40
+
+
+def test_environment_fingerprint_outside_a_checkout(tmp_path, monkeypatch):
+    _no_enclosing_repo(monkeypatch, tmp_path)
+    assert environment_fingerprint(cwd=str(tmp_path))["git_sha"] == "unknown"

@@ -50,10 +50,6 @@ def synthetic_ledger(path):
                  "eta_seconds": 1.5})
     bus.publish("runner", "stuck",
                 {"group": "RC6/encrypt:128B", "quiet_seconds": 61.0})
-    bus.publish("bench", "record",
-                {"suite": "s", "benchmark": "b", "wall_seconds": 0.25})
-    bus.publish("bench", "record",
-                {"suite": "s", "benchmark": "b", "wall_seconds": 0.30})
     clock.now += 1.0
     bus.publish("runner", "result",
                 {"cipher": "RC6", "config": "4W", "cycles": 3000,
@@ -100,7 +96,6 @@ def test_golden_frame_content(tmp_path):
     assert "cache: 0 hit / 1 miss / 1 write" in frame
     assert "compile: 1 program(s), 4.0 ms codegen" in frame
     assert "masks elided 4" in frame
-    assert "s::b" in frame               # bench sparkline row
     assert "! stuck: RC6/encrypt:128B" in frame
     assert "profile: timing 1.25s, compile 0.01s" in frame
     # eta is suppressed once the run finished

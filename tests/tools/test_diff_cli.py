@@ -9,7 +9,6 @@ import json
 import pytest
 
 from repro.obs import EventBus, JsonlSink
-from repro.obs.bench import BenchHistory, BenchRecord
 from repro.tools import diff as diff_cli
 from repro.tools import obs as obs_cli
 
@@ -183,46 +182,6 @@ def test_metrics_identical_and_different(tmp_path, capsys):
     assert rc == diff_cli.DIFFERENT
     assert "runner.cache_hits +5" in capsys.readouterr().out
     assert obs_cli.check_file(str(out)) == 0
-
-
-# -- bench ------------------------------------------------------------------
-
-def bench_history(path, walls):
-    history = BenchHistory(path)
-    for wall in walls:
-        history.append(BenchRecord("timing", "grid", wall,
-                                   env={"hostname": "ci"},
-                                   recorded_at="t"))
-    return history
-
-
-def test_bench_within_noise(tmp_path, capsys):
-    path = tmp_path / "history.jsonl"
-    bench_history(path, [1.0, 1.01, 0.99, 1.005])
-    out = tmp_path / "report.json"
-    rc = diff_cli.main(["bench", "--suite", "timing", "--benchmark", "grid",
-                        "--history", str(path), "--out", str(out)])
-    assert rc == diff_cli.IDENTICAL
-    assert "noise floor" in capsys.readouterr().out
-    assert obs_cli.check_file(str(out)) == 0
-
-
-def test_bench_regression_differs(tmp_path, capsys):
-    path = tmp_path / "history.jsonl"
-    bench_history(path, [1.0, 1.01, 0.99, 2.0])
-    rc = diff_cli.main(["bench", "--suite", "timing", "--benchmark", "grid",
-                        "--history", str(path)])
-    assert rc == diff_cli.DIFFERENT
-    assert "slowed" in capsys.readouterr().out
-
-
-def test_bench_unknown_benchmark_is_trouble(tmp_path, capsys):
-    path = tmp_path / "history.jsonl"
-    bench_history(path, [1.0])
-    rc = diff_cli.main(["bench", "--suite", "timing",
-                        "--benchmark", "nope", "--history", str(path)])
-    assert rc == diff_cli.TROUBLE
-    assert "no records" in capsys.readouterr().out
 
 
 # -- bisect -----------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Session-wide isolation of the result cache.
+"""Session-wide isolation of the result cache, for every suite.
 
 The default runner and every ``ResultCache()`` without an explicit root
 resolve their directory from ``REPRO_CACHE_DIR``.  Pointing it at a fresh
-per-session directory keeps the suite from reading records a user's
-earlier runs left behind -- a timing change the content key cannot see
-would otherwise pass on stale records -- and from filling the user's
-cache.
+per-session directory keeps ``tests/`` and ``benchmarks/`` from reading
+records a user's earlier runs left behind -- a timing change the content
+key cannot see would otherwise pass a test or a paper claim on stale
+records -- and from filling the user's cache.
 """
 
 import pytest

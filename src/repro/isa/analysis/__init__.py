@@ -4,11 +4,12 @@ The package gathers every static analysis in the repo behind one worklist
 solver and one pass manager:
 
 * :mod:`~repro.isa.analysis.solver` -- the generic FIFO worklist
-  (:func:`iterate`) plus array-level basic blocks and the monotone
-  per-register fixpoint (:func:`infer_dataflow`).
+  (:func:`iterate`) and the monotone per-register fixpoint over the
+  CFG's blocks (:func:`infer_dataflow`).
 * :mod:`~repro.isa.analysis.cfg` / :mod:`~repro.isa.analysis.dataflow` --
-  the CFG, reaching definitions and liveness (the verifier re-exports
-  these for compatibility).
+  the CFG (the one basic-block decomposition every analysis, compiled
+  codegen and the timing IR read), reaching definitions and liveness
+  (the verifier re-exports these for compatibility).
 * :mod:`~repro.isa.analysis.lattices` -- width, trailing-zeros, constant
   and value-range transfer functions (shared with the compiled backend's
   elision fixpoint).
@@ -64,25 +65,16 @@ from repro.isa.analysis.passes import (
     table_pointer_taint,
     taint_step,
 )
-from repro.isa.analysis.solver import (
-    BRANCH_CODES,
-    IMPLEMENTED_CODES,
-    block_successors,
-    infer_dataflow,
-    iterate,
-    split_blocks,
-)
+from repro.isa.analysis.solver import infer_dataflow, iterate
 
 __all__ = [
-    "BRANCH_CODES", "BasicBlock", "CFG", "CostReport", "ENTRY",
-    "IMPLEMENTED_CODES", "Liveness", "MemoryFacts", "MemoryReplay",
-    "NaturalLoops", "POINTER_OPS", "ProgramAnalyses", "ProgramArrays",
-    "ReachingDefs", "UNKNOWN_WIDTH", "WRITES_DEST", "ZAPNOT_MASKS",
-    "analyses_for",
-    "block_successors", "chain_weights", "const_join", "defs_of",
-    "estimate_cost", "infer_constants", "infer_dataflow", "infer_ranges",
-    "infer_trailing_zeros", "infer_widths", "iterate", "lit_width",
-    "make_const_step", "make_range_step", "make_tz_step",
-    "make_width_step", "range_join", "replay_memory", "split_blocks",
+    "BasicBlock", "CFG", "CostReport", "ENTRY", "Liveness", "MemoryFacts",
+    "MemoryReplay", "NaturalLoops", "POINTER_OPS", "ProgramAnalyses",
+    "ProgramArrays", "ReachingDefs", "UNKNOWN_WIDTH", "WRITES_DEST",
+    "ZAPNOT_MASKS", "analyses_for", "chain_weights", "const_join",
+    "defs_of", "estimate_cost", "infer_constants", "infer_dataflow",
+    "infer_ranges", "infer_trailing_zeros", "infer_widths", "iterate",
+    "lit_width", "make_const_step", "make_range_step", "make_tz_step",
+    "make_width_step", "range_join", "replay_memory",
     "table_pointer_taint", "taint_step", "tz_of_int", "uses_of",
 ]

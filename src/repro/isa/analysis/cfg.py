@@ -1,8 +1,10 @@
 """Control-flow graph construction for finalized RISC-A programs.
 
 Basic blocks are maximal straight-line instruction runs; leaders are the
-entry, every branch target, and every instruction after a branch.  The
-graph carries:
+entry, every branch target, and every instruction after a branch or a
+HALT.  This is the repo's one block decomposition: the lattice
+fixpoints, the alias pass, the cost model, compiled codegen and the
+timing IR all read these blocks.  The graph carries:
 
 * successor / predecessor edges (fall-through, branch-taken, both for
   conditional branches; HALT ends a path),
@@ -26,6 +28,9 @@ from dataclasses import dataclass, field
 
 from repro.isa import opcodes as op
 from repro.isa.program import Program
+
+#: Opcodes after which a new block starts.
+_ENDS_BLOCK = op.BRANCH_CODES | {op.HALT}
 
 
 @dataclass
@@ -78,8 +83,8 @@ class CFG:
                 target = instruction.target
                 if isinstance(target, int) and 0 <= target < n:
                     leaders.add(target)
-                if index + 1 < n:
-                    leaders.add(index + 1)
+            if instruction.code in _ENDS_BLOCK and index + 1 < n:
+                leaders.add(index + 1)
         ordered = sorted(leaders)
         starts = {start: bid for bid, start in enumerate(ordered)}
         for bid, start in enumerate(ordered):

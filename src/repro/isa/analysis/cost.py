@@ -139,30 +139,17 @@ def replay_memory(
 ) -> MemoryReplay:
     """Walk the trace in program order through a fresh memory model.
 
-    Mirrors :class:`repro.sim.timing.stages.MemoryOrderState` setup and
-    the generic engine's access pattern exactly (same hierarchy
-    parameters, same warm ranges, same store-queue aging, same SBox-cache
-    scheduling rule), so the counts are those the simulation will see.
+    The hierarchy and SBox caches are a fresh
+    :class:`repro.sim.timing.stages.MemoryOrderState`'s, and the walk
+    follows the generic engine's access pattern exactly (same store-queue
+    aging, same SBox-cache scheduling rule), so the counts are those the
+    simulation will see.
     """
-    from repro.sim.caches import MemoryHierarchy
-    from repro.sim.sboxcache import SBoxCacheArray
+    from repro.sim.timing.stages import MemoryOrderState
 
-    hierarchy = None
-    if not config.perfect_memory:
-        hierarchy = MemoryHierarchy(
-            l1_size=config.l1_size, l1_assoc=config.l1_assoc,
-            l1_block=config.l1_block, l2_size=config.l2_size,
-            l2_assoc=config.l2_assoc,
-            l2_hit_latency=config.l2_hit_latency,
-            memory_latency=config.memory_latency,
-            tlb_entries=config.tlb_entries, tlb_assoc=config.tlb_assoc,
-            page_size=config.page_size,
-            tlb_miss_latency=config.tlb_miss_latency,
-        )
-        for start, length in warm_ranges or ():
-            hierarchy.warm(start, length)
-    sbox_array = SBoxCacheArray(config.sbox_caches) \
-        if config.sbox_caches else None
+    state = MemoryOrderState(config, warm_ranges)
+    hierarchy = state.hierarchy
+    sbox_array = state.sbox_array
 
     static = trace.static
     klass = static.klass
@@ -462,18 +449,17 @@ def estimate_cost(
 
     # ---- upper bound --------------------------------------------------- #
     weights = chain_weights(config)
-    blocks, _block_of = analyses.array_blocks
     exec_counts = [0] * len(program.instructions)
     for s in trace.seq:
         exec_counts[s] += 1
 
     block_cycles = 0
-    for start, end in blocks:
-        count = max(exec_counts[i] for i in range(start, end))
+    for block in analyses.cfg.blocks:
+        count = max(exec_counts[i] for i in block.indices())
         if not count:
             continue
         block_cycles += count * _block_unit_cost(
-            static, program, start, end, config, weights
+            static, program, block.start, block.end, config, weights
         )
     mispredict = 0
     if not config.perfect_branch_prediction:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Callable, Protocol, Sequence
 
+from repro.isa.analysis.cfg import CFG
 from repro.isa.analysis.solver import infer_dataflow
 from repro.isa.opcodes import (
     ADDL, ADDQ, AND, BIC, BIS, CMOVEQ, CMOVNE, INSBL, LDA, LDIQ, MULL, MULQ,
@@ -209,12 +210,7 @@ def make_width_step(arrays: InstructionArrays) -> Step:
     return step
 
 
-def infer_widths(
-    blocks: "list[tuple[int, int]]",
-    block_of: "dict[int, int]",
-    succs: "list[tuple[int, ...]]",
-    step: Step,
-) -> "list[list[int]]":
+def infer_widths(cfg: CFG, step: Step) -> "list[list[int]]":
     """Register widths: bigger is less precise, so the join is ``max``.
 
     A loop-carried width climbs one bit per pass around its loop, so a
@@ -222,8 +218,7 @@ def infer_widths(
     stays :data:`UNKNOWN_WIDTH`), and narrowing then recomputes what the
     loop actually bounds, such as a counter masked to 8 bits.
     """
-    return infer_dataflow(blocks, block_of, succs, step, top=64, join=max,
-                          widen_after=1)
+    return infer_dataflow(cfg, step, top=64, join=max, widen_after=1)
 
 
 # --------------------------------------------------------------------- #
@@ -292,14 +287,9 @@ def make_tz_step(arrays: InstructionArrays) -> Step:
     return step
 
 
-def infer_trailing_zeros(
-    blocks: "list[tuple[int, int]]",
-    block_of: "dict[int, int]",
-    succs: "list[tuple[int, ...]]",
-    step: Step,
-) -> "list[list[int]]":
+def infer_trailing_zeros(cfg: CFG, step: Step) -> "list[list[int]]":
     """Trailing zeros: smaller is less precise, so the join is ``min``."""
-    return infer_dataflow(blocks, block_of, succs, step, top=0, join=min)
+    return infer_dataflow(cfg, step, top=0, join=min)
 
 
 # --------------------------------------------------------------------- #
@@ -340,15 +330,9 @@ def make_const_step(arrays: InstructionArrays) -> Step:
     return step
 
 
-def infer_constants(
-    blocks: "list[tuple[int, int]]",
-    block_of: "dict[int, int]",
-    succs: "list[tuple[int, ...]]",
-    step: Step,
-) -> "list[list]":
+def infer_constants(cfg: CFG, step: Step) -> "list[list]":
     """Exact constants: the join keeps a value only when paths agree."""
-    return infer_dataflow(blocks, block_of, succs, step,
-                          top=None, join=const_join)
+    return infer_dataflow(cfg, step, top=None, join=const_join)
 
 
 # --------------------------------------------------------------------- #
@@ -497,12 +481,7 @@ def make_range_step(arrays: InstructionArrays) -> Step:
 WIDEN_AFTER = 3
 
 
-def infer_ranges(
-    blocks: "list[tuple[int, int]]",
-    block_of: "dict[int, int]",
-    succs: "list[tuple[int, ...]]",
-    step: Step,
-) -> "list[list]":
+def infer_ranges(cfg: CFG, step: Step) -> "list[list]":
     """Value ranges with widening, so loop-carried intervals converge.
 
     The plain hull join never terminates on a counted loop (the induction
@@ -512,5 +491,5 @@ def infer_ranges(
     only ever *loses* precision, so soundness is unaffected; the
     narrowing phase that follows wins back intervals a loop re-bounds.
     """
-    return infer_dataflow(blocks, block_of, succs, step, top=None,
-                          join=range_join, widen_after=WIDEN_AFTER)
+    return infer_dataflow(cfg, step, top=None, join=range_join,
+                          widen_after=WIDEN_AFTER)

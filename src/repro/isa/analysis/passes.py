@@ -39,7 +39,7 @@ from repro.isa.analysis.lattices import (
     make_tz_step,
     make_width_step,
 )
-from repro.isa.analysis.solver import block_successors, iterate, split_blocks
+from repro.isa.analysis.solver import iterate
 from repro.isa.instruction import Instruction
 from repro.isa.program import Program
 
@@ -229,17 +229,12 @@ class MemoryFacts:
         program = analyses.program
         step = make_const_step(arrays)
         entry_consts = analyses.array_constants
-        blocks, block_of = analyses.array_blocks
         #: Per-instruction interval ``(start, end)`` or None; only memory
         #: opcodes (loads, stores, SBOX) ever get a non-None entry.
         self.intervals: "list[tuple[int, int] | None]" = [None] * arrays.n
-        covered = set()
-        for k, (start, end) in enumerate(blocks):
-            state = list(entry_consts[k])
-            for i in range(start, end):
-                if i in covered:
-                    break
-                covered.add(i)
+        for block in analyses.cfg.blocks:
+            state = list(entry_consts[block.bid])
+            for i in block.indices():
                 instr = program.instructions[i]
                 size = _MEM_SIZES.get(instr.code)
                 if size is not None and instr.code != op.SBOX:
@@ -310,49 +305,20 @@ class ProgramAnalyses:
         return Liveness(self.cfg)
 
     @cached_property
-    def array_blocks(
-        self,
-    ) -> "tuple[list[tuple[int, int]], dict[int, int]]":
-        a = self.arrays
-        return split_blocks(a.code, a.target, a.n)
-
-    @cached_property
-    def array_successors(self) -> "list[tuple[int, ...]]":
-        a = self.arrays
-        blocks, _ = self.array_blocks
-        return block_successors(blocks, a.code, a.target, a.n)
-
-    @cached_property
     def array_widths(self) -> "list[list[int]]":
-        blocks, block_of = self.array_blocks
-        return infer_widths(
-            blocks, block_of, self.array_successors,
-            make_width_step(self.arrays),
-        )
+        return infer_widths(self.cfg, make_width_step(self.arrays))
 
     @cached_property
     def array_trailing_zeros(self) -> "list[list[int]]":
-        blocks, block_of = self.array_blocks
-        return infer_trailing_zeros(
-            blocks, block_of, self.array_successors,
-            make_tz_step(self.arrays),
-        )
+        return infer_trailing_zeros(self.cfg, make_tz_step(self.arrays))
 
     @cached_property
     def array_constants(self) -> "list[list]":
-        blocks, block_of = self.array_blocks
-        return infer_constants(
-            blocks, block_of, self.array_successors,
-            make_const_step(self.arrays),
-        )
+        return infer_constants(self.cfg, make_const_step(self.arrays))
 
     @cached_property
     def array_ranges(self) -> "list[list]":
-        blocks, block_of = self.array_blocks
-        return infer_ranges(
-            blocks, block_of, self.array_successors,
-            make_range_step(self.arrays),
-        )
+        return infer_ranges(self.cfg, make_range_step(self.arrays))
 
     @cached_property
     def taint(

@@ -1,36 +1,28 @@
 """Generic worklist machinery shared by every static analysis.
 
-Three pieces, deliberately tiny:
+Two pieces, deliberately tiny:
 
 * :func:`iterate` -- the FIFO worklist loop with an on-list dedup set.
   The CFG-level fixpoints (reaching definitions, liveness, pointer
   taint, the dirty-table walk) are this loop with a different transfer
   function; sharing it pins one iteration order so ports cannot
   silently change convergence behavior.
-* :func:`split_blocks` / :func:`block_successors` -- basic-block
-  decomposition over the parallel instruction arrays
-  (:class:`repro.isa.analysis.passes.ProgramArrays`, which both
-  functional backends read).
 * :func:`infer_dataflow` -- the per-register fixpoint behind the width,
   trailing-zeros, constant and value-range lattices in
   :mod:`repro.isa.analysis.lattices`; the compiled backend's elision
-  decisions read the first three.  It runs its own LIFO stack of
-  blocks, without dedup, not :func:`iterate`; with ``widen_after``
-  (the width and value-range lattices) it widens climbing facts and
-  then narrows them back.
+  decisions read the first three.  It walks the blocks of the
+  :class:`~repro.isa.analysis.cfg.CFG` (the one block decomposition)
+  on its own LIFO stack, without dedup, not :func:`iterate`; with
+  ``widen_after`` (the width and value-range lattices) it widens
+  climbing facts and then narrows them back.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, TypeVar
 
-from repro.isa.opcodes import BR, BRANCH_CODES, HALT, SPECS
-
-#: Every opcode the functional backends implement: each has an emitter
-#: in :mod:`repro.isa.semantics`.  Anything else raises, so analyses
-#: treat it as a block terminator.
-IMPLEMENTED_CODES = frozenset(SPECS)
+from repro.isa.analysis.cfg import CFG
 
 T = TypeVar("T", bound=Hashable)
 
@@ -55,69 +47,12 @@ def iterate(seed: Iterable[T], process: Callable[[T], Iterable[T]]) -> None:
                 queue.append(nxt)
 
 
-def split_blocks(
-    code: Sequence[int], target: Sequence[int], n: int
-) -> "tuple[list[tuple[int, int]], dict[int, int]]":
-    """Basic blocks as (start, end_exclusive) plus leader-pc -> index."""
-    leaders = {0}
-    for i in range(n):
-        if code[i] in BRANCH_CODES:
-            t = target[i]
-            if 0 <= t < n:
-                leaders.add(t)
-            if i + 1 < n:
-                leaders.add(i + 1)
-    blocks: list[tuple[int, int]] = []
-    for start in sorted(leaders):
-        end = start
-        while True:
-            c = code[end]
-            if c in BRANCH_CODES or c == HALT or c not in IMPLEMENTED_CODES:
-                end += 1
-                break
-            end += 1
-            if end >= n or end in leaders:
-                break
-        blocks.append((start, end))
-    block_of = {start: k for k, (start, _end) in enumerate(blocks)}
-    return blocks, block_of
-
-
-def block_successors(
-    blocks: "list[tuple[int, int]]",
-    code: Sequence[int],
-    target: Sequence[int],
-    n: int,
-) -> "list[tuple[int, ...]]":
-    """Successor block-start indices for each block of ``split_blocks``."""
-    succs: "list[tuple[int, ...]]" = []
-    for start, end in blocks:
-        last = end - 1
-        c = code[last]
-        if c == HALT or c not in IMPLEMENTED_CODES:
-            succs.append(())
-        elif c == BR:
-            succs.append((target[last],) if target[last] < n else ())
-        elif c in BRANCH_CODES:
-            out = []
-            if target[last] < n:
-                out.append(target[last])
-            if last + 1 < n:
-                out.append(last + 1)
-            succs.append(tuple(out))
-        else:
-            succs.append((end,) if end < n else ())
-    return succs
-
-
 #: Narrowing passes tried before falling back to the widened result.
 NARROW_PASSES = 8
 
 
 def infer_dataflow(
-    blocks: "list[tuple[int, int]]",
-    block_of: "dict[int, int]",
-    succs: "list[tuple[int, ...]]",
+    cfg: CFG,
     step: Callable[[list, int], None],
     *,
     top: object,
@@ -126,6 +61,7 @@ def infer_dataflow(
 ) -> "list[list]":
     """Per-block entry states via a monotone worklist fixpoint.
 
+    Returns one entry state per block of ``cfg``, indexed by block id.
     ``top`` is the no-information value (assumed at the entry block and
     for unreachable blocks -- machines may be pre-seeded); ``join``
     merges the states reaching a block so a proved fact is valid on
@@ -143,25 +79,23 @@ def infer_dataflow(
     :data:`NARROW_PASSES` passes do not reach one, the widened result,
     a post-fixpoint, is returned.
     """
-    nb = len(blocks)
-    ins: "list[list | None]" = [None] * nb
+    blocks = cfg.blocks
+    ins: "list[list | None]" = [None] * len(blocks)
     bumps: "dict[tuple[int, int], int]" = {}
-    entry = block_of[0]
-    ins[entry] = [top] * 33
-    work = [entry]
+    if blocks:
+        ins[0] = [top] * 33
+    work = [0] if blocks else []
 
     def exit_state(k: int, state: list) -> list:
         state = list(state)
-        start, end = blocks[k]
-        for i in range(start, end):
+        for i in blocks[k].indices():
             step(state, i)
         return state
 
     while work:
         k = work.pop()
         state = exit_state(k, ins[k])  # type: ignore[arg-type]
-        for s in succs[k]:
-            j = block_of[s]
+        for j in blocks[k].successors:
             existing = ins[j]
             if existing is None:
                 ins[j] = list(state)
@@ -182,17 +116,15 @@ def infer_dataflow(
     ascended = [s if s is not None else [top] * 33 for s in ins]
     if widen_after is None:
         return ascended
-    reachable = [k for k, s in enumerate(ins) if s is not None]
-    preds: "dict[int, list[int]]" = {k: [] for k in reachable}
-    for k in reachable:
-        for s in succs[k]:
-            preds[block_of[s]].append(k)
+    reachable = sorted(cfg.reachable)
+    preds = {k: [p for p in blocks[k].predecessors if p in cfg.reachable]
+             for k in reachable}
     narrowed = list(ascended)
     exits = {k: exit_state(k, narrowed[k]) for k in reachable}
     for _ in range(NARROW_PASSES):
         changed = False
         for k in reachable:
-            state = [top] * 33 if k == entry else exits[preds[k][0]]
+            state = [top] * 33 if k == 0 else exits[preds[k][0]]
             for p in preds[k]:
                 state = list(map(join, state, exits[p]))
             if state != narrowed[k]:

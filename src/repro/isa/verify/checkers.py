@@ -369,13 +369,12 @@ def check_value_range(ctx: VerifyContext) -> list[Diagnostic]:
     """
     analyses = ctx.passes()
     arrays = analyses.arrays
-    blocks, _ = analyses.array_blocks
     entry = analyses.array_ranges
     step = make_range_step(arrays)
     diagnostics = []
-    for k, (start, end) in enumerate(blocks):
-        state = list(entry[k])
-        for i in range(start, end):
+    for block in analyses.cfg.blocks:
+        state = list(entry[block.bid])
+        for i in block.indices():
             code = arrays.code[i]
             if arrays.lit[i] is None \
                     and (code in _AMOUNT64_OPS or code in _AMOUNT32_OPS):
@@ -409,13 +408,12 @@ def check_width_trunc(ctx: VerifyContext) -> list[Diagnostic]:
     """
     analyses = ctx.passes()
     arrays = analyses.arrays
-    blocks, _ = analyses.array_blocks
     entry = analyses.array_widths
     step = make_width_step(arrays)
     diagnostics = []
-    for k, (start, end) in enumerate(blocks):
-        state = list(entry[k])
-        for i in range(start, end):
+    for block in analyses.cfg.blocks:
+        state = list(entry[block.bid])
+        for i in block.indices():
             if arrays.code[i] in _AMOUNT32_OPS:
                 src = arrays.src1[i]
                 w = 0 if src == 31 else state[src]
@@ -457,13 +455,12 @@ def check_store_forward(ctx: VerifyContext) -> list[Diagnostic]:
     analyses = ctx.passes()
     arrays = analyses.arrays
     memory = analyses.memory
-    blocks, _ = analyses.array_blocks
     instructions = ctx.program.instructions
     diagnostics = []
-    for start, end in blocks:
+    for block in analyses.cfg.blocks:
         # (position, interval-or-None) of every store so far in the block.
         stores: list[tuple[int, tuple[int, int] | None]] = []
-        for i in range(start, end):
+        for i in block.indices():
             instruction = instructions[i]
             if instruction.code in op.STORE_CODES:
                 stores.append((i, memory.intervals[i]))

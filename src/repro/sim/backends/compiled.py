@@ -47,7 +47,6 @@ from repro.isa.analysis.lattices import (
     make_width_step,
 )
 from repro.isa.analysis.passes import analyses_for
-from repro.isa.analysis.solver import IMPLEMENTED_CODES
 from repro.isa.opcodes import AND, BR, BRANCH_CODES, HALT, MEM_SIZES, SPECS
 from repro.isa.semantics import EMITTERS, Facts, grp, xbox
 from repro.sim.backends.interpreter import _drain, _loop
@@ -388,7 +387,7 @@ def _generate_source(
     # Entry facts come from the program's shared analyses, so every
     # recording mode (and the verifier) reuses one set of fixpoints.
     analyses = analyses_for(machine.program)
-    blocks, block_of = analyses.array_blocks
+    blocks, block_of = analyses.cfg.blocks, analyses.cfg.block_of
     widths = analyses.array_widths
     tzs = analyses.array_trailing_zeros
     consts = analyses.array_constants
@@ -404,9 +403,7 @@ def _generate_source(
     reads: set[int] = set()
     writes: set[int] = set()
     for i in range(n):
-        spec = SPECS.get(code[i])
-        if spec is None:
-            continue
+        spec = SPECS[code[i]]
         reads.add(src1[i])
         reads.add(src2[i])
         if spec.reads_dest:
@@ -454,7 +451,7 @@ def _generate_source(
         return EMITTERS[SPECS[code[i]].name](f)
 
     def goto_lines(p: int) -> list[str]:
-        if p in block_of:
+        if p < n:
             return [f"b = {block_of[p]}"]
         return [f"pc_exit = {p}", "b = -1"]
 
@@ -499,7 +496,8 @@ def _generate_source(
 
     flush_args = "values" if record_values else "None"
 
-    for k, (start, end) in enumerate(blocks):
+    for block in blocks:
+        k, start, end = block.bid, block.start, block.end
         state = list(widths[k])
         tzst = list(tzs[k])
         cst = list(consts[k])
@@ -507,11 +505,7 @@ def _generate_source(
         term = code[last]
         is_branch = term in BRANCH_CODES
         is_halt = term == HALT
-        is_unimpl = term not in IMPLEMENTED_CODES
-        self_loop = is_branch and (
-            block_of.get(target[last]) == k
-            or (term != BR and block_of.get(last + 1) == k)
-        )
+        self_loop = k in block.successors
         head = "if" if k == 0 else "elif"
         wb(3, f"{head} b == {k}:  # pc {start}..{last}")
         bi = 4
@@ -528,8 +522,7 @@ def _generate_source(
         wb(bi + 2, "'exceeded %d instructions (runaway loop?)'")
         wb(bi + 2, "% max_instructions)")
 
-        body_end = last if (is_branch or is_halt or is_unimpl) else end
-        stage_end = last if is_unimpl else end
+        body_end = last if (is_branch or is_halt) else end
         addr_vars: dict[int, str] = {}
         skip = -1
         for i in range(start, body_end):
@@ -563,24 +556,20 @@ def _generate_source(
                 wb(bi, f"values_append({value_expr(i)})")
 
         # Trace staging.  Entries exist for every instruction in the
-        # block including a branch/HALT terminator (addr 0, value 0),
-        # but not for an unimplemented one (the interpreter raises
-        # before recording it).
-        if record_trace and stage_end > start:
+        # block including a branch/HALT terminator (addr 0, value 0).
+        if record_trace:
             if record_values:
-                for i in range(body_end, stage_end):
+                for i in range(body_end, end):
                     wb(bi, f"seq_append({i})")
                     wb(bi, "addrs_append(0)")
                     wb(bi, "values_append(0)")
             else:
-                seq_parts = ", ".join(
-                    str(i) for i in range(start, stage_end))
+                seq_parts = ", ".join(str(i) for i in range(start, end))
                 addr_parts = ", ".join(
-                    str(addr_vars.get(i, 0))
-                    for i in range(start, stage_end))
+                    str(addr_vars.get(i, 0)) for i in range(start, end))
                 wb(bi, f"seq_extend(({seq_parts},))")
                 wb(bi, f"addrs_extend(({addr_parts},))")
-            if not is_halt and not is_unimpl:
+            if not is_halt:
                 wb(bi, "if len(seq) >= chunk_limit:")
                 wb(bi + 1, "trace_base = yield from _drain(")
                 wb(bi + 2, f"seq, addrs, {flush_args}, chunk_limit,"
@@ -588,36 +577,25 @@ def _generate_source(
 
         if is_halt:
             wb(bi, "break")
-        elif is_unimpl:
-            wb(bi, "raise SimulationError(")
-            wb(bi + 1, f"'unimplemented opcode {term} at pc {last}')")
         elif self_loop:
+            # Only the branch target can be the block's own start.
             cond = True if term == BR else branch_cond(last, state, cst)
-            tk = block_of.get(target[last])
-            fk = block_of.get(last + 1)
             if cond is True or cond is False:
                 if term != BR:
                     count("branches_folded")
                 dest_pc = target[last] if cond is True else last + 1
-                if block_of.get(dest_pc) == k:
+                if dest_pc == start:
                     wb(bi, "continue")
                 else:
                     for line in goto_lines(dest_pc):
                         wb(bi, line)
                     wb(bi, "break")
-            elif tk == k and fk == k:
-                wb(bi, "continue")
-            elif tk == k:
+            else:
                 wb(bi, f"if {cond}:")
                 wb(bi + 1, "continue")
                 for line in goto_lines(last + 1):
                     wb(bi, line)
                 wb(bi, "break")
-            else:  # falls through to itself; the branch exits the loop
-                wb(bi, f"if {cond}:")
-                for line in goto_lines(target[last]):
-                    wb(bi + 1, line)
-                wb(bi + 1, "break")
         elif term == BR:
             for line in goto_lines(target[last]):
                 wb(4, line)

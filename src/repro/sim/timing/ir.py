@@ -3,12 +3,11 @@
 The generic engine re-derives everything about an instruction -- latency
 class, functional-unit pool, source registers, branch-ness -- on every
 dynamic instance.  The IR hoists that work to *program* scope: one pass
-over the finalized :class:`~repro.isa.program.Program` splits it into
-straight-line blocks (leaders at the entry point, every branch target and
-every post-branch/post-HALT index, capped at :data:`MAX_BLOCK` entries so
-generated code stays compact) and precomputes, per block, the exact
-static-index run a trace must contain for the block to have executed
-start to finish.
+over the finalized :class:`~repro.isa.program.Program` cuts the basic
+blocks of its shared :class:`~repro.isa.analysis.cfg.CFG` into runs of
+at most :data:`MAX_BLOCK` entries (so generated code stays compact) and
+precomputes, per run, the exact static-index run a trace must contain
+for the block to have executed start to finish.
 
 The ``"specialized"`` engine's code generator walks these blocks and
 emits one unrolled scheduling body per block; at run time a single array
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 from array import array
 
-from repro.isa.opcodes import HALT
 from repro.isa.program import Program
 from repro.sim.trace import SEQ_TYPECODE, StaticInfo
 
@@ -66,50 +64,32 @@ class TimingIR:
     __slots__ = ("program", "n_instructions", "blocks", "block_at")
 
     def __init__(self, static: StaticInfo, program: Program):
-        self.program = program
-        instructions = program.instructions
-        n = self.n_instructions = len(instructions)
-        is_branch = static.is_branch
+        # Blocks and loop structure come from the shared analysis
+        # framework (the CFG and its natural loops).  Imported lazily:
+        # the IR is hot-path sim code and must not pull the analysis
+        # package in unless a program is actually decomposed.
+        from repro.isa.analysis.passes import analyses_for
 
-        leaders = {0, n}
-        for i, inst in enumerate(instructions):
-            if i < len(is_branch) and is_branch[i]:
-                leaders.add(i + 1)
-                target = inst.target
-                if isinstance(target, int) and 0 <= target < n:
-                    leaders.add(target)
-            elif inst.code == HALT:
-                leaders.add(i + 1)
+        self.program = program
+        self.n_instructions = len(program.instructions)
+        is_branch = static.is_branch
+        analyses = analyses_for(program)
+        loops = analyses.loops
 
         self.blocks: list[TimingBlock] = []
         self.block_at: dict[int, TimingBlock] = {}
-        ordered = sorted(leader for leader in leaders if leader < n)
-        bounds = ordered + [n]
-        for which, leader in enumerate(ordered):
-            end = bounds[which + 1]
-            start = leader
+        for cfg_block in analyses.cfg.blocks:
+            start, end = cfg_block.start, cfg_block.end
             while start < end:
                 length = min(MAX_BLOCK, end - start)
-                last = start + length - 1
                 block = TimingBlock(
                     len(self.blocks), start, length,
-                    branch_end=bool(start + length == end
-                                    and last < len(is_branch)
-                                    and is_branch[last]),
+                    branch_end=start + length == end and is_branch[end - 1],
                 )
+                block.loop_depth = loops.depth_of_index(start)
                 self.blocks.append(block)
                 self.block_at[start] = block
                 start += length
-
-        # Loop structure rides along from the shared analysis framework
-        # (natural loops over the verifier CFG's back edges).  Imported
-        # lazily: the IR is hot-path sim code and must not pull the
-        # analysis package in unless a program is actually decomposed.
-        from repro.isa.analysis.passes import analyses_for
-
-        loops = analyses_for(program).loops
-        for block in self.blocks:
-            block.loop_depth = loops.depth_of_index(block.leader)
 
 
 def timing_ir(static: StaticInfo, program: Program) -> TimingIR:

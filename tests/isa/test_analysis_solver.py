@@ -1,7 +1,7 @@
 """The shared worklist solver and lattice fixpoints (`repro.isa.analysis`).
 
-Covers the generic :func:`iterate` worklist, the array-level block
-decomposition, and the generic :func:`infer_dataflow` driver with each
+Covers the generic :func:`iterate` worklist, the CFG blocks the
+fixpoints walk, and the generic :func:`infer_dataflow` driver with each
 shipped lattice, including widening and the narrowing phase after it.
 """
 
@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from repro.isa import Features, Imm, KernelBuilder, assemble
 from repro.isa.analysis import (
+    CFG,
     UNKNOWN_WIDTH,
-    block_successors,
     infer_constants,
     infer_dataflow,
     infer_ranges,
@@ -26,20 +26,15 @@ from repro.isa.analysis import (
     make_width_step,
     range_join,
     solver,
-    split_blocks,
 )
 from repro.isa.analysis.passes import ProgramArrays, analyses_for
 from repro.isa.opcodes import LDIQ, SPECS
 
 
-def arrays_for(source: str) -> ProgramArrays:
-    return ProgramArrays(assemble(source))
-
-
-def decompose(arrays: ProgramArrays):
-    blocks, block_of = split_blocks(arrays.code, arrays.target, arrays.n)
-    succs = block_successors(blocks, arrays.code, arrays.target, arrays.n)
-    return blocks, block_of, succs
+def problem(source: str) -> "tuple[CFG, ProgramArrays]":
+    """The CFG the fixpoints walk and the arrays their steps read."""
+    program = assemble(source)
+    return CFG(program), ProgramArrays(program)
 
 
 # -- iterate ----------------------------------------------------------------
@@ -82,26 +77,25 @@ loop:
 """
 
 
-def test_split_blocks_leaders_at_targets_and_fallthroughs():
-    arrays = arrays_for(LOOP)
-    blocks, block_of = split_blocks(arrays.code, arrays.target, arrays.n)
+def test_cfg_leaders_at_targets_and_fallthroughs():
+    cfg = CFG(assemble(LOOP))
     # Leaders: entry, the loop target (2), and the post-branch index (5).
-    assert blocks == [(0, 2), (2, 5), (5, 7)]
-    assert block_of == {0: 0, 2: 1, 5: 2}
+    assert [(b.start, b.end) for b in cfg.blocks] == [(0, 2), (2, 5), (5, 7)]
+    assert cfg.block_of == [0, 0, 1, 1, 1, 2, 2]
 
 
-def test_block_successors_include_branch_target_and_fallthrough():
-    arrays = arrays_for(LOOP)
-    _blocks, _block_of, succs = decompose(arrays)
-    assert succs[0] == (2,)            # fallthrough into the loop body
-    assert succs[1] == (2, 5)          # back edge + exit
-    assert succs[2] == ()              # HALT ends the program
+def test_cfg_successors_include_branch_target_and_fallthrough():
+    cfg = CFG(assemble(LOOP))
+    successors = [b.successors for b in cfg.blocks]
+    assert successors[0] == [1]        # fallthrough into the loop body
+    assert successors[1] == [1, 2]     # back edge + exit
+    assert successors[2] == []         # HALT ends the program
 
 
 # -- the lattices through the generic driver --------------------------------
 
 def test_constants_propagate_and_join_to_top():
-    arrays = arrays_for("""
+    cfg, arrays = problem("""
         ldiq r1, 10
         ldiq r3, 0
         beq  r3, join
@@ -110,16 +104,14 @@ def test_constants_propagate_and_join_to_top():
         addq r2, r1, #1
         halt
     """)
-    blocks, block_of, succs = decompose(arrays)
-    entry = infer_constants(blocks, block_of, succs,
-                            make_const_step(arrays))
-    join_block = block_of[4]
+    entry = infer_constants(cfg, make_const_step(arrays))
+    join_block = cfg.block_of[4]
     assert entry[join_block][3] == 0          # r3 constant on every path
     assert entry[join_block][1] is None       # r1 is 10 or 20: TOP
 
 
 def test_widths_widen_at_joins():
-    arrays = arrays_for("""
+    cfg, arrays = problem("""
         ldiq r1, 1
         ldiq r4, 0
         beq  r4, wide
@@ -128,23 +120,20 @@ def test_widths_widen_at_joins():
         addq r2, r1, #0
         halt
     """)
-    blocks, block_of, succs = decompose(arrays)
-    entry = infer_widths(blocks, block_of, succs, make_width_step(arrays))
-    assert entry[block_of[4]][1] == 41        # max(1, 1 + 40)
+    entry = infer_widths(cfg, make_width_step(arrays))
+    assert entry[cfg.block_of[4]][1] == 41    # max(1, 1 + 40)
     assert entry[0][1] == 64                  # lattice top at program entry
 
 
 def test_trailing_zeros_track_shifts():
-    arrays = arrays_for("""
+    cfg, arrays = problem("""
         ldiq r1, 8
         sll  r2, r1, #2
         addq r3, r2, r2
         halt
     """)
-    blocks, block_of, succs = decompose(arrays)
     # The driver accepts the tz lattice (single block: entry facts only).
-    entry = infer_trailing_zeros(blocks, block_of, succs,
-                                 make_tz_step(arrays))
+    entry = infer_trailing_zeros(cfg, make_tz_step(arrays))
     assert entry[0][1] == 0                   # tz top is "no known zeros"
     # The transfer function itself, straight-line:
     step = make_tz_step(arrays)
@@ -157,10 +146,9 @@ def test_trailing_zeros_track_shifts():
 
 
 def test_ranges_widen_loop_carried_counters_to_top():
-    arrays = arrays_for(LOOP)
-    blocks, block_of, succs = decompose(arrays)
-    entry = infer_ranges(blocks, block_of, succs, make_range_step(arrays))
-    loop_block = block_of[2]
+    cfg, arrays = problem(LOOP)
+    entry = infer_ranges(cfg, make_range_step(arrays))
+    loop_block = cfg.block_of[2]
     # r2 increments every iteration: the interval must widen to TOP
     # (None) instead of chasing the bound forever.
     assert entry[loop_block][2] is None
@@ -184,13 +172,12 @@ body:
 
 
 def test_ranges_requeue_a_block_whose_entry_widens_to_top():
-    arrays = arrays_for(WIDENED_ENTRY)
-    blocks, block_of, succs = decompose(arrays)
-    entry = infer_ranges(blocks, block_of, succs, make_range_step(arrays))
-    assert entry[block_of[2]][2] is None      # head
+    cfg, arrays = problem(WIDENED_ENTRY)
+    entry = infer_ranges(cfg, make_range_step(arrays))
+    assert entry[cfg.block_of[2]][2] is None  # head
     # body is reached from head, so it must not keep the stale (100, 100)
     # that held only on the first trip.
-    assert entry[block_of[5]][2] is None
+    assert entry[cfg.block_of[5]][2] is None
 
 
 def test_value_range_lint_silent_after_entry_widens():
@@ -202,7 +189,7 @@ def test_value_range_lint_silent_after_entry_widens():
 
 
 def test_ranges_join_is_the_interval_hull():
-    arrays = arrays_for("""
+    cfg, arrays = problem("""
         ldiq r3, 0
         beq  r3, other
         ldiq r1, 10
@@ -213,9 +200,8 @@ def test_ranges_join_is_the_interval_hull():
         addq r2, r1, #0
         halt
     """)
-    blocks, block_of, succs = decompose(arrays)
-    entry = infer_ranges(blocks, block_of, succs, make_range_step(arrays))
-    assert entry[block_of[5]][1] == (10, 90)
+    entry = infer_ranges(cfg, make_range_step(arrays))
+    assert entry[cfg.block_of[5]][1] == (10, 90)
 
 
 # -- widening and narrowing -------------------------------------------------
@@ -233,15 +219,14 @@ loop:
 
 
 def test_narrowing_keeps_a_masked_counter_at_its_mask_width(monkeypatch):
-    arrays = arrays_for(MASKED_COUNTER)
-    blocks, block_of, succs = decompose(arrays)
+    cfg, arrays = problem(MASKED_COUNTER)
     step = make_width_step(arrays)
-    head = block_of[2]
+    head = cfg.block_of[2]
     # r2 climbs 0, 1, 2, ... at the loop head until the mask stops it.
-    assert infer_widths(blocks, block_of, succs, step)[head][2] == 8
+    assert infer_widths(cfg, step)[head][2] == 8
     # Widening alone jumps to 64; only the narrowing phase gets 8 back.
     monkeypatch.setattr(solver, "NARROW_PASSES", 0)
-    assert infer_widths(blocks, block_of, succs, step)[head][2] == 64
+    assert infer_widths(cfg, step)[head][2] == 64
 
 
 #: r2 climbs at ``head`` (0, then 1), then the outer loop brings the
@@ -263,27 +248,26 @@ head:
 
 
 def test_widening_keeps_an_unknown_width_above_top(monkeypatch):
-    arrays = arrays_for(CLIMB_THEN_UNKNOWN)
+    cfg, arrays = problem(CLIMB_THEN_UNKNOWN)
     # The assembler rejects a negative LDIQ literal, but a hand-built
     # program can carry one (an unknown width): make it the second
     # path's ``ldiq r2``.
     arrays.lit[6] = -1
-    blocks, block_of, succs = decompose(arrays)
     step = make_width_step(arrays)
-    head = block_of[3]
-    assert infer_widths(blocks, block_of, succs, step)[head][2] \
+    head = cfg.block_of[3]
+    assert infer_widths(cfg, step)[head][2] \
         == UNKNOWN_WIDTH
     # The widened result is returned when narrowing does not settle, so
     # it must not drop the unknown fact to top (64) either.
     monkeypatch.setattr(solver, "NARROW_PASSES", 0)
-    assert infer_widths(blocks, block_of, succs, step)[head][2] \
+    assert infer_widths(cfg, step)[head][2] \
         == UNKNOWN_WIDTH
 
 
 def test_narrowing_keeps_top_at_a_looping_entry_block():
     # The caller seeds r1 and r2, so at pc 0 r2 may be any 64-bit value
     # even though the loop masks it to 8 bits on the back edge.
-    arrays = arrays_for("""
+    cfg, arrays = problem("""
     loop:
         addq r2, r2, #1
         and  r2, r2, #0xff
@@ -291,19 +275,17 @@ def test_narrowing_keeps_top_at_a_looping_entry_block():
         bne  r1, loop
         halt
     """)
-    blocks, block_of, succs = decompose(arrays)
-    entry = infer_widths(blocks, block_of, succs, make_width_step(arrays))
-    assert entry[block_of[0]][2] == 64
+    entry = infer_widths(cfg, make_width_step(arrays))
+    assert entry[cfg.block_of[0]][2] == 64
 
 
 def test_narrowing_falls_back_when_it_does_not_settle(monkeypatch):
-    arrays = arrays_for(MASKED_COUNTER)
-    blocks, block_of, succs = decompose(arrays)
+    cfg, arrays = problem(MASKED_COUNTER)
     step = make_width_step(arrays)
     # One pass lowers the loop head to 8 but has not yet seen it stay
     # there, so the widened result comes back.
     monkeypatch.setattr(solver, "NARROW_PASSES", 1)
-    assert infer_widths(blocks, block_of, succs, step)[block_of[2]][2] == 64
+    assert infer_widths(cfg, step)[cfg.block_of[2]][2] == 64
 
 
 #: Operate-format opcodes by builder method name (``and`` is ``and_``).
@@ -350,27 +332,26 @@ def loop_programs(draw):
     kb.subq(counter, counter, Imm(1))
     kb.bne(counter, "loop")
     kb.halt()
-    arrays = ProgramArrays(kb.build())
+    program = kb.build()
+    arrays = ProgramArrays(program)
     for i, code in enumerate(arrays.code):
         if code == LDIQ and draw(st.integers(0, 7)) == 0:
             arrays.lit[i] = -draw(st.integers(1, 255))
-    return arrays
+    return CFG(program), arrays
 
 
-def _assert_post_fixpoint(entry, arrays, step, top, join):
+def _assert_post_fixpoint(entry, cfg, step, top, join):
     """The entry is at or above ``top``, and no reachable block's exit
     state adds anything to a successor's entry."""
-    blocks, block_of, succs = decompose(arrays)
-    root = block_of[0]
+    root = cfg.block_of[0]
     assert [join(v, top) for v in entry[root]] == entry[root]
     reachable, stack = {root}, [root]
     while stack:
         k = stack.pop()
         state = list(entry[k])
-        for i in range(*blocks[k]):
+        for i in cfg.blocks[k].indices():
             step(state, i)
-        for s in succs[k]:
-            j = block_of[s]
+        for j in cfg.blocks[k].successors:
             assert [join(a, b) for a, b in zip(state, entry[j])] == entry[j]
             if j not in reachable:
                 reachable.add(j)
@@ -379,18 +360,17 @@ def _assert_post_fixpoint(entry, arrays, step, top, join):
 
 @given(loop_programs())
 @settings(max_examples=100, deadline=None)
-def test_widened_fixpoints_are_post_fixpoints(arrays):
-    blocks, block_of, succs = decompose(arrays)
+def test_widened_fixpoints_are_post_fixpoints(loop):
+    cfg, arrays = loop
     width_step = make_width_step(arrays)
-    widths = infer_widths(blocks, block_of, succs, width_step)
-    _assert_post_fixpoint(widths, arrays, width_step, 64, max)
-    plain = infer_dataflow(blocks, block_of, succs, width_step,
-                           top=64, join=max)
+    widths = infer_widths(cfg, width_step)
+    _assert_post_fixpoint(widths, cfg, width_step, 64, max)
+    plain = infer_dataflow(cfg, width_step, top=64, join=max)
     for widened_state, plain_state in zip(widths, plain):
         assert all(w >= p for w, p in zip(widened_state, plain_state))
     range_step = make_range_step(arrays)
-    ranges = infer_ranges(blocks, block_of, succs, range_step)
-    _assert_post_fixpoint(ranges, arrays, range_step, None, range_join)
+    ranges = infer_ranges(cfg, range_step)
+    _assert_post_fixpoint(ranges, cfg, range_step, None, range_join)
 
 
 def test_compiled_backend_shares_the_analysis_lattices(monkeypatch):
@@ -405,9 +385,9 @@ def test_compiled_backend_shares_the_analysis_lattices(monkeypatch):
     solved = []
     real = lattices.infer_dataflow
 
-    def counted(blocks, block_of, succs, step, **kwargs):
+    def counted(cfg, step, **kwargs):
         solved.append(step.__qualname__.split(".")[0])
-        return real(blocks, block_of, succs, step, **kwargs)
+        return real(cfg, step, **kwargs)
 
     monkeypatch.setattr(lattices, "infer_dataflow", counted)
     program = assemble(LOOP)

@@ -12,7 +12,9 @@ and unit sanity for :func:`chain_weights` / :class:`CostReport`.
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.isa import Features, KernelBuilder
 from repro.isa.analysis import CostReport, chain_weights, estimate_cost
 from repro.kernels import KERNEL_NAMES
 from repro.kernels.registry import make_kernel
@@ -68,17 +70,31 @@ def test_bounds_bracket_simulated_cycles(cipher, level, config):
 
 # -- the property over generated programs -----------------------------------
 
-@given(random_programs())
+@st.composite
+def dead_tails(draw):
+    """A live LDIQ, an early HALT, then a multiply chain that never runs."""
+    kb = KernelBuilder(Features.OPT)
+    reg = kb.reg("x")
+    kb.ldiq(reg, draw(st.integers(0, 0xFFFF)))
+    kb.halt()
+    for _ in range(draw(st.integers(1, 12))):
+        kb.mulq(reg, reg, reg)
+    kb.halt()
+    return kb.build()
+
+
+@given(random_programs(), dead_tails())
 @settings(max_examples=25, deadline=None)
-def test_bounds_hold_on_random_programs(program):
-    trace = Machine(program, Memory(1 << 13)).execute().trace
-    for config in (FOURW, DATAFLOW):
-        report = estimate_cost(program, config, trace)
-        stats = simulate(trace, config)
-        assert report.lower_bound <= stats.cycles <= report.upper_bound, (
-            f"{config.name}: {report.lower_bound} <= {stats.cycles} "
-            f"<= {report.upper_bound}"
-        )
+def test_bounds_hold_on_random_programs(loop, dead_tail):
+    for program in (loop, dead_tail):
+        trace = Machine(program, Memory(1 << 13)).execute().trace
+        for config in (FOURW, DATAFLOW):
+            report = estimate_cost(program, config, trace)
+            cycles = simulate(trace, config).cycles
+            assert report.lower_bound <= cycles <= report.upper_bound, (
+                f"{config.name}: {report.lower_bound} <= {cycles} "
+                f"<= {report.upper_bound}"
+            )
 
 
 # -- unit sanity ------------------------------------------------------------

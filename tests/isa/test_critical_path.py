@@ -12,7 +12,7 @@ from repro.isa import Features, assemble
 from repro.isa.verify import critical_path, verify_program
 from repro.kernels import KERNEL_NAMES
 from repro.kernels.registry import make_kernel
-from repro.sim import DATAFLOW, simulate
+from repro.sim import DATAFLOW, Machine, Memory, simulate
 
 
 def _cases():
@@ -68,6 +68,15 @@ def test_bound_covers_only_guaranteed_blocks():
     # the arm would add >= 3 multiplier latencies if it were counted.
     assert arm.cycles == 2
     assert all(instr_index in (0, 1) for instr_index in arm.chain)
+
+
+def test_bound_ignores_code_after_an_early_halt():
+    # The ten chained multiplies never run: the bound must not count them.
+    program = assemble("ldiq r1, 5\nhalt\n" + "mulq r1, r1, r1\n" * 10
+                       + "halt")
+    trace = Machine(program, Memory(1 << 12)).execute().trace
+    simulated = simulate(trace, DATAFLOW).cycles
+    assert critical_path(program).cycles <= simulated
 
 
 def test_verify_result_carries_the_bound():

@@ -27,13 +27,12 @@ calls.
 import pytest
 
 from repro.isa.analysis import (
-    block_successors,
+    CFG,
+    ProgramArrays,
     infer_dataflow,
     infer_widths,
     make_width_step,
-    split_blocks,
 )
-from repro.isa.analysis.passes import ProgramArrays
 from repro.kernels import KERNEL_NAMES
 from repro.kernels.setup_registry import SETUP_KERNELS
 from repro.tools.cli import FEATURE_LEVELS
@@ -79,9 +78,7 @@ def sweep(programs):
 
 def _width_problem(program):
     arrays = ProgramArrays(program)
-    blocks, block_of = split_blocks(arrays.code, arrays.target, arrays.n)
-    succs = block_successors(blocks, arrays.code, arrays.target, arrays.n)
-    return arrays, (blocks, block_of, succs)
+    return arrays, CFG(program)
 
 
 def test_sweep_covers_all_56_shipped_programs(sweep):
@@ -105,16 +102,16 @@ def test_sweep_has_no_errors(sweep):
 
 def test_widened_widths_equal_the_plain_fixpoint(programs):
     for name, program, _features in programs:
-        arrays, problem = _width_problem(program)
+        arrays, cfg = _width_problem(program)
         step = make_width_step(arrays)
-        plain = infer_dataflow(*problem, step, top=64, join=max)
-        assert infer_widths(*problem, step) == plain, name
+        plain = infer_dataflow(cfg, step, top=64, join=max)
+        assert infer_widths(cfg, step) == plain, name
 
 
 def test_width_fixpoint_transfer_calls_stay_bounded(programs):
     calls = instructions = 0
     for _name, program, _features in programs:
-        arrays, problem = _width_problem(program)
+        arrays, cfg = _width_problem(program)
         step = make_width_step(arrays)
 
         def counted(state, i):
@@ -122,6 +119,6 @@ def test_width_fixpoint_transfer_calls_stay_bounded(programs):
             calls += 1
             step(state, i)
 
-        infer_widths(*problem, counted)
+        infer_widths(cfg, counted)
         instructions += arrays.n
     assert calls / instructions < WIDTH_CALLS_PER_INSTRUCTION

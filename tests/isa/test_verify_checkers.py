@@ -71,9 +71,12 @@ def test_loop_carried_value_is_not_a_dead_write():
 
 
 def test_unreachable():
-    result = verify_program(assemble("br end\naddq r1, r1, #1\nend: halt"))
-    (d,) = diags(result, "unreachable")
-    assert (d.severity, d.index) == ("warning", 1)
+    # Code a branch jumps over, and a dead tail after an early HALT.
+    for source in ("br end\naddq r1, r1, #1\nend: halt",
+                   "halt\naddq r1, r1, #1\nhalt"):
+        result = verify_program(assemble(source))
+        (d,) = diags(result, "unreachable")
+        assert (d.severity, d.index) == ("warning", 1), source
 
 
 # --------------------------------------------------------------------- #

@@ -192,12 +192,16 @@ def check_branch_targets(ctx: VerifyContext) -> list[Diagnostic]:
                 "conditional branch to its own fall-through has no effect",
                 target=target,
             ))
+    missing_halt = "execution can run past the program end (missing halt)"
+    if not n:
+        # No block to anchor it: execution starts past the end.
+        diagnostics.append(_diag(ctx, "branch-target", "error", None,
+                                 missing_halt))
     for block in ctx.cfg.blocks:
         if block.bid not in ctx.cfg.reachable or not block.falls_off_end:
             continue
         diagnostics.append(_diag(
-            ctx, "branch-target", "error", block.end - 1,
-            "execution can run past the program end (missing halt)",
+            ctx, "branch-target", "error", block.end - 1, missing_halt,
         ))
     return diagnostics
 

@@ -156,8 +156,6 @@ def _interpret(machine, chunk_limit, record_trace, record_values,
 """
 
 _TAIL = """\
-        else:
-            raise SimulationError(f"unimplemented opcode {c} at pc {pc}")
 
         # Writes to r31 were remapped to shadow slot 32 at decode time,
         # so regs[31] stays zero without a per-instruction reset.

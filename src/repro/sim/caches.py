@@ -15,7 +15,9 @@ plus hit and miss counters.  :meth:`MemoryHierarchy.access`, the per-access
 path of every timing run, works on the TLB's and L1's lists directly in
 one method instead of composing the per-cache methods; the specialized
 timing engine's generated code inlines the same all-hit path on the same
-lists.
+lists.  The L2 makes a set's list on the set's first touch: only L1
+misses and prefetch fills reach it, and building its 4096 empty lists up
+front was most of what a timing pipeline cost to build.
 """
 
 from __future__ import annotations
@@ -31,9 +33,12 @@ class SetAssociativeCache:
         self.assoc = assoc
         self.num_sets = size // (assoc * block)
         # Each set is an ordered list of tags, most recently used last.
-        self.sets: list[list[int]] = [[] for _ in range(self.num_sets)]
+        self.sets = self._new_sets()
         self.hits = 0
         self.misses = 0
+
+    def _new_sets(self):
+        return [[] for _ in range(self.num_sets)]
 
     def _locate(self, address: int) -> tuple[list[int], int]:
         block_address = address // self.block
@@ -66,6 +71,21 @@ class SetAssociativeCache:
         tags.append(tag)
         if len(tags) > self.assoc:
             tags.pop(0)
+
+
+class _TagSets(dict):
+    """Per-set tag lists, each made on the set's first touch."""
+
+    def __missing__(self, index: int) -> list[int]:
+        tags = self[index] = []
+        return tags
+
+
+class _SparseCache(SetAssociativeCache):
+    """A cache whose sets are made on first touch (the L2)."""
+
+    def _new_sets(self):
+        return _TagSets()
 
 
 class TLB:
@@ -103,7 +123,7 @@ class MemoryHierarchy:
         next_line_prefetch: bool = True,
     ):
         self.l1 = SetAssociativeCache(l1_size, l1_assoc, l1_block)
-        self.l2 = SetAssociativeCache(l2_size, l2_assoc, l2_block)
+        self.l2 = _SparseCache(l2_size, l2_assoc, l2_block)
         self.tlb = TLB(tlb_entries, tlb_assoc, page_size)
         self.l2_hit_latency = l2_hit_latency
         self.memory_latency = memory_latency

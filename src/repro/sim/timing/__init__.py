@@ -72,12 +72,15 @@ known, the per-entry loop, one per process; with a program and a config
 known, that pair's block scheduler.  Two interchangeable *timing engines*
 behind the :class:`TimingEngine` protocol run them:
 
-* ``"generic"`` -- the per-entry loop (:mod:`repro.sim.timing.generic`);
-  handles every config and trace shape.
-* ``"specialized"`` -- per-(program, config) block schedulers over the
-  static timing IR (:mod:`repro.sim.timing.ir`,
-  :mod:`repro.sim.timing.specialized`), tiered up from the per-entry
-  loop and falling back to it; about 1.5x as fast on long sessions.
+* ``"specialized"``, the default -- starts every pipeline on the
+  per-entry loop and tiers up to the per-(program, config) block
+  scheduler over the static timing IR (:mod:`repro.sim.timing.ir`,
+  :mod:`repro.sim.timing.specialized`) once the program is hot, falling
+  back to the loop wherever a window matches no block; about 1.5x as
+  fast on long sessions, and no dearer than the loop on short ones.
+* ``"generic"`` -- the per-entry loop alone (:mod:`repro.sim.timing.generic`),
+  which never tiers up: the reference the engine tests hold the blocks
+  to, and what ``schedule_range`` runs on.
 
 Engines differ only in how fast they advance the stage state; every
 result above -- including the stall account -- is engine-invariant.
@@ -121,8 +124,8 @@ from repro.sim.timing.stages import (
 )
 from repro.sim.trace import StaticInfo, TraceSource
 
-#: Engine used when callers pass ``engine=None``.
-DEFAULT_ENGINE = "generic"
+#: Engine used when callers pass ``engine=None``: the tiering one.
+DEFAULT_ENGINE = "specialized"
 
 
 @runtime_checkable
@@ -227,9 +230,10 @@ def simulate(
     pick (a ``Trace`` yields itself whole, a ``StreamingTrace`` uses its
     configured chunk size).  Results are bit-identical for every value.
 
-    ``engine`` -- timing engine: ``None`` (the ``"generic"`` default), an
-    engine name, or a :class:`TimingEngine` instance.  Results are
-    bit-identical for every engine.
+    ``engine`` -- timing engine: ``None`` (the ``"specialized"``
+    default, :data:`DEFAULT_ENGINE`), an engine name, or a
+    :class:`TimingEngine` instance.  Results are bit-identical for every
+    engine.
     """
     pipeline = make_pipeline(
         config, trace.static, trace.program,

@@ -9,13 +9,13 @@ at most :data:`MAX_BLOCK` entries (so generated code stays compact) and
 precomputes, per run, the exact static-index run a trace must contain
 for the block to have executed start to finish.
 
-The ``"specialized"`` engine's code generator walks these blocks and
-emits one unrolled scheduling body per block; at run time a single array
-comparison against :attr:`TimingBlock.expect` proves a trace window *is*
-that block, so the emitted body needs no per-entry dispatch at all.  The
-IR itself is engine-neutral static metadata and is cached on the trace's
-:class:`~repro.sim.trace.StaticInfo` (one per program, however many
-traces and configs consume it).
+The ``"specialized"`` engine's code generator walks the blocks inside
+a natural loop and emits one unrolled scheduling body per block; at run
+time a single array comparison against :attr:`TimingBlock.expect`
+proves a trace window *is* that block, so the emitted body needs no
+per-entry dispatch at all.  The IR itself is engine-neutral static
+metadata and is cached on the trace's :class:`~repro.sim.trace.StaticInfo`
+(one per program, however many traces and configs consume it).
 """
 
 from __future__ import annotations
@@ -59,9 +59,15 @@ class TimingBlock:
 
 
 class TimingIR:
-    """Block decomposition of one program, keyed by block leader."""
+    """Block decomposition of one program, keyed by block leader.
 
-    __slots__ = ("program", "n_instructions", "blocks", "block_at")
+    ``loop_blocks`` are the blocks inside a natural loop, the ones the
+    code generator compiles: a block outside every loop runs once per
+    run of the program, and the per-entry loop takes it.
+    """
+
+    __slots__ = ("program", "n_instructions", "blocks", "block_at",
+                 "loop_blocks")
 
     def __init__(self, static: StaticInfo, program: Program):
         # Blocks and loop structure come from the shared analysis
@@ -90,6 +96,8 @@ class TimingIR:
                 self.blocks.append(block)
                 self.block_at[start] = block
                 start += length
+        self.loop_blocks = [block for block in self.blocks
+                            if block.loop_depth]
 
 
 def timing_ir(static: StaticInfo, program: Program) -> TimingIR:

@@ -32,13 +32,15 @@ The prelude pins into locals the carried state the body names, and the
 epilogue writes back what it changed (``_PINS``): in the blocks only the
 state they use, in the loop all of it.  Sources are registered in
 :mod:`linecache` under ``<repro-timing:...>`` filenames, so tracebacks and
-the sampling profiler see real lines.
+the sampling profiler see real lines; the lines are built when first
+read, so a block scheduler does not keep its source (:func:`compile_source`).
 """
 
 from __future__ import annotations
 
 import linecache
 import re
+from collections.abc import Sequence
 from types import SimpleNamespace
 
 from repro.sim.timing.stages import (
@@ -619,18 +621,18 @@ class _Emitter:
                 self.w(ind, "xc[s] += 1")
             else:
                 self.tally["executed"] = 1
-            self.w(ind, "while fr < c:")
-            self.w(ind + 1, f"if fr >= {rq}:")
-            self.w(ind + 2, f"raa(bumps[fr - {rq}])")
+            # One conditional expression: the same tests as an if/elif
+            # chain in about half its tokens, which is what compile()
+            # pays for per instruction in the blocks.
+            bounds = [(rq, f"bumps[fr - {rq}]")]
             if alias:
-                self.w(ind + 1, f"elif fr >= {oe}:")
-                self.w(ind + 2, f"raa({_C_ALIAS})")
-            for bound, cat in (("df", _C_OPERAND), ("en", _C_WINDOW),
-                               ("fc", _C_FRONTEND), ("mpu", _C_FETCH)):
-                self.w(ind + 1, f"elif fr >= {bound}:")
-                self.w(ind + 2, f"raa({cat})")
-            self.w(ind + 1, "else:")
-            self.w(ind + 2, f"raa({_C_MISPREDICT})")
+                bounds.append((oe, _C_ALIAS))
+            bounds += [("df", _C_OPERAND), ("en", _C_WINDOW),
+                       ("fc", _C_FRONTEND), ("mpu", _C_FETCH)]
+            label = "".join(f"{cat} if fr >= {bound} else "
+                            for bound, cat in bounds)
+            self.w(ind, "while fr < c:")
+            self.w(ind + 1, f"raa({label}{_C_MISPREDICT})")
             self.w(ind + 1, "fr += 1")
             waits = [("df", "en"), (oe, "df")]
             if alias:
@@ -779,7 +781,8 @@ class _Emitter:
     def function(self, head: list[str], body: list[str],
                  tail: list[str]) -> str:
         """``head``, the pins, ``body``, the write-backs, ``tail``."""
-        used = set(_NAME.findall("\n".join(body)))
+        # Streamed: a findall list would hold every name a body uses.
+        used = {m.group() for m in _NAME.finditer("\n".join(body))}
         pins = []
         for name, read, back in reversed(_PINS):
             if "(" in name:
@@ -824,13 +827,37 @@ def _loop_source() -> str:
         em.lines, ["    self._count += hi - lo"])
 
 
+class _LazyLines(Sequence):
+    """A linecache line list that generates its source on first access."""
+
+    def __init__(self, generate):
+        self._generate = generate
+        self._lines: "list[str] | None" = None
+
+    def _get(self) -> "list[str]":
+        if self._lines is None:
+            self._lines = self._generate().splitlines(True)
+            self._generate = None
+        return self._lines
+
+    def __len__(self) -> int:
+        return len(self._get())
+
+    def __getitem__(self, index):
+        return self._get()[index]
+
+
 def compile_source(source: str, filename: str, func_name: str,
-                   namespace: dict):
+                   namespace: dict, regenerate):
     """Compile a generated source, registered in linecache as ``filename``;
-    returns its function ``func_name``."""
-    linecache.cache[filename] = (
-        len(source), None, source.splitlines(True), filename,
-    )
+    returns its function ``func_name``.
+
+    ``regenerate()`` returns ``source`` again: linecache holds it, not the
+    lines, and calls it the first time a traceback or profiler reads a
+    line, so the function does not keep its source resident.
+    """
+    linecache.cache[filename] = (len(source), None, _LazyLines(regenerate),
+                                 filename)
     exec(compile(source, filename, "exec"), namespace)
     return namespace[func_name]
 
@@ -851,14 +878,16 @@ def per_entry_loop():
     next chunk's first entry), else taken (``next_s is None``: end of
     trace).
     """
-    return compile_source(LOOP_SOURCE, "<repro-timing:loop>", "_advance", {})
+    return compile_source(LOOP_SOURCE, "<repro-timing:loop>", "_advance", {},
+                          lambda: LOOP_SOURCE)
 
 
 def block_scheduler(ir, static, config, ops, untracked, func_name: str):
     """``(source, counters, namespace)`` of one (program, config) block
     scheduler: the emitters with the config, the op table ``ops`` and each
-    static instruction known.  ``untracked`` is the op table of the config
-    with untracked issue, which tells which unit checks ``ops`` elided.
+    static instruction known, over the IR's blocks inside a loop.
+    ``untracked`` is the op table of the config with untracked issue,
+    which tells which unit checks ``ops`` elided.
 
     The function ``func_name(self, seq, addrs, base_pos, lo, hi, next_s)``
     schedules whole blocks from ``lo`` while the trace window matches one,
@@ -870,8 +899,9 @@ def block_scheduler(ir, static, config, ops, untracked, func_name: str):
     em.w(1, "while j < hi:")
     em.w(2, "s = seq[j]")
     if not em.f["tracked"]:
-        em.count("attribution_elided", ir.n_instructions)
-    for which, block in enumerate(ir.blocks):
+        em.count("attribution_elided",
+                 sum(block.length for block in ir.loop_blocks))
+    for which, block in enumerate(ir.loop_blocks):
         lead, length = block.leader, block.length
         em.w(2, f"{'elif' if which else 'if'} s == {lead}:")
         if length > 1:

@@ -4,15 +4,16 @@ For each (program, machine config) pair this engine generates one Python
 function that schedules whole straight-line blocks of the trace at a
 time: the stage emitters of :mod:`repro.sim.timing.scheduler` with the
 config, the op table and every static instruction known.  The static
-timing IR (:mod:`repro.sim.timing.ir`) supplies the blocks; a block body
+timing IR (:mod:`repro.sim.timing.ir`) supplies the blocks, those inside
+a natural loop (code outside every loop runs once); a block body
 is entered after one array comparison proves the trace window matches
 it, and everything the per-entry loop looks up per entry -- op kind,
 unit, cost, latency, source registers, memory sizes, branch metadata,
 config fields -- is a literal in it, with dead arms dropped.
 
 Trace windows that do not match a block -- chunk-boundary tails,
-synthetic traces with explicit ``taken`` flags, static indices outside
-the program -- go through the per-entry loop,
+synthetic traces with explicit ``taken`` flags, code outside every loop,
+static indices outside the program -- go through the per-entry loop,
 :meth:`GenericPipeline._advance
 <repro.sim.timing.generic.GenericPipeline._advance>`, which
 :class:`SpecializedPipeline` inherits, so generated and per-entry
@@ -60,7 +61,7 @@ class SpecializationReport:
     ``source_cache_hits`` counts later pipelines served from the cache.
     Surfaced as ``timing`` ledger events (folded into ``timing.*``
     metrics by :class:`repro.obs.views.MetricsView`) and ``riscasim
-    --timing-engine specialized --explain``.
+    --explain``.
     """
 
     digest: str
@@ -121,7 +122,7 @@ def untiered_pipelines() -> int:
 
 
 def explain_table(reports: "list[SpecializationReport] | None" = None) -> str:
-    """The ``riscasim --timing-engine specialized --explain`` table."""
+    """The ``riscasim --explain`` timing table."""
     reports = specialization_reports() if reports is None else reports
     untiered = untiered_pipelines()
     untiered_line = (
@@ -168,42 +169,42 @@ def _publish(type: str, data: dict) -> None:
         ledger.publish_event("timing", type, data)
 
 
-def _static_fingerprint(static, n: int) -> int:
-    """Hash of the static metadata the generator bakes into code.
+def _scheduler_key(static, program, config: MachineConfig) -> tuple:
+    """The code-cache key: (program digest, static fingerprint, config).
 
     Synthetic traces may pair a program digest with *different* static
     arrays (e.g. register-remapped interleavings), so the digest alone is
-    not a safe cache key for generated schedulers.
+    not a safe key.  The fingerprint hashes the static metadata the
+    generator bakes into code, once per :class:`StaticInfo` (which, like
+    the timing IR cached on it, is not changed once built).
     """
-    return hash((
-        tuple(static.klass[:n]),
-        tuple(static.dest[:n]),
-        tuple(map(tuple, static.srcs[:n])),
-        tuple(map(tuple, static.addr_srcs[:n])),
-        tuple(static.is_branch[:n]),
-        tuple(static.is_cond_branch[:n]),
-        tuple(static.mem_size[:n]),
-        tuple(static.sbox_table[:n]),
-        tuple(static.sbox_aliased[:n]),
-    ))
-
-
-def _scheduler_key(ir: TimingIR, static, config: MachineConfig) -> tuple:
-    """The code-cache key: (program digest, static fingerprint, config)."""
-    return (ir.program.digest(),
-            _static_fingerprint(static, ir.n_instructions), config)
+    n = len(program.instructions)
+    memo = getattr(static, "_timing_fingerprint", None)
+    if memo is None or memo[0] != n:
+        memo = static._timing_fingerprint = (n, hash((
+            tuple(static.klass[:n]),
+            tuple(static.dest[:n]),
+            tuple(map(tuple, static.srcs[:n])),
+            tuple(map(tuple, static.addr_srcs[:n])),
+            tuple(static.is_branch[:n]),
+            tuple(static.is_cond_branch[:n]),
+            tuple(static.mem_size[:n]),
+            tuple(static.sbox_table[:n]),
+            tuple(static.sbox_aliased[:n]),
+        )))
+    return program.digest(), memo[1], config
 
 
 def specialized_scheduler(ir: TimingIR, static, config: MachineConfig):
     """The generated fast-path function for this (program, config) pair.
 
     Returns ``(function or None, report or None)``; ``None`` when the
-    program has no blocks to specialize (empty program).
+    program has no loop to specialize.
     """
     n = ir.n_instructions
-    if not ir.blocks:
+    if not ir.loop_blocks:
         return None, None
-    key = _scheduler_key(ir, static, config)
+    key = _scheduler_key(static, ir.program, config)
     cached = _CODE_CACHE.get(key)
     if cached is not None:
         report = _REPORTS.get(key)
@@ -219,14 +220,16 @@ def specialized_scheduler(ir: TimingIR, static, config: MachineConfig):
     func_name = f"_timing_{key[0][:8]}_{slug}_{_SERIAL[0]}"
     source, counters, namespace = _blocks(ir, static, config, func_name)
     filename = f"<repro-timing:{key[0][:8]}:{config.name}:{_SERIAL[0]}>"
-    fn = compile_source(source, filename, func_name, namespace)
+    fn = compile_source(
+        source, filename, func_name, namespace,
+        regenerate=lambda: _blocks(ir, static, config, func_name)[0])
     _CODE_CACHE[key] = fn
     report = _REPORTS[key] = SpecializationReport(
         digest=key[0],
         config_name=config.name,
         attributed=config.issue_width is not None,
         instructions=n,
-        blocks=len(ir.blocks),
+        blocks=len(ir.loop_blocks),
         source_lines=source.count("\n"),
         compile_seconds=time.perf_counter() - began,
         counters=counters,
@@ -308,30 +311,38 @@ class SpecializedPipeline(GenericPipeline):
             )
         super().__init__(config, static, program, warm_ranges=warm_ranges,
                          ops=ops)
-        ir = self._ir = timing_ir(static, program)
         self._fast = self.report = None
         #: Entry count at which to generate the scheduler; None once
         #: tiered up (or for an empty program, which has nothing to
         #: specialize).
         self._tier_at: "int | None" = None
-        if ir.blocks:
-            if _scheduler_key(ir, static, config) in _CODE_CACHE:
+        n = len(program.instructions)
+        if n:
+            # An empty code cache (every short run) needs no key.
+            if _CODE_CACHE and \
+                    _scheduler_key(static, program, config) in _CODE_CACHE:
                 self._tier_up()
             else:
                 per_static = (TIER_UP_ATTRIBUTED if self._attribute
                               else TIER_UP_PLAIN)
                 # int(): a fractional K (e.g. a Fraction) is allowed and
                 # still yields an exact entry count.
-                self._tier_at = int(per_static * ir.n_instructions)
-        self._block_execs = [0] * len(ir.blocks)
-        self._leaders = frozenset(block.leader for block in ir.blocks)
+                self._tier_at = int(per_static * n)
 
     def _tier_up(self) -> None:
-        """Switch to the generated scheduler (from the code cache if there)."""
+        """Switch to the generated scheduler (from the code cache if there).
+
+        The timing IR and the block tallies are built here, so a pipeline
+        that never tiers up costs what a generic one does.
+        """
+        ir = timing_ir(self.static, self.program)
         self._fast, self.report = specialized_scheduler(
-            self._ir, self.static, self.config
+            ir, self.static, self.config
         )
         self._tier_at = None
+        self._blocks = ir.blocks
+        self._block_execs = [0] * len(ir.blocks)
+        self._leaders = frozenset(block.leader for block in ir.loop_blocks)
 
     def _advance(self, seq, addrs, taken_arr, base_pos, lo, hi, next_s):
         # The per-entry loop counts the entries it steps through; the
@@ -370,21 +381,22 @@ class SpecializedPipeline(GenericPipeline):
         if self._tier_at is not None:
             _UNTIERED[0] += 1
             _publish("untiered", {
-                "digest": self._ir.program.digest()[:12],
+                "digest": self.program.digest()[:12],
                 "config": self.config.name,
                 "entries": self._count,
                 "tier_at": self._tier_at,
             })
-        if not self._attribute:
+            return
+        if self._fast is None or not self._attribute:
             return
         # Fold the fast path's per-block execution tallies into the
         # per-instruction counts the hotspot table reads.
         exec_counts = self.attribution.exec_counts
-        for block, count in zip(self._ir.blocks, self._block_execs):
+        for block, count in zip(self._blocks, self._block_execs):
             if count:
                 for s in range(block.leader, block.leader + block.length):
                     exec_counts[s] += count
-        self._block_execs = [0] * len(self._ir.blocks)
+        self._block_execs = [0] * len(self._blocks)
 
 
 class SpecializedEngine:

@@ -165,7 +165,9 @@ def add_timing_engine_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--timing-engine", default=None, choices=engine_names(),
         help="cycle-accurate timing engine (default: "
-             f"{DEFAULT_ENGINE}); results are identical either way",
+             f"{DEFAULT_ENGINE}, which tiers up to generated block code "
+             "once a program is hot; generic never does); results are "
+             "identical either way",
     )
 
 

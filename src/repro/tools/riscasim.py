@@ -36,6 +36,7 @@ from repro.sim import (
     simulate,
 )
 from repro.sim.pipeview import render_pipeline, stall_summary
+from repro.sim.timing import DEFAULT_ENGINE
 from repro.tools.cli import (
     CONFIGS,
     FEATURE_LEVELS,
@@ -72,9 +73,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="memory size in bytes")
     parser.add_argument(
         "--explain", action="store_true",
-        help="with --backend compiled and/or --timing-engine specialized: "
-             "print the per-program codegen report(s) (elided checks, "
-             "folded constants, compile time)",
+        help="print the per-program codegen report(s) (elided checks, "
+             "folded constants, compile time) of --backend compiled and "
+             "of the specialized timing engine (the default)",
     )
     add_runner_arguments(parser)
     args = parser.parse_args(argv)
@@ -85,8 +86,9 @@ def main(argv: list[str] | None = None) -> int:
                         or args.dump or args.list):
         parser.error("--cipher supports plain stats runs only "
                      "(no --list/--view/--dump/--bottlenecks)")
+    engine = args.timing_engine or DEFAULT_ENGINE
     if args.explain and args.backend != "compiled" \
-            and args.timing_engine != "specialized":
+            and engine != "specialized":
         parser.error("--explain requires --backend compiled and/or "
                      "--timing-engine specialized")
 
@@ -108,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{result.stats.summary()}")
         _print_slots(result.stats)
         if args.explain:
-            _print_explain(args)
+            _print_explain(args.backend, engine)
         _finish(obs)
         return 0
 
@@ -161,16 +163,16 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{which:<10} {dataflow / cycles:.3f}")
 
     if args.explain:
-        _print_explain(args)
+        _print_explain(args.backend, engine)
     _finish(obs)
     return 0
 
 
-def _print_explain(args) -> None:
-    if args.backend == "compiled":
+def _print_explain(backend: "str | None", engine: str) -> None:
+    if backend == "compiled":
         from repro.sim.backends.compiled import explain_table
         print(explain_table())
-    if args.timing_engine == "specialized":
+    if engine == "specialized":
         from repro.sim.timing.specialized import explain_table
         print(explain_table())
 

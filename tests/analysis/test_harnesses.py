@@ -157,7 +157,10 @@ def _moved_cells(golden: dict, cells: dict) -> list[str]:
 def test_report_runs_end_to_end(tmp_path):
     """The paper report at 128 B, simulated from scratch, reproduces every
     figure cell of ``benchmarks/perf/golden.json`` exactly -- cycles,
-    instructions and the issue-slot account -- and its report digest."""
+    instructions and the issue-slot account -- and its report digest.
+
+    It runs on the default stack, whose timing engine tiers up, and no
+    pipeline of it is hot enough to: it generates no scheduler."""
     import hashlib
     import io
     import json
@@ -165,6 +168,7 @@ def test_report_runs_end_to_end(tmp_path):
 
     from repro.analysis.report import full_report
     from repro.runner import ResultCache, Runner
+    from repro.sim.timing import specialized as specialized_mod
 
     golden = json.loads((Path(__file__).resolve().parents[2] / "benchmarks"
                          / "perf" / "golden.json").read_text())
@@ -180,7 +184,12 @@ def test_report_runs_end_to_end(tmp_path):
 
     runner = Runner(cache=ResultCache(tmp_path / "cache"), stats_hook=record)
     buffer = io.StringIO()
+    # An empty code cache: no scheduler an earlier test generated serves
+    # a pipeline here from entry 0.
+    specialized_mod.cache_clear()
     full_report(session_bytes=128, stream=buffer, runner=runner)
+    assert specialized_mod.specialization_reports() == []
+    assert specialized_mod.untiered_pipelines() > 0
     text = buffer.getvalue()
     for marker in ("Table 1", "Figure 2", "Figure 4", "Figure 5",
                    "Figure 6", "Figure 7", "Table 2", "Figure 10"):

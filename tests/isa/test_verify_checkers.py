@@ -100,6 +100,16 @@ def test_missing_halt_is_an_error():
     assert "past the program end" in d.message
 
 
+def test_empty_program_is_missing_its_halt():
+    # Both backends raise "fell off program end at pc=0" on it.
+    result = verify_program(Program().finalize())
+    (d,) = result.diagnostics
+    assert (d.checker, d.severity, d.index) == ("branch-target", "error",
+                                                None)
+    assert "past the program end" in d.message
+    assert result.worst_severity() == "error"
+
+
 def test_unconditional_self_branch_is_an_error():
     program = raw_program(Instruction(BR, target=0), Instruction(0))
     (d,) = diags(verify_program(program), "branch-target")

@@ -34,6 +34,16 @@ def test_interpreter_arms_are_the_emitters_with_nothing_known():
     compile(source, "<test>", "exec")
 
 
+def test_interpreter_dispatch_has_no_unreachable_arm():
+    """``Instruction`` rejects unknown opcodes, so the dispatch chain is
+    exactly one arm per opcode, with no catch-all ``else``."""
+    source = interpreter.generated_source()
+    arms = re.findall(r"^        (if c ==|elif c ==|else:)", source,
+                      re.MULTILINE)
+    assert arms == ["if c =="] + ["elif c =="] * (len(SPECS_BY_NAME) - 1)
+    assert "unimplemented" not in source
+
+
 def test_interpreter_source_is_registered_for_tracebacks():
     memory = Memory(1 << 12)
     Machine(assemble("ldiq r1, 7\n stq r1, 0x400(r31)\n halt"),

@@ -18,6 +18,8 @@ tiering, specialization report and cache surfaces, and the generated
 sources.
 """
 
+import linecache
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -267,7 +269,8 @@ def test_generated_block_source_compiles_per_program_and_config():
 # -- engine names -----------------------------------------------------------
 
 def test_engine_registry_names_and_default():
-    assert DEFAULT_ENGINE == "generic"
+    # The default stack tiers up; "generic" is the reference loop.
+    assert DEFAULT_ENGINE == "specialized"
     assert set(engine_names()) >= {"generic", "specialized"}
     assert get_engine(None).name == DEFAULT_ENGINE
     assert get_engine("specialized").name == "specialized"
@@ -378,3 +381,86 @@ def test_untiered_pipelines_surface_in_explain_and_metrics():
     assert registry.counter("timing.programs").value == 0
     specialized_mod.cache_clear()
     assert specialized_mod.untiered_pipelines() == 0
+
+
+# -- the default stack tiers up ---------------------------------------------
+
+#: An RC4 session past every tier-up count: ~40k trace entries, against
+#: 800 x 27 for the attributed configs.
+HOT_SESSION = 2048
+
+
+@pytest.fixture
+def private_code_cache(monkeypatch):
+    """A code cache of the test's own: every scheduler is generated here
+    at its pipeline's tier-up count, and none outlives the test."""
+    monkeypatch.setattr(specialized_mod, "_CODE_CACHE", {})
+    monkeypatch.setattr(specialized_mod, "_REPORTS", {})
+
+
+def test_default_simulate_tiers_up_and_matches_generic(private_code_cache):
+    run = make_kernel("RC4").encrypt(bytes(HOT_SESSION))
+    n = len(run.trace.program.instructions)
+    assert len(run.trace) > specialized_mod.TIER_UP_ATTRIBUTED * n
+    for count, config in enumerate(CONFIGS, 1):
+        stats = simulate(run.trace, config, run.warm_ranges)
+        assert stats.extra["timing_engine"] == "specialized"
+        assert len(specialized_mod.specialization_reports()) == count
+        generic = simulate(run.trace, config, run.warm_ranges,
+                           engine="generic")
+        assert stats.hotspots == generic.hotspots
+        assert stats == generic, explain_stats_delta(
+            generic, stats, "generic", "default")
+
+
+def test_default_runner_tiers_up_and_matches_generic(private_code_cache):
+    from repro.isa import Features
+    from repro.runner import Experiment, ExperimentOptions, ResultCache, Runner
+
+    options = ExperimentOptions(cipher="RC4", features=Features.OPT,
+                                session_bytes=HOT_SESSION)
+    experiments = [Experiment(options, config) for config in CONFIGS]
+    default = Runner(cache=ResultCache.disabled()).run(experiments)
+    assert len(specialized_mod.specialization_reports()) == len(CONFIGS)
+    generic = Runner(cache=ResultCache.disabled(),
+                     timing_engine="generic").run(experiments)
+    for mine, reference in zip(default, generic):
+        assert mine.stats.extra["timing_engine"] == "specialized"
+        assert mine.stats.hotspots == reference.stats.hotspots
+        assert mine.stats == reference.stats, explain_stats_delta(
+            reference.stats, mine.stats, "generic", "default")
+
+
+def test_block_code_tracebacks_show_generated_source_lines(
+        private_code_cache, monkeypatch):
+    """A block scheduler's ``linecache`` entry keeps no list of lines, yet
+    reads as ``generated_source(program, config)`` (up to the function's
+    name), so a traceback through block code names its
+    ``<repro-timing:...>`` file and shows the line."""
+    monkeypatch.setattr(specialized_mod, "TIER_UP_ATTRIBUTED", 0)
+    run = make_kernel("RC4").encrypt(bytes(1024))
+    trace = run.trace
+    pipeline = _pipeline(run, FOURW)
+
+    def boom(horizon, store_count):
+        raise RuntimeError("prune")
+
+    # Every prune_interval entries the blocks call this.
+    pipeline._prune_maps = boom
+    with pytest.raises(RuntimeError, match="prune") as info:
+        _feed(pipeline, trace, None)
+    (code, lineno), = [
+        (frame.f_code, lineno) for frame, lineno
+        in traceback.walk_tb(info.value.__traceback__)
+        if frame.f_code.co_filename.startswith("<repro-timing:")
+        and frame.f_code.co_filename != "<repro-timing:loop>"]
+    filename = code.co_filename
+    assert not isinstance(linecache.cache[filename][2], list)
+    source = generated_source(trace.program, FOURW).replace(
+        "def _blocks(", f"def {code.co_name}(", 1)
+    assert "".join(linecache.getlines(filename)) == source
+    line = source.splitlines()[lineno - 1].strip()
+    assert line == "self._prune_maps(t - 8192, sc)"
+    formatted = "".join(traceback.format_exception(info.value))
+    assert f'File "{filename}", line {lineno}' in formatted
+    assert f"\n    {line}\n" in formatted

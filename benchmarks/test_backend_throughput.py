@@ -44,7 +44,7 @@ def _run(backend: str):
 
 
 def test_compiled_backend_speedup(show):
-    compiled_mod.cache_clear()  # charge codegen to the compiled run
+    compiled_mod.CODE.clear()  # charge codegen to the compiled run
     interp, interp_time, interp_out, interp_machine = _run("interpreter")
     compiled, compiled_time, compiled_out, compiled_machine = _run("compiled")
 

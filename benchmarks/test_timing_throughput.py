@@ -61,7 +61,7 @@ def _feed(kernel_run, config, engine):
 
 
 def test_specialized_timing_speedup(show):
-    specialized_mod.cache_clear()  # charge codegen to the specialized runs
+    specialized_mod.CODE.clear()  # charge codegen to the specialized runs
     kernel_run = make_kernel("RC4").encrypt(bytes(BENCH_BYTES))
     total_instructions = len(kernel_run.trace)
 

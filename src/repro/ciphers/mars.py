@@ -116,17 +116,18 @@ def _long_run_mask(word: int) -> int:
 
 
 def e_function(word: int, key_add: int, key_mul: int) -> tuple[int, int, int]:
-    """The MARS E-function: returns (l, m, r) from one data word and two keys."""
+    """The MARS E-function: its (L, M, R) outputs, as ``(left, m, r)``,
+    from one data word and two keys."""
     m = (word + key_add) & MASK32
     r = (rotl32(word, 13) * key_mul) & MASK32
-    l = sbox()[m & 0x1FF]
+    left = sbox()[m & 0x1FF]
     r = rotl32(r, 5)
     m = rotl32(m, r & 0x1F)
-    l ^= r
+    left ^= r
     r = rotl32(r, 5)
-    l ^= r
-    l = rotl32(l, r & 0x1F)
-    return l, m, r
+    left ^= r
+    left = rotl32(left, r & 0x1F)
+    return left, m, r
 
 
 def _forward_mix(state: list[int]) -> list[int]:
@@ -212,14 +213,14 @@ class MARS(BlockCipher):
         state = _forward_mix(state)
         a, b, c, d = state
         for i in range(CORE_ROUNDS):
-            l, m, r = e_function(a, k[2 * i + 4], k[2 * i + 5])
+            left, m, r = e_function(a, k[2 * i + 4], k[2 * i + 5])
             a = rotl32(a, 13)
             c = (c + m) & MASK32
             if i < CORE_ROUNDS // 2:
-                b = (b + l) & MASK32
+                b = (b + left) & MASK32
                 d ^= r
             else:
-                d = (d + l) & MASK32
+                d = (d + left) & MASK32
                 b ^= r
             a, b, c, d = b, c, d, a
         state = _backward_mix([a, b, c, d])
@@ -241,13 +242,13 @@ class MARS(BlockCipher):
         for i in range(CORE_ROUNDS - 1, -1, -1):
             a, b, c, d = d, a, b, c
             a = rotr32(a, 13)
-            l, m, r = e_function(a, k[2 * i + 4], k[2 * i + 5])
+            left, m, r = e_function(a, k[2 * i + 4], k[2 * i + 5])
             c = (c - m) & MASK32
             if i < CORE_ROUNDS // 2:
-                b = (b - l) & MASK32
+                b = (b - left) & MASK32
                 d ^= r
             else:
-                d = (d - l) & MASK32
+                d = (d - left) & MASK32
                 b ^= r
         state = _inverse_forward_mix([a, b, c, d])
         out = bytearray()

@@ -414,12 +414,6 @@ class KernelBuilder:
         self.rotl32(t2, src, amount, category=category)
         self.xor(dest, dest, t2, category=category)
 
-    def rotr32_xor(self, dest, src, amount: int, category=op.ROTATE) -> None:
-        if self.features.has_crypto:
-            self.rorxl(dest, src, amount, category=category)
-            return
-        self.rotl32_xor(dest, src, (32 - amount) & 31, category=category)
-
     def sbox_lookup(self, dest, table_base, index, byte_index: int,
                     table_id: int, aliased: bool = False,
                     category=op.SUBST) -> None:
@@ -512,11 +506,3 @@ class KernelBuilder:
             self.ldiq(t_ctrl, control, category=category)
             self.grpq(dest, current, t_ctrl, category=category)
             current = dest
-
-    def load_const(self, dest, value: int, category=op.ARITH) -> None:
-        """Materialize a constant (LDIQ; small constants via LDA from zero)."""
-        value &= 0xFFFFFFFFFFFFFFFF
-        if value < 0x8000:
-            self.lda(dest, self.zero, value, category=category)
-        else:
-            self.ldiq(dest, value, category=category)

@@ -20,7 +20,7 @@ format (see ``repro.isa.opcodes``).  Field conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.isa.opcodes import SPECS, OpSpec
 

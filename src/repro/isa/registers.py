@@ -15,13 +15,6 @@ ZERO_REG = 31
 SCRATCH_REGS = (28, 29, 30)
 
 
-def reg_name(index: int) -> str:
-    """Canonical name for a register index."""
-    if not 0 <= index < NUM_REGS:
-        raise ValueError(f"register index {index} out of range")
-    return f"r{index}"
-
-
 def parse_reg(token: str) -> int:
     """Parse 'r<N>' (or 'zero') into a register index."""
     token = token.strip().lower()

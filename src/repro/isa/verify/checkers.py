@@ -457,7 +457,6 @@ def check_store_forward(ctx: VerifyContext) -> list[Diagnostic]:
     (any of them could re-cover the load and forward cleanly).
     """
     analyses = ctx.passes()
-    arrays = analyses.arrays
     memory = analyses.memory
     instructions = ctx.program.instructions
     diagnostics = []

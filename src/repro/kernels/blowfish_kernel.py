@@ -89,41 +89,41 @@ class BlowfishKernel(CipherKernel):
             kb.xor(right, right, cr)
 
         # 16 unrolled rounds; the half swap is register renaming.
-        l, r = left, right
+        xl, xr = left, right
         for p_index in round_p:
             kb.ldl(kp, p_base, 4 * p_index)
-            kb.xor(l, l, kp, category=op.LOGIC)
-            # F(l) = ((S0[a] + S1[b]) ^ S2[c]) + S3[d], a = top byte.
-            kb.sbox_lookup(fa, s_bases[0], l, byte_index=3, table_id=0)
-            kb.sbox_lookup(fb, s_bases[1], l, byte_index=2, table_id=1)
+            kb.xor(xl, xl, kp, category=op.LOGIC)
+            # F(xl) = ((S0[a] + S1[b]) ^ S2[c]) + S3[d], a = top byte.
+            kb.sbox_lookup(fa, s_bases[0], xl, byte_index=3, table_id=0)
+            kb.sbox_lookup(fb, s_bases[1], xl, byte_index=2, table_id=1)
             kb.addl(fa, fa, fb, category=op.ARITH)
-            kb.sbox_lookup(fb, s_bases[2], l, byte_index=1, table_id=2)
+            kb.sbox_lookup(fb, s_bases[2], xl, byte_index=1, table_id=2)
             kb.xor(fa, fa, fb, category=op.LOGIC)
-            kb.sbox_lookup(fb, s_bases[3], l, byte_index=0, table_id=3)
+            kb.sbox_lookup(fb, s_bases[3], xl, byte_index=0, table_id=3)
             kb.addl(fa, fa, fb, category=op.ARITH)
-            kb.xor(r, r, fa, category=op.LOGIC)
-            l, r = r, l
+            kb.xor(xr, xr, fa, category=op.LOGIC)
+            xl, xr = xr, xl
         # Undo the final swap, then the output whitening XORs.
-        l, r = r, l
+        xl, xr = xr, xl
         kb.ldl(kp, p_base, 4 * whitening_r)
-        kb.xor(r, r, kp)
+        kb.xor(xr, xr, kp)
         kb.ldl(kp, p_base, 4 * whitening_l)
-        kb.xor(l, l, kp)
+        kb.xor(xl, xl, kp)
 
         if decrypt:
-            kb.xor(l, l, cl)
-            kb.xor(r, r, cr)
-            kb.stl(l, out_ptr, 0)
-            kb.stl(r, out_ptr, 4)
+            kb.xor(xl, xl, cl)
+            kb.xor(xr, xr, cr)
+            kb.stl(xl, out_ptr, 0)
+            kb.stl(xr, out_ptr, 4)
             kb.mov(cl, ncl)
             kb.mov(cr, ncr)
         else:
             # Ciphertext block = (left ^ P17, right ^ P16); it is also the
             # next block's CBC chain.
-            kb.stl(l, out_ptr, 0)
-            kb.stl(r, out_ptr, 4)
-            kb.mov(cl, l)
-            kb.mov(cr, r)
+            kb.stl(xl, out_ptr, 0)
+            kb.stl(xr, out_ptr, 4)
+            kb.mov(cl, xl)
+            kb.mov(cr, xr)
         kb.addq(in_ptr, in_ptr, Imm(8))
         kb.addq(out_ptr, out_ptr, Imm(8))
         kb.subq(count, count, Imm(1))

@@ -202,19 +202,19 @@ class TripleDESKernel(CipherKernel):
         kb.sll(t, t, Imm(shift), category=op.PERMUTE)
         kb.xor(a, a, t, category=op.PERMUTE)
 
-    def _permop_sequence(self, kb, l, r, steps, mask_regs) -> None:
+    def _permop_sequence(self, kb, xl, xr, steps, mask_regs) -> None:
         for swapped, shift, mask in steps:
-            a, b = (r, l) if swapped else (l, r)
+            a, b = (xr, xl) if swapped else (xl, xr)
             self._perm_op(kb, a, b, shift, mask_regs[mask])
 
     # -- S-box round ----------------------------------------------------------
 
-    def _lookup_side(self, kb, l, word_reg, sboxes, table_ids, bases,
+    def _lookup_side(self, kb, xl, word_reg, sboxes, table_ids, bases,
                      sp_base, f, v) -> None:
-        """XOR the four SP contributions of one side (u or t) into ``l``.
+        """XOR the four SP contributions of one side (u or t) into ``xl``.
 
         The four contributions are combined as a XOR tree (depth 2 plus the
-        fold into ``l``), the schedule a compiler produces for the C code's
+        fold into ``xl``), the schedule a compiler produces for the C code's
         single eight-way XOR expression.
         """
         targets = (f, v, SCRATCH_REGS[1], SCRATCH_REGS[2])
@@ -237,7 +237,7 @@ class TripleDESKernel(CipherKernel):
         kb.xor(f, f, v, category=op.LOGIC)
         kb.xor(targets[2], targets[2], targets[3], category=op.LOGIC)
         kb.xor(f, f, targets[2], category=op.LOGIC)
-        kb.xor(l, l, f, category=op.LOGIC)
+        kb.xor(xl, xl, f, category=op.LOGIC)
 
     def build_program(self, layout: Layout, nblocks: int) -> Program:
         return self._build(layout, nblocks, decrypt=False)
@@ -303,9 +303,9 @@ class TripleDESKernel(CipherKernel):
                 kb.xor(block_q, block_q, chain_q)
             # IP with the rot-7 domain folded in: lr = (l_rot<<32) | r_rot.
             self._hw_permute(kb, lr, block_q, IP_XBOX_MAPS, IP_GRP_CONTROLS)
-            l, r = kb.reg("l32"), kb.reg("r32")
-            kb.srl(l, lr, Imm(32), category=op.PERMUTE)
-            kb.addl(r, lr, Imm(0), category=op.PERMUTE)
+            xl, xr = kb.reg("l32"), kb.reg("r32")
+            kb.srl(xl, lr, Imm(32), category=op.PERMUTE)
+            kb.addl(xr, lr, Imm(0), category=op.PERMUTE)
         else:
             kb.ldl(left, in_ptr, 0)
             kb.ldl(right, in_ptr, 4)
@@ -319,26 +319,26 @@ class TripleDESKernel(CipherKernel):
             # Rotate both halves into the lookup domain.
             kb.rotl32(left, left, ROT)
             kb.rotl32(right, right, ROT)
-            l, r = left, right
+            xl, xr = left, right
 
         for round_index in range(48):
             kb.ldl(kp, k_base, 8 * round_index)
-            kb.xor(u, r, kp, category=op.LOGIC)
-            kb.rotr32(t, r, 4)
+            kb.xor(u, xr, kp, category=op.LOGIC)
+            kb.rotr32(t, xr, 4)
             kb.ldl(kp, k_base, 8 * round_index + 4)
             kb.xor(t, t, kp, category=op.LOGIC)
-            self._lookup_side(kb, l, u, U_SBOXES, (0, 1, 2, 3), bases,
+            self._lookup_side(kb, xl, u, U_SBOXES, (0, 1, 2, 3), bases,
                               sp_base, f, v)
-            self._lookup_side(kb, l, t, T_SBOXES, (4, 5, 6, 7), bases,
+            self._lookup_side(kb, xl, t, T_SBOXES, (4, 5, 6, 7), bases,
                               sp_base, f, v)
             if round_index % 16 != 15:
-                l, r = r, l
+                xl, xr = xr, xl
             # At a 16-round stage boundary the final swap is undone, which
-            # cancels: keep (l, r) as-is.
+            # cancels: keep (xl, xr) as-is.
 
         if opt:
-            kb.sll(lr, l, Imm(32), category=op.PERMUTE)
-            kb.bis(lr, lr, r, category=op.PERMUTE)
+            kb.sll(lr, xl, Imm(32), category=op.PERMUTE)
+            kb.bis(lr, lr, xr, category=op.PERMUTE)
             self._hw_permute(kb, block_q, lr, FP_XBOX_MAPS, FP_GRP_CONTROLS)
             if decrypt:
                 kb.xor(block_q, block_q, chain_q)
@@ -348,22 +348,22 @@ class TripleDESKernel(CipherKernel):
                 kb.stq(block_q, out_ptr, 0)
                 kb.mov(chain_q, block_q)
         else:
-            kb.rotr32(l, l, ROT)
-            kb.rotr32(r, r, ROT)
-            self._permop_sequence(kb, l, r, tuple(reversed(_IP_STEPS)),
+            kb.rotr32(xl, xl, ROT)
+            kb.rotr32(xr, xr, ROT)
+            self._permop_sequence(kb, xl, xr, tuple(reversed(_IP_STEPS)),
                                   mask_regs)
             if decrypt:
-                kb.xor(l, l, cl)
-                kb.xor(r, r, cr)
-                kb.stl(l, out_ptr, 0)
-                kb.stl(r, out_ptr, 4)
+                kb.xor(xl, xl, cl)
+                kb.xor(xr, xr, cr)
+                kb.stl(xl, out_ptr, 0)
+                kb.stl(xr, out_ptr, 4)
                 kb.mov(cl, ncl)
                 kb.mov(cr, ncr)
             else:
-                kb.stl(l, out_ptr, 0)
-                kb.stl(r, out_ptr, 4)
-                kb.mov(cl, l)
-                kb.mov(cr, r)
+                kb.stl(xl, out_ptr, 0)
+                kb.stl(xr, out_ptr, 4)
+                kb.mov(cl, xl)
+                kb.mov(cr, xr)
 
         kb.addq(in_ptr, in_ptr, Imm(8))
         kb.addq(out_ptr, out_ptr, Imm(8))

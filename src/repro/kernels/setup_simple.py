@@ -278,8 +278,8 @@ class BlowfishSetup(SetupKernel):
             )
         return regions
 
-    def _encrypt_inline(self, kb, l, r, p_base, s_bases, kp, fa, fb) -> None:
-        """One inlined 16-round Blowfish encryption; result back in (l, r).
+    def _encrypt_inline(self, kb, xl, xr, p_base, s_bases, kp, fa, fb) -> None:
+        """One inlined 16-round Blowfish encryption; result back in (xl, xr).
 
         Output block = (loop-end right ^ P17, loop-end left ^ P16); a final
         three-move swap puts the halves back in their loop-invariant
@@ -287,7 +287,7 @@ class BlowfishSetup(SetupKernel):
         """
         from repro.isa.builder import SCRATCH_REGS
 
-        regs = [l, r]
+        regs = [xl, xr]
         for round_index in range(16):
             kb.ldl(kp, p_base, 4 * round_index)
             kb.xor(regs[0], regs[0], kp, category=op.LOGIC)
@@ -300,21 +300,21 @@ class BlowfishSetup(SetupKernel):
             kb.addl(fa, fa, fb, category=op.ARITH)
             kb.xor(regs[1], regs[1], fa, category=op.LOGIC)
             regs.reverse()
-        # regs == [l, r] again (even number of swaps).
+        # regs == [xl, xr] again (even number of swaps).
         kb.ldl(kp, p_base, 4 * 16)
-        kb.xor(l, l, kp, category=op.LOGIC)   # loop-end left -> output right
+        kb.xor(xl, xl, kp, category=op.LOGIC)   # loop-end left -> output right
         kb.ldl(kp, p_base, 4 * 17)
-        kb.xor(r, r, kp, category=op.LOGIC)   # loop-end right -> output left
+        kb.xor(xr, xr, kp, category=op.LOGIC)   # loop-end right -> output left
         t = SCRATCH_REGS[0]
-        kb.mov(t, l)
-        kb.mov(l, r)
-        kb.mov(r, t)
+        kb.mov(t, xl)
+        kb.mov(xl, xr)
+        kb.mov(xr, t)
 
     def build_program(self, layout: Layout) -> Program:
         kb = self.builder()
         p_base = kb.reg("p_base")
         s_bases = kb.regs("s0", "s1", "s2", "s3")
-        l, r, kp, fa, fb = kb.regs("l", "r", "kp", "fa", "fb")
+        xl, xr, kp, fa, fb = kb.regs("l", "r", "kp", "fa", "fb")
         kw = kb.regs("kw0", "kw1", "kw2", "kw3")
         ptr, end = kb.regs("ptr", "end")
 
@@ -329,23 +329,23 @@ class BlowfishSetup(SetupKernel):
             kb.xor(kp, kp, kw[i % 4], category=op.LOGIC)
             kb.stl(kp, p_base, 4 * i)
         # Fill P then S with chained encryptions of the zero block.
-        kb.ldiq(l, 0)
-        kb.ldiq(r, 0)
+        kb.ldiq(xl, 0)
+        kb.ldiq(xr, 0)
         kb.mov(ptr, p_base)
         kb.ldiq(end, layout.keys + 4 * 18)
         kb.label("fill_p")
-        self._encrypt_inline(kb, l, r, p_base, s_bases, kp, fa, fb)
-        kb.stl(l, ptr, 0)
-        kb.stl(r, ptr, 4)
+        self._encrypt_inline(kb, xl, xr, p_base, s_bases, kp, fa, fb)
+        kb.stl(xl, ptr, 0)
+        kb.stl(xr, ptr, 4)
         kb.addq(ptr, ptr, Imm(8))
         kb.cmpult(fa, ptr, end)
         kb.bne(fa, "fill_p")
         kb.ldiq(ptr, layout.tables)
         kb.ldiq(end, layout.tables + 4 * 1024)
         kb.label("fill_s")
-        self._encrypt_inline(kb, l, r, p_base, s_bases, kp, fa, fb)
-        kb.stl(l, ptr, 0)
-        kb.stl(r, ptr, 4)
+        self._encrypt_inline(kb, xl, xr, p_base, s_bases, kp, fa, fb)
+        kb.stl(xl, ptr, 0)
+        kb.stl(xr, ptr, 4)
         kb.addq(ptr, ptr, Imm(8))
         kb.cmpult(fa, ptr, end)
         kb.bne(fa, "fill_s")

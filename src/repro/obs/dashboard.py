@@ -18,10 +18,10 @@ Panels rendered, each fed by one event source:
 * stalls -- issue-slot categories aggregated over every result,
   weighted by cycles (the ``slots.<category>`` fractions);
 * cache -- hit/miss/write counts and the hit-rate bar;
-* compile -- compiled-backend codegen activity (programs, wall time,
-  source-cache hits, optimization counters);
-* timing -- specialized timing-engine codegen activity (same shape,
-  fed by ``timing``/``specialize`` events);
+* compile, timing -- one panel per code cache (compiled backend, timing
+  block schedulers; :data:`repro.obs.views.CODEGEN`): functions
+  generated, codegen wall time, cache hits and the counters their
+  ``compile`` events carry;
 * analysis -- static cost-bound estimates (``analysis``/``estimate``
   events from ``repro.tools.analyze``): cells bracketed, unsound cells,
   and the median upper/lower gap;
@@ -33,6 +33,8 @@ Panels rendered, each fed by one event source:
 from __future__ import annotations
 
 from collections import Counter
+
+from repro.obs.views import CODEGEN
 
 #: Width every frame is rendered at unless the caller overrides it.
 DEFAULT_WIDTH = 78
@@ -67,14 +69,9 @@ class DashState:
         self.cached_results = 0
         self.shared_results = 0
         self.cache = Counter()                   # hit / miss / write
-        self.compile_programs = 0
-        self.compile_seconds = 0.0
-        self.codegen_cache_hits = 0
-        self.compile_counters: Counter = Counter()
-        self.timing_programs = 0
-        self.timing_seconds = 0.0
-        self.timing_cache_hits = 0
-        self.timing_counters: Counter = Counter()
+        #: Codegen source -> functions, seconds, hits and the counters
+        #: summed over its ``compile`` events.
+        self.codegen = {source: Counter() for source in CODEGEN}
         self.analysis_estimates = 0
         self.analysis_unsound = 0
         self.analysis_gaps: list[float] = []
@@ -97,28 +94,15 @@ class DashState:
         elif source == "cache":
             if type_ in ("hit", "miss", "write"):
                 self.cache[type_] += 1
-        elif source == "backend":
+        elif source in CODEGEN:
+            panel = self.codegen[source]
             if type_ == "compile":
-                self.compile_programs += 1
-                self.compile_seconds += data.get("seconds") or 0.0
+                panel["functions"] += 1
                 for key, value in data.items():
-                    if key in ("digest", "mode", "seconds"):
-                        continue
                     if isinstance(value, (int, float)) and value:
-                        self.compile_counters[key] += int(value)
-            elif type_ == "codegen-cache-hit":
-                self.codegen_cache_hits += 1
-        elif source == "timing":
-            if type_ == "specialize":
-                self.timing_programs += 1
-                self.timing_seconds += data.get("seconds") or 0.0
-                for key, value in data.items():
-                    if key in ("digest", "mode", "config", "seconds"):
-                        continue
-                    if isinstance(value, (int, float)) and value:
-                        self.timing_counters[key] += int(value)
-            elif type_ == "specialize-cache-hit":
-                self.timing_cache_hits += 1
+                        panel[key] += value
+            elif type_ == "cache-hit":
+                panel["hits"] += 1
         elif source == "analysis" and type_ == "estimate":
             self.analysis_estimates += 1
             if data.get("sound") is False:
@@ -283,45 +267,28 @@ def render(state: DashState, width: int = DEFAULT_WIDTH) -> str:
             f"[{_bar(rate, 20)}] {rate * 100:.0f}% hit rate"
         )
 
-    # compiled backend
-    if state.compile_programs or state.codegen_cache_hits:
+    # code caches
+    for source, (family, _module) in CODEGEN.items():
+        panel = state.codegen[source]
+        if not (panel["functions"] or panel["hits"]):
+            continue
         lines.append("")
         lines.append(
-            f"compile: {state.compile_programs} program(s), "
-            f"{state.compile_seconds * 1000:.1f} ms codegen, "
-            f"{state.codegen_cache_hits} source-cache hit(s)"
+            f"{family}: {panel['functions']} function(s), "
+            f"{panel['seconds'] * 1000:.1f} ms codegen, "
+            f"{panel['hits']} cache hit(s)"
         )
-        if state.compile_counters:
-            parts = [f"{key.replace('_', ' ')} {value}" for key, value
-                     in sorted(state.compile_counters.items())]
-            row = "  "
-            for part in parts:
-                if len(row) > 2 and len(row) + len(part) + 2 > width:
-                    lines.append(row)
-                    row = "  "
-                row += part if row == "  " else f", {part}"
-            if row.strip():
+        row = "  "
+        for key, value in sorted(panel.items()):
+            if key in ("functions", "seconds", "hits"):
+                continue
+            part = f"{key.replace('_', ' ')} {int(value)}"
+            if len(row) > 2 and len(row) + len(part) + 2 > width:
                 lines.append(row)
-
-    # specialized timing engine
-    if state.timing_programs or state.timing_cache_hits:
-        lines.append("")
-        lines.append(
-            f"timing: {state.timing_programs} specialization(s), "
-            f"{state.timing_seconds * 1000:.1f} ms codegen, "
-            f"{state.timing_cache_hits} code-cache hit(s)"
-        )
-        if state.timing_counters:
-            parts = [f"{key.replace('_', ' ')} {value}" for key, value
-                     in sorted(state.timing_counters.items())]
-            row = "  "
-            for part in parts:
-                if len(row) > 2 and len(row) + len(part) + 2 > width:
-                    lines.append(row)
-                    row = "  "
-                row += part if row == "  " else f", {part}"
-            if row.strip():
-                lines.append(row)
+                row = "  "
+            row += part if row == "  " else f", {part}"
+        if row.strip():
+            lines.append(row)
 
     # static cost-bound estimates
     if state.analysis_estimates:

@@ -294,7 +294,7 @@ def ledger_identical(section: dict) -> bool:
 def ledger_verdict(section: dict, a_label: str, b_label: str) -> str:
     rows = section["rows"]
     if not rows:
-        return f"identical: both ledgers are empty"
+        return "identical: both ledgers are empty"
     if ledger_identical(section):
         slowest = max(rows, key=lambda row: abs(row["delta_seconds"]))
         note = ""

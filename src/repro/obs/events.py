@@ -61,8 +61,8 @@ KNOWN_SOURCES = {
                "timing", "parallel-fanout"),
     "report": ("full-report",),
     "cache": ("hit", "miss", "write"),
-    "backend": ("compile", "codegen-cache-hit"),
-    "timing": ("specialize", "specialize-cache-hit", "untiered"),
+    "backend": ("compile", "cache-hit"),
+    "timing": ("compile", "cache-hit", "untiered"),
     "lint": ("program",),
     "profiler": ("snapshot",),
     "diff": ("report",),
@@ -101,10 +101,6 @@ class EventBus:
         """Attach a sink (any callable taking one event dict)."""
         self._sinks.append(sink)
         return self
-
-    def unsubscribe(self, sink) -> None:
-        if sink in self._sinks:
-            self._sinks.remove(sink)
 
     def publish(self, source: str, type: str, data: dict | None = None) -> dict:
         """Stamp and fan out one event; returns the published dict."""

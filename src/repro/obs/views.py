@@ -17,6 +17,10 @@ profiler's counter track and the simulated-cycle pipeline timeline of
 
 from __future__ import annotations
 
+from importlib import import_module
+
+from repro.obs.events import KNOWN_SOURCES
+
 #: Span events: ``(source, type)`` -> (Perfetto category, slice name
 #: formatted from the data).  A slice's args are the data other than
 #: ``start`` and ``seconds``.
@@ -29,16 +33,18 @@ SPANS = {
     ("report", "full-report"): ("runner", "full-report"),
 }
 
-#: Codegen events: ``(source, type)`` -> (instrument family, the counter
-#: each event adds one to).  Every other counter of the family sums the
-#: optimization counts the events carry.
-_CODEGEN = {
-    ("backend", "compile"): ("compile", "programs"),
-    ("backend", "codegen-cache-hit"): ("compile", "source_cache_hits"),
-    ("timing", "specialize"): ("timing", "programs"),
-    ("timing", "specialize-cache-hit"): ("timing", "source_cache_hits"),
-    ("timing", "untiered"): ("timing", "pipelines_untiered"),
+#: Codegen ledger sources: (metric family, the module whose ``CODE``
+#: cache publishes them).  The dashboard folds the same table.
+CODEGEN = {
+    "backend": ("compile", "repro.sim.backends.compiled"),
+    "timing": ("timing", "repro.sim.timing.specialized"),
 }
+
+#: Codegen event types -> the counter each event adds one to.  Every
+#: other counter of a family sums the optimization counts the events
+#: carry.
+_COUNTS = {"compile": "programs", "cache-hit": "source_cache_hits",
+           "untiered": "pipelines_untiered"}
 
 
 class MetricsView:
@@ -57,8 +63,8 @@ class MetricsView:
         counter("events.published", {"source": source, "type": type_}).inc()
         if source == "runner" and "busy" in data:
             gauge("runner.worker.busy").set(data["busy"])
-        if (source, type_) in _CODEGEN:
-            self._codegen(*_CODEGEN[source, type_], data)
+        if source in CODEGEN and type_ in _COUNTS:
+            self._codegen(source, _COUNTS[type_], data)
         elif source == "runner" and type_ == "timing":
             labels = {"config": data["config"]}
             counter("sim.runs", labels).inc()
@@ -114,18 +120,16 @@ class MetricsView:
             if data.get("sound") is False:
                 counter("analysis.unsound").inc()
 
-    def _codegen(self, family: str, counter: str, data: dict) -> None:
+    def _codegen(self, source: str, counter: str, data: dict) -> None:
         registry = self.registry
+        family, module = CODEGEN[source]
         keys = self._families.get(family)
         if keys is None:
             # The whole family appears with its first event, zeros too.
             # Imported here: a codegen event means its module is loaded.
-            if family == "compile":
-                from repro.sim.backends.compiled import COUNTER_KEYS
-            else:
-                from repro.sim.timing.specialized import COUNTER_KEYS
-            keys = self._families[family] = COUNTER_KEYS
-            for name in (*(c for f, c in _CODEGEN.values() if f == family),
+            keys = self._families[family] = \
+                import_module(module).CODE.counter_keys
+            for name in (*(_COUNTS[type_] for type_ in KNOWN_SOURCES[source]),
                          *keys):
                 registry.counter(f"{family}.{name}")
             registry.gauge(f"{family}.wall_seconds")

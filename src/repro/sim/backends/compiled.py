@@ -10,8 +10,8 @@ come from its opcode's emitter in :mod:`repro.isa.semantics`, called
 with the widths, trailing zeros and constants the lattices proved (a
 :class:`_Site`); the interpreter is generated from the same emitters
 with nothing known.  The generated source is compiled once and cached
-by program digest, so repeated sessions of the same kernel pay zero
-codegen cost.
+by program digest in :data:`CODE`, so repeated sessions of the same
+kernel pay zero codegen cost.
 
 The output contract is bit-identical to the interpreter backend on every
 successful execution: same ``TraceChunk`` entries *and boundaries*, same
@@ -22,40 +22,33 @@ much of the failing basic block's side effects landed, because the
 runaway-instruction check runs once per block rather than once per
 instruction; see ``docs/backends.md``.
 
-Generated sources are registered in :mod:`linecache` under
-``<repro-compiled:...>`` filenames so tracebacks show real lines and the
-sampling profiler can attribute generated-code frames to the
-``functional`` bucket (codegen itself lands in the ``compile`` bucket).
+Functions are compiled under ``<repro-compiled:...>`` filenames
+(:func:`repro.sim.codegen.compile_source`), so tracebacks show real
+lines and the sampling profiler can attribute generated-code frames to
+the ``functional`` bucket (codegen itself lands in the ``compile``
+bucket).
 """
 
 from __future__ import annotations
 
-import linecache
 import re
 import sys
-import time
-from array import array
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.isa.analysis.lattices import (
     UNKNOWN_WIDTH,
     WRITES_DEST,
-    ZAPNOT_MASKS,
     make_const_step,
     make_tz_step,
     make_width_step,
 )
 from repro.isa.analysis.passes import analyses_for
 from repro.isa.opcodes import AND, BR, BRANCH_CODES, HALT, MEM_SIZES, SPECS
-from repro.isa.semantics import EMITTERS, Facts, grp, xbox
-from repro.sim.backends.interpreter import _drain, _loop
-from repro.sim.trace import (
-    ADDR_TYPECODE,
-    SEQ_TYPECODE,
-    VALUE_TYPECODE,
-    TraceChunk,
-)
+from repro.isa.program import Program
+from repro.isa.semantics import EMITTERS, Facts
+from repro.sim.backends.interpreter import _loop, _namespace
+from repro.sim.codegen import CodeCache, CodegenReport
+from repro.sim.trace import TraceChunk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.machine import Machine
@@ -92,8 +85,6 @@ class CompiledBackend:
         return fn(machine, chunk_limit, max_instructions)
 
 
-_CODE_CACHE: dict[tuple[str, bool, bool, int], Callable[..., Any]] = {}
-
 #: Optimization-counter keys every compile report carries (the codegen
 #: increments these at each elision/fold decision point).
 COUNTER_KEYS = (
@@ -106,89 +97,9 @@ COUNTER_KEYS = (
     "and_masks_folded",
 )
 
-
-@dataclass
-class CompileReport:
-    """What one program compilation did: counters, size, wall time.
-
-    One report per generated function (same key as ``_CODE_CACHE``);
-    ``source_cache_hits`` counts later requests served from the cache.
-    Surfaced as ``backend`` ledger events (folded into ``compile.*``
-    metrics by :class:`repro.obs.views.MetricsView`) and ``riscasim
-    --backend compiled --explain``.
-    """
-
-    digest: str
-    record_trace: bool
-    record_values: bool
-    mem_size: int
-    instructions: int
-    blocks: int
-    source_lines: int
-    compile_seconds: float
-    counters: dict[str, int] = field(default_factory=dict)
-    source_cache_hits: int = 0
-
-    @property
-    def mode(self) -> str:
-        return (("t" if self.record_trace else "-")
-                + ("v" if self.record_values else "-"))
-
-
-_COMPILE_REPORTS: dict[tuple[str, bool, bool, int], CompileReport] = {}
-
-
-def cache_info() -> dict[str, int]:
-    """Size of the digest-keyed generated-function cache (for tests)."""
-    return {"size": len(_CODE_CACHE)}
-
-
-def cache_clear() -> None:
-    """Drop all cached generated functions (for tests/benchmarks)."""
-    _CODE_CACHE.clear()
-    _COMPILE_REPORTS.clear()
-
-
-def compile_reports() -> list[CompileReport]:
-    """Every compilation this process performed, in compile order."""
-    return list(_COMPILE_REPORTS.values())
-
-
-def explain_table(reports: "list[CompileReport] | None" = None) -> str:
-    """The ``riscasim --backend compiled --explain`` report table."""
-    reports = compile_reports() if reports is None else reports
-    if not reports:
-        return "compiled backend: no programs compiled in this process"
-    lines = [
-        f"compiled backend: {len(reports)} program(s), "
-        f"{sum(r.compile_seconds for r in reports) * 1e3:.1f} ms codegen, "
-        f"{sum(r.source_cache_hits for r in reports)} source-cache hit(s)",
-        f"  {'program':<10} {'mode':<4} {'instr':>6} {'lines':>6} "
-        f"{'ms':>6} {'hits':>5}  optimizations",
-    ]
-    for report in reports:
-        opts = ", ".join(
-            f"{key.replace('_', ' ')} {report.counters[key]}"
-            for key in COUNTER_KEYS if report.counters.get(key)
-        ) or "none"
-        lines.append(
-            f"  {report.digest[:8]:<10} {report.mode:<4} "
-            f"{report.instructions:>6} {report.source_lines:>6} "
-            f"{report.compile_seconds * 1e3:>6.1f} "
-            f"{report.source_cache_hits:>5}  {opts}"
-        )
-    return "\n".join(lines)
-
-
-def _publish(type: str, data: dict) -> None:
-    """Ledger event on the process's active bus, if one is installed.
-
-    No bus can be active before the ledger module is loaded, so a
-    process without telemetry never imports :mod:`repro.obs` from here.
-    """
-    ledger = sys.modules.get("repro.obs.events")
-    if ledger is not None:
-        ledger.publish_event("backend", type, data)
+#: Generated functions by (program digest, record_trace, record_values,
+#: memory size), published as ``backend`` ledger events.
+CODE = CodeCache("backend", "compiled backend", COUNTER_KEYS)
 
 
 def compiled_function(
@@ -202,30 +113,27 @@ def compiled_function(
     the key because bounds-check elision proves addresses in range
     against it at codegen time.
     """
-    key = (
-        machine.program.digest(), record_trace, record_values,
-        machine.memory.size,
-    )
-    fn = _CODE_CACHE.get(key)
-    if fn is None:
-        fn = _compile(machine, record_trace, record_values, key[0])
-        _CODE_CACHE[key] = fn
-        report = _COMPILE_REPORTS.get(key)
-        if report is not None:
-            _publish("compile", {
-                "digest": key[0][:12],
-                "mode": report.mode,
-                "instructions": report.instructions,
-                "source_lines": report.source_lines,
-                "seconds": round(report.compile_seconds, 6),
-                **{k: report.counters.get(k, 0) for k in COUNTER_KEYS},
-            })
-    else:
-        report = _COMPILE_REPORTS.get(key)
-        if report is not None:
-            report.source_cache_hits += 1
-        _publish("codegen-cache-hit", {"digest": key[0][:12]})
-    return fn
+    program, mem_size = machine.program, machine.memory.size
+    digest = program.digest()
+    key = (digest, record_trace, record_values, mem_size)
+    hit = CODE.get(key)
+    if hit is not None:
+        return hit[0]
+    func_name = f"_compiled_{digest[:8]}"
+    mode = ("t" if record_trace else "-") + ("v" if record_values else "-")
+    flags = ("t" if record_trace else "f") + ("v" if record_values else "f")
+
+    def generate():
+        # The program and memory size, never the machine: no memory image
+        # outlives its run in the callback that regenerates the lines.
+        return (*_generate_source(program, mem_size, record_trace,
+                                  record_values, func_name), _namespace())
+
+    return CODE.compile(
+        key, CodegenReport(digest, mode, len(program.instructions),
+                           len(analyses_for(program).cfg.blocks)),
+        f"<repro-compiled:{digest[:8]}:{flags}:{mem_size}>", func_name,
+        generate)[0]
 
 
 def generated_source(
@@ -234,61 +142,8 @@ def generated_source(
     record_values: bool = False,
 ) -> str:
     """The Python source the backend would execute (docs and tests)."""
-    source, _counters, _blocks = _generate_source(
-        machine, record_trace, record_values, "_compiled_run"
-    )
-    return source
-
-
-def _compile(
-    machine: "Machine",
-    record_trace: bool,
-    record_values: bool,
-    digest: str,
-) -> Callable[..., Any]:
-    from repro.sim.machine import SimulationError
-
-    began = time.perf_counter()
-    func_name = f"_compiled_{digest[:8]}"
-    source, counters, blocks = _generate_source(
-        machine, record_trace, record_values, func_name
-    )
-    filename = (
-        f"<repro-compiled:{digest[:8]}:"
-        f"{'t' if record_trace else 'f'}{'v' if record_values else 'f'}:"
-        f"{machine.memory.size}>"
-    )
-    # Register the source so tracebacks and the profiler see real lines.
-    linecache.cache[filename] = (
-        len(source), None, source.splitlines(True), filename,
-    )
-    namespace: dict[str, Any] = {
-        "SimulationError": SimulationError,
-        "TraceChunk": TraceChunk,
-        "array": array,
-        "SEQ_T": SEQ_TYPECODE,
-        "ADDR_T": ADDR_TYPECODE,
-        "VAL_T": VALUE_TYPECODE,
-        "_drain": _drain,
-        "_grp": grp,
-        "_xbox": xbox,
-        "_ZAPNOT": ZAPNOT_MASKS,
-    }
-    exec(compile(source, filename, "exec"), namespace)
-    _COMPILE_REPORTS[
-        (digest, record_trace, record_values, machine.memory.size)
-    ] = CompileReport(
-        digest=digest,
-        record_trace=record_trace,
-        record_values=record_values,
-        mem_size=machine.memory.size,
-        instructions=len(machine.code),
-        blocks=blocks,
-        source_lines=source.count("\n"),
-        compile_seconds=time.perf_counter() - began,
-        counters=counters,
-    )
-    return namespace[func_name]
+    return _generate_source(machine.program, machine.memory.size,
+                            record_trace, record_values, "_compiled_run")[0]
 
 
 def _constant(value: int) -> "tuple[str, int]":
@@ -299,10 +154,10 @@ def _constant(value: int) -> "tuple[str, int]":
 class _Site(Facts):
     """Facts about one static instruction, as the lattices proved them."""
 
-    def __init__(self, machine: "Machine", record_trace: bool,
+    def __init__(self, src2: list, mem_size: int, record_trace: bool,
                  counters: "dict[str, int]") -> None:
-        self.src2 = machine.src2
-        self.mem_size = machine.memory.size
+        self.src2 = src2
+        self.mem_size = mem_size
         self.trace = record_trace
         self.counters = counters
 
@@ -348,22 +203,26 @@ class _Site(Facts):
 
 
 def _generate_source(
-    machine: "Machine",
+    program: Program,
+    mem_size: int,
     record_trace: bool,
     record_values: bool,
     func_name: str,
-) -> "tuple[str, dict[str, int], int]":
-    """Generate the source plus its optimization counters and block count.
+) -> "tuple[str, dict[str, int]]":
+    """Generate the source plus its optimization counters.
 
     The counters (keys: :data:`COUNTER_KEYS`) are incremented at every
-    elision/fold decision the emitters take, so a
-    :class:`CompileReport` explains exactly what specialization bought
-    for this program.
+    elision/fold decision the emitters take, so a compile report
+    explains exactly what specialization bought for this program.
     """
-    code, dest = machine.code, machine.dest
-    src1, src2 = machine.src1, machine.src2
-    lit, disp, target = machine.lit, machine.disp, machine.target
-    bsel = machine.bsel
+    # Entry facts come from the program's shared analyses, so every
+    # recording mode (and the verifier) reuses one set of fixpoints.
+    analyses = analyses_for(program)
+    arrays = analyses.arrays
+    code, dest = arrays.code, arrays.dest
+    src1, src2 = arrays.src1, arrays.src2
+    lit, disp, target = arrays.lit, arrays.disp, arrays.target
+    bsel = arrays.bsel
     n = len(code)
 
     lines: list[str] = []
@@ -382,22 +241,18 @@ def _generate_source(
         w(1, "raise SimulationError('fell off program end at pc=0')")
         w(1, "if False:")
         w(2, "yield None")
-        return "\n".join(lines) + "\n", counters, 0
+        return "\n".join(lines) + "\n", counters
 
-    # Entry facts come from the program's shared analyses, so every
-    # recording mode (and the verifier) reuses one set of fixpoints.
-    analyses = analyses_for(machine.program)
     blocks, block_of = analyses.cfg.blocks, analyses.cfg.block_of
     widths = analyses.array_widths
     tzs = analyses.array_trailing_zeros
     consts = analyses.array_constants
-    step = make_width_step(machine)
-    tz_step = make_tz_step(machine)
-    const_step = make_const_step(machine)
-    # Bounds proofs compare against the machine's memory size, so the
-    # generated function is specialized to it (part of the cache key).
-    mem_size = machine.memory.size
-    site = _Site(machine, record_trace, counters)
+    step = make_width_step(arrays)
+    tz_step = make_tz_step(arrays)
+    const_step = make_const_step(arrays)
+    # Bounds proofs compare against the memory size, so the generated
+    # function is specialized to it (part of the cache key).
+    site = _Site(src2, mem_size, record_trace, counters)
 
     # Register-usage scan: which slots to pin in locals / write back.
     reads: set[int] = set()
@@ -688,4 +543,4 @@ def _generate_source(
         w(2, ")")
     w(1, "if False:")
     w(2, "yield None")
-    return "\n".join(lines) + "\n", counters, len(blocks)
+    return "\n".join(lines) + "\n", counters

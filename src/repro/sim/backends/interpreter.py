@@ -13,14 +13,13 @@ specializes per instruction.  Memory goes through ``int.from_bytes`` /
 size: the compiled backend delegates here on big-endian hosts and for
 memory sizes not divisible by 8.
 
-The loop is generated and compiled once per process, on first use, and
-registered in :mod:`linecache` as ``<repro-interpreter>`` so tracebacks
-show its lines and the profiler counts it as ``functional``.
+The loop is generated and compiled once per process, on first use, as
+``<repro-interpreter>`` (:func:`repro.sim.codegen.compile_source`), so
+tracebacks show its lines and the profiler counts it as ``functional``.
 """
 
 from __future__ import annotations
 
-import linecache
 from array import array
 from functools import cache
 from typing import TYPE_CHECKING, Any, Callable, Iterator
@@ -28,6 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 from repro.isa.analysis.lattices import ZAPNOT_MASKS
 from repro.isa.opcodes import HALT, SPECS_BY_NAME
 from repro.isa.semantics import EMITTERS, Facts, grp, xbox
+from repro.sim.codegen import compile_source
 from repro.sim.trace import (
     ADDR_TYPECODE,
     SEQ_TYPECODE,
@@ -99,9 +99,6 @@ _ARM_ORDER = (
     "lda", "ldiq", "br", "beq", "bne", "blt", "ble", "bgt", "bge", "rolq",
     "rorq", "grpl", "grpq", "sboxsync", "halt",
 )
-
-_FILENAME = "<repro-interpreter>"
-
 
 #: HALT stages its own trace entry (address and value 0) and stops.
 _HALT_ARM = """\
@@ -203,21 +200,26 @@ def generated_source() -> str:
     return "\n".join(lines) + "\n" + _TAIL
 
 
-@cache
-def _loop() -> Callable[..., Any]:
-    """The generated loop, compiled once per process."""
+def _namespace() -> "dict[str, Any]":
+    """The globals both generated functional forms read."""
     from repro.sim.machine import SimulationError
 
-    source = generated_source()
-    linecache.cache[_FILENAME] = (
-        len(source), None, source.splitlines(True), _FILENAME,
-    )
-    namespace: dict[str, Any] = {
+    return {
         "SimulationError": SimulationError,
+        "TraceChunk": TraceChunk,
+        "array": array,
+        "SEQ_T": SEQ_TYPECODE,
+        "ADDR_T": ADDR_TYPECODE,
+        "VAL_T": VALUE_TYPECODE,
         "_drain": _drain,
         "_grp": grp,
         "_xbox": xbox,
         "_ZAPNOT": ZAPNOT_MASKS,
     }
-    exec(compile(source, _FILENAME, "exec"), namespace)
-    return namespace["_interpret"]
+
+
+@cache
+def _loop() -> Callable[..., Any]:
+    """The generated loop, compiled once per process."""
+    return compile_source(generated_source(), "<repro-interpreter>",
+                          "_interpret", _namespace(), generated_source)

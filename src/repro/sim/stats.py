@@ -84,9 +84,9 @@ class SimStats:
         for f in fields(self):
             mine, theirs = getattr(self, f.name), getattr(other, f.name)
             if f.name == "extra":
-                strip = lambda d: {k: v for k, v in d.items()
-                                   if k not in PROVENANCE_KEYS}
-                mine, theirs = strip(mine), strip(theirs)
+                mine, theirs = (
+                    {k: v for k, v in d.items() if k not in PROVENANCE_KEYS}
+                    for d in (mine, theirs))
             if mine != theirs:
                 return False
         return True
@@ -101,10 +101,6 @@ class SimStats:
         On a 1 GHz machine this number equals MB/s of encryption throughput.
         """
         return 1000.0 * payload_bytes / self.cycles if self.cycles else 0.0
-
-    @property
-    def stalled_slots(self) -> int:
-        return sum(self.stall_slots.values())
 
     def stall_fractions(self) -> dict[str, float]:
         """Issue-slot shares: ``issued`` plus each stall category, sums to 1.

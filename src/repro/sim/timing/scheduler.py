@@ -30,19 +30,16 @@ the SBox cache's tag check.  The loop calls ``MemoryHierarchy.access``,
 
 The prelude pins into locals the carried state the body names, and the
 epilogue writes back what it changed (``_PINS``): in the blocks only the
-state they use, in the loop all of it.  Sources are registered in
-:mod:`linecache` under ``<repro-timing:...>`` filenames, so tracebacks and
-the sampling profiler see real lines; the lines are built when first
-read, so a block scheduler does not keep its source (:func:`compile_source`).
+state they use, in the loop all of it.  Both forms are compiled under
+``<repro-timing:...>`` filenames (:func:`repro.sim.codegen.compile_source`).
 """
 
 from __future__ import annotations
 
-import linecache
 import re
-from collections.abc import Sequence
 from types import SimpleNamespace
 
+from repro.sim.codegen import compile_source
 from repro.sim.timing.stages import (
     _C_ALIAS,
     _C_FETCH,
@@ -827,48 +824,13 @@ def _loop_source() -> str:
         em.lines, ["    self._count += hi - lo"])
 
 
-class _LazyLines(Sequence):
-    """A linecache line list that generates its source on first access."""
-
-    def __init__(self, generate):
-        self._generate = generate
-        self._lines: "list[str] | None" = None
-
-    def _get(self) -> "list[str]":
-        if self._lines is None:
-            self._lines = self._generate().splitlines(True)
-            self._generate = None
-        return self._lines
-
-    def __len__(self) -> int:
-        return len(self._get())
-
-    def __getitem__(self, index):
-        return self._get()[index]
-
-
-def compile_source(source: str, filename: str, func_name: str,
-                   namespace: dict, regenerate):
-    """Compile a generated source, registered in linecache as ``filename``;
-    returns its function ``func_name``.
-
-    ``regenerate()`` returns ``source`` again: linecache holds it, not the
-    lines, and calls it the first time a traceback or profiler reads a
-    line, so the function does not keep its source resident.
-    """
-    linecache.cache[filename] = (len(source), None, _LazyLines(regenerate),
-                                 filename)
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace[func_name]
-
-
 #: The per-entry loop's source: the emitters with nothing known.
 LOOP_SOURCE = _loop_source()
 
 
 def per_entry_loop():
-    """The per-entry loop, compiled once per process (linecache-registered
-    as ``<repro-timing:loop>``): ``_advance(self, seq, addrs, taken_arr,
+    """The per-entry loop, compiled once per process as
+    ``<repro-timing:loop>``: ``_advance(self, seq, addrs, taken_arr,
     base_pos, lo, hi, next_s)`` processes trace entries ``seq[lo:hi]``.
 
     It reads the config and each entry's op and static fields at run time,

@@ -36,11 +36,10 @@ inline form against its component's method.
 
 from __future__ import annotations
 
+import itertools
 import re
-import sys
-import time
-from dataclasses import dataclass, field
 
+from repro.sim.codegen import CodeCache, CodegenReport
 from repro.sim.config import MachineConfig
 from repro.sim.timing.generic import GenericPipeline, op_table
 from repro.sim.timing.ir import TimingIR, timing_ir
@@ -48,36 +47,8 @@ from repro.sim.timing.scheduler import (
     COUNTER_KEYS,
     LOOP_SOURCE,
     block_scheduler,
-    compile_source,
 )
 from repro.sim.trace import StaticInfo
-
-
-@dataclass
-class SpecializationReport:
-    """What one (program, config) specialization did: counters, wall time.
-
-    One report per generated scheduler (same key as the code cache);
-    ``source_cache_hits`` counts later pipelines served from the cache.
-    Surfaced as ``timing`` ledger events (folded into ``timing.*``
-    metrics by :class:`repro.obs.views.MetricsView`) and ``riscasim
-    --explain``.
-    """
-
-    digest: str
-    config_name: str
-    attributed: bool
-    instructions: int
-    blocks: int
-    source_lines: int
-    compile_seconds: float
-    counters: dict[str, int] = field(default_factory=dict)
-    source_cache_hits: int = 0
-
-    @property
-    def mode(self) -> str:
-        return "attr" if self.attributed else "plain"
-
 
 #: Tier-up thresholds, in entries fed per static instruction: a pipeline
 #: generates its scheduler once it has fed ``K * n_instructions`` trace
@@ -92,81 +63,30 @@ class SpecializationReport:
 TIER_UP_ATTRIBUTED = 800
 TIER_UP_PLAIN = 250
 
-_CODE_CACHE: dict = {}
-_REPORTS: dict = {}
-_SERIAL = [0]
-#: Pipelines that finished below their tier-up threshold.
-_UNTIERED = [0]
+
+class _Schedulers(CodeCache):
+    """The block schedulers, and the pipelines that finished on the
+    per-entry loop below their tier-up count (``untiered``)."""
+
+    untiered = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.untiered = 0
+
+    def explain(self) -> str:
+        if not self.untiered:
+            return super().explain()
+        return (f"{super().explain()}\n  {self.untiered} pipeline(s) "
+                "finished on the per-entry path, below the tier-up "
+                f"threshold of {TIER_UP_ATTRIBUTED} (attr) / "
+                f"{TIER_UP_PLAIN} (plain) entries per static instruction")
 
 
-def cache_info() -> dict[str, int]:
-    """Size of the (digest, config)-keyed generated-scheduler cache."""
-    return {"size": len(_CODE_CACHE)}
-
-
-def cache_clear() -> None:
-    """Drop all cached generated schedulers (for tests/benchmarks)."""
-    _CODE_CACHE.clear()
-    _REPORTS.clear()
-    _UNTIERED[0] = 0
-
-
-def specialization_reports() -> list[SpecializationReport]:
-    """Every specialization this process performed, in compile order."""
-    return list(_REPORTS.values())
-
-
-def untiered_pipelines() -> int:
-    """Pipelines this process finished without generating a scheduler."""
-    return _UNTIERED[0]
-
-
-def explain_table(reports: "list[SpecializationReport] | None" = None) -> str:
-    """The ``riscasim --explain`` timing table."""
-    reports = specialization_reports() if reports is None else reports
-    untiered = untiered_pipelines()
-    untiered_line = (
-        f"  {untiered} pipeline(s) finished on the per-entry path, below "
-        f"the tier-up threshold of {TIER_UP_ATTRIBUTED} (attr) / "
-        f"{TIER_UP_PLAIN} (plain) entries per static instruction"
-    )
-    if not reports:
-        head = ("specialized timing engine: no programs specialized "
-                "in this process")
-        return f"{head}\n{untiered_line}" if untiered else head
-    lines = [
-        f"specialized timing engine: {len(reports)} specialization(s), "
-        f"{sum(r.compile_seconds for r in reports) * 1e3:.1f} ms codegen, "
-        f"{sum(r.source_cache_hits for r in reports)} cache hit(s)",
-        f"  {'program':<10} {'config':<10} {'mode':<5} {'instr':>6} "
-        f"{'lines':>6} {'ms':>6} {'hits':>5}  optimizations",
-    ]
-    for report in reports:
-        opts = ", ".join(
-            f"{key.replace('_', ' ')} {report.counters[key]}"
-            for key in COUNTER_KEYS if report.counters.get(key)
-        ) or "none"
-        lines.append(
-            f"  {report.digest[:8]:<10} {report.config_name:<10} "
-            f"{report.mode:<5} {report.instructions:>6} "
-            f"{report.source_lines:>6} "
-            f"{report.compile_seconds * 1e3:>6.1f} "
-            f"{report.source_cache_hits:>5}  {opts}"
-        )
-    if untiered:
-        lines.append(untiered_line)
-    return "\n".join(lines)
-
-
-def _publish(type: str, data: dict) -> None:
-    """Ledger event on the process's active bus, if one is installed.
-
-    No bus can be active before the ledger module is loaded, so a
-    process without telemetry never imports it from here.
-    """
-    ledger = sys.modules.get("repro.obs.events")
-    if ledger is not None:
-        ledger.publish_event("timing", type, data)
+#: Generated schedulers by (program digest, static fingerprint, config),
+#: published as ``timing`` ledger events.
+CODE = _Schedulers("timing", "timing block schedulers", COUNTER_KEYS)
+_SERIAL = itertools.count(1)
 
 
 def _scheduler_key(static, program, config: MachineConfig) -> tuple:
@@ -198,53 +118,24 @@ def _scheduler_key(static, program, config: MachineConfig) -> tuple:
 def specialized_scheduler(ir: TimingIR, static, config: MachineConfig):
     """The generated fast-path function for this (program, config) pair.
 
-    Returns ``(function or None, report or None)``; ``None`` when the
-    program has no loop to specialize.
+    Returns ``(function, report)``, or ``(None, None)`` when the program
+    has no loop to specialize.
     """
-    n = ir.n_instructions
     if not ir.loop_blocks:
         return None, None
     key = _scheduler_key(static, ir.program, config)
-    cached = _CODE_CACHE.get(key)
-    if cached is not None:
-        report = _REPORTS.get(key)
-        if report is not None:
-            report.source_cache_hits += 1
-        _publish("specialize-cache-hit", {
-            "digest": key[0][:12], "config": config.name,
-        })
-        return cached, report
-    began = time.perf_counter()
-    _SERIAL[0] += 1
+    hit = CODE.get(key)
+    if hit is not None:
+        return hit
+    serial = next(_SERIAL)
     slug = re.sub(r"\W", "_", config.name)
-    func_name = f"_timing_{key[0][:8]}_{slug}_{_SERIAL[0]}"
-    source, counters, namespace = _blocks(ir, static, config, func_name)
-    filename = f"<repro-timing:{key[0][:8]}:{config.name}:{_SERIAL[0]}>"
-    fn = compile_source(
-        source, filename, func_name, namespace,
-        regenerate=lambda: _blocks(ir, static, config, func_name)[0])
-    _CODE_CACHE[key] = fn
-    report = _REPORTS[key] = SpecializationReport(
-        digest=key[0],
-        config_name=config.name,
-        attributed=config.issue_width is not None,
-        instructions=n,
-        blocks=len(ir.loop_blocks),
-        source_lines=source.count("\n"),
-        compile_seconds=time.perf_counter() - began,
-        counters=counters,
-    )
-    _publish("specialize", {
-        "digest": key[0][:12],
-        "config": config.name,
-        "mode": report.mode,
-        "instructions": n,
-        "blocks": report.blocks,
-        "source_lines": report.source_lines,
-        "seconds": round(report.compile_seconds, 6),
-        **{k: counters.get(k, 0) for k in COUNTER_KEYS},
-    })
-    return fn, report
+    func_name = f"_timing_{key[0][:8]}_{slug}_{serial}"
+    mode = "attr" if config.issue_width is not None else "plain"
+    return CODE.compile(
+        key, CodegenReport(key[0], f"{config.name} {mode}",
+                           ir.n_instructions, len(ir.loop_blocks)),
+        f"<repro-timing:{key[0][:8]}:{config.name}:{serial}>", func_name,
+        lambda: _blocks(ir, static, config, func_name))
 
 
 def _blocks(ir: TimingIR, static, config: MachineConfig, func_name: str):
@@ -319,8 +210,7 @@ class SpecializedPipeline(GenericPipeline):
         n = len(program.instructions)
         if n:
             # An empty code cache (every short run) needs no key.
-            if _CODE_CACHE and \
-                    _scheduler_key(static, program, config) in _CODE_CACHE:
+            if CODE and _scheduler_key(static, program, config) in CODE:
                 self._tier_up()
             else:
                 per_static = (TIER_UP_ATTRIBUTED if self._attribute
@@ -379,8 +269,8 @@ class SpecializedPipeline(GenericPipeline):
 
     def _finalize_engine(self):
         if self._tier_at is not None:
-            _UNTIERED[0] += 1
-            _publish("untiered", {
+            CODE.untiered += 1
+            CODE.publish("untiered", {
                 "digest": self.program.digest()[:12],
                 "config": self.config.name,
                 "entries": self._count,

@@ -6,7 +6,7 @@
     python -m repro.tools.riscasim program.s --view 0:30     # pipeline view
     python -m repro.tools.riscasim program.s --bottlenecks   # Figure 5 sweep
     python -m repro.tools.riscasim --cipher Blowfish --profile --no-cache
-    python -m repro.tools.riscasim --cipher RC4 --backend compiled --explain
+    python -m repro.tools.riscasim --cipher RC4 --no-cache --explain
 
 The program runs against a fresh 1 MB memory; use LDIQ-materialized
 addresses and STL/STQ to produce observable results (dumped with --dump).
@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 
 from repro.isa import assemble
 from repro.kernels import KERNEL_NAMES
+from repro.obs.views import CODEGEN
 from repro.runner import Experiment, ExperimentOptions
 from repro.sim import (
     BOTTLENECKS,
@@ -36,7 +38,6 @@ from repro.sim import (
     simulate,
 )
 from repro.sim.pipeview import render_pipeline, stall_summary
-from repro.sim.timing import DEFAULT_ENGINE
 from repro.tools.cli import (
     CONFIGS,
     FEATURE_LEVELS,
@@ -73,9 +74,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="memory size in bytes")
     parser.add_argument(
         "--explain", action="store_true",
-        help="print the per-program codegen report(s) (elided checks, "
-             "folded constants, compile time) of --backend compiled and "
-             "of the specialized timing engine (the default)",
+        help="print every code cache's table: the functions the compiled "
+             "backend and the timing block schedulers generated (elided "
+             "checks, folded constants, codegen time)",
     )
     add_runner_arguments(parser)
     args = parser.parse_args(argv)
@@ -86,11 +87,6 @@ def main(argv: list[str] | None = None) -> int:
                         or args.dump or args.list):
         parser.error("--cipher supports plain stats runs only "
                      "(no --list/--view/--dump/--bottlenecks)")
-    engine = args.timing_engine or DEFAULT_ENGINE
-    if args.explain and args.backend != "compiled" \
-            and engine != "specialized":
-        parser.error("--explain requires --backend compiled and/or "
-                     "--timing-engine specialized")
 
     config = CONFIGS[args.config]
     obs = observability_from_args(args, tool="riscasim")
@@ -110,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{result.stats.summary()}")
         _print_slots(result.stats)
         if args.explain:
-            _print_explain(args.backend, engine)
+            _print_explain()
         _finish(obs)
         return 0
 
@@ -163,18 +159,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{which:<10} {dataflow / cycles:.3f}")
 
     if args.explain:
-        _print_explain(args.backend, engine)
+        _print_explain()
     _finish(obs)
     return 0
 
 
-def _print_explain(backend: "str | None", engine: str) -> None:
-    if backend == "compiled":
-        from repro.sim.backends.compiled import explain_table
-        print(explain_table())
-    if engine == "specialized":
-        from repro.sim.timing.specialized import explain_table
-        print(explain_table())
+def _print_explain() -> None:
+    for _family, module in CODEGEN.values():
+        print(import_module(module).CODE.explain())
 
 
 def _print_slots(stats) -> None:

@@ -6,8 +6,3 @@ from __future__ import annotations
 def h2b(hex_string: str) -> bytes:
     """Convert a hex string (spaces/newlines allowed) to bytes."""
     return bytes.fromhex("".join(hex_string.split()))
-
-
-def b2h(data: bytes) -> str:
-    """Convert bytes to a lowercase hex string."""
-    return data.hex()

@@ -186,10 +186,10 @@ def test_report_runs_end_to_end(tmp_path):
     buffer = io.StringIO()
     # An empty code cache: no scheduler an earlier test generated serves
     # a pipeline here from entry 0.
-    specialized_mod.cache_clear()
+    specialized_mod.CODE.clear()
     full_report(session_bytes=128, stream=buffer, runner=runner)
-    assert specialized_mod.specialization_reports() == []
-    assert specialized_mod.untiered_pipelines() > 0
+    assert specialized_mod.CODE.reports() == []
+    assert specialized_mod.CODE.untiered > 0
     text = buffer.getvalue()
     for marker in ("Table 1", "Figure 2", "Figure 4", "Figure 5",
                    "Figure 6", "Figure 7", "Table 2", "Figure 10"):
@@ -246,8 +246,7 @@ def test_long_generic_cells_on_both_scheduler_paths(engine, monkeypatch):
         monkeypatch.setattr(specialized_mod, "TIER_UP_PLAIN", 0)
         # A private code cache: every scheduler is generated here, and
         # none outlives the test.
-        monkeypatch.setattr(specialized_mod, "_CODE_CACHE", {})
-        monkeypatch.setattr(specialized_mod, "_REPORTS", {})
+        monkeypatch.setattr(specialized_mod.CODE, "_entries", {})
     cells: dict[str, dict] = {}
 
     def record(result) -> None:
@@ -260,7 +259,7 @@ def test_long_generic_cells_on_both_scheduler_paths(engine, monkeypatch):
                     stats_hook=record)
     speedups.run(_long_generic_options(), runner=runner)
     if engine == "specialized":
-        assert specialized_mod.specialization_reports()
+        assert specialized_mod.CODE.reports()
     moved = _moved_cells(golden["cells"]["long-generic"], cells)
     assert not moved, f"long-generic cells moved on {engine}:\n" + \
         "\n".join(moved)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import multisession
-from repro.sim import FOURW, simulate
+from repro.sim import FOURW
 
 
 def test_interleave_preserves_instruction_count():

@@ -86,6 +86,38 @@ loop:
     assert "mean_wait_cycles" in output
 
 
+@pytest.fixture
+def code_caches():
+    """Both code caches, emptied after the test: they live for the whole
+    process."""
+    from repro.sim.backends import compiled
+    from repro.sim.timing import specialized
+
+    caches = (compiled.CODE, specialized.CODE)
+    yield caches
+    for cache in caches:
+        cache.clear()
+
+
+def test_riscasim_explain_prints_every_code_cache(capsys, code_caches):
+    """``--explain`` needs no stack flag.  On the default stack, RC4 at
+    2 KiB (about 40k entries, past 800 x 27) tiers its 4W pipeline up
+    and the interpreter generates nothing per program; on the generic
+    engine neither cache generates anything."""
+    args = ["--cipher", "RC4", "--session-bytes", "2048", "--no-cache",
+            "--explain"]
+    generic = ["--timing-engine", "generic"]
+    for extra, timing in (([], "1 function(s),"),
+                          (generic, "nothing generated")):
+        for cache in code_caches:
+            cache.clear()
+        assert riscasim.main([*args, *extra]) == 0
+        output = capsys.readouterr().out
+        assert "compiled backend: nothing generated in this process" in output
+        assert f"timing block schedulers: {timing}" in output
+        assert output.count(" 4W attr ") == (0 if extra else 1)
+
+
 def test_kernelbench_encrypt_and_decrypt(capsys):
     assert kernelbench.main(["--cipher", "RC6", "--session", "128",
                              "--configs", "4W", "DF"]) == 0

@@ -47,8 +47,8 @@ def test_backward_mix_invertible(state):
 
 @given(words32, words32)
 def test_e_function_outputs_are_32_bit(word, key_add):
-    l, m, r = e_function(word, key_add, 0x2545F491 | 1)
-    for value in (l, m, r):
+    left, m, r = e_function(word, key_add, 0x2545F491 | 1)
+    for value in (left, m, r):
         assert 0 <= value <= 0xFFFFFFFF
 
 

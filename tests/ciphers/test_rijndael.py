@@ -4,7 +4,6 @@ from repro.ciphers.rijndael import (
     Rijndael,
     expand_key,
     inv_sbox,
-    inv_t_tables,
     sbox,
     t_tables,
 )

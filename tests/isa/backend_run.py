@@ -65,7 +65,7 @@ def every_backend(test):
 
 
 def _compilations() -> int:
-    return sum(1 + r.source_cache_hits for r in compiled.compile_reports())
+    return sum(1 + r.hits for r in compiled.CODE.reports())
 
 
 def execute(program, memory, backend, **kwargs):

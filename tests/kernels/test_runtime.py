@@ -5,9 +5,6 @@ import pytest
 from repro.isa import Features
 from repro.kernels import make_kernel
 from repro.kernels.runtime import (
-    INPUT_BASE,
-    IV_BASE,
-    KEYS_BASE,
     TABLES_BASE,
     pack_words_be,
 )

@@ -2,8 +2,6 @@
 trace give identical results; streams stay chunk-bounded and write
 their trace blob through."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.isa import assemble

@@ -344,7 +344,7 @@ def test_pool_workers_publish_into_the_parent_ledger(tmp_path):
     )
     from repro.sim.backends import compiled
 
-    compiled.cache_clear()
+    compiled.CODE.clear()
     path = tmp_path / "events.jsonl"
     bus = EventBus()
     bus.subscribe(JsonlSink(path))
@@ -366,7 +366,7 @@ def test_pool_workers_publish_into_the_parent_ledger(tmp_path):
     compiles = Counter(event["data"]["digest"] for event in ledger
                        if event["type"] == "compile")
     assert len(compiles) >= 3 and set(compiles.values()) == {1}
-    assert compiled.compile_reports() == []  # all codegen ran in workers
+    assert compiled.CODE.reports() == []  # all codegen ran in workers
 
 
 # -- ledger equivalence: serial vs the parallel fallback --------------------

@@ -1,4 +1,8 @@
-"""Compiled-backend introspection: codegen counters, reports, metrics."""
+"""Compiled-backend introspection: codegen counters, reports, metrics,
+and the generated lines tracebacks show."""
+
+import linecache
+import traceback
 
 import pytest
 
@@ -11,20 +15,15 @@ from repro.obs import (
     RingBufferSink,
     set_active_bus,
 )
-from repro.sim import Machine, Memory
-from repro.sim.backends import compiled as compiled_mod
-from repro.sim.backends.compiled import (
-    COUNTER_KEYS,
-    compile_reports,
-    explain_table,
-)
+from repro.sim import Machine, Memory, SimulationError
+from repro.sim.backends.compiled import CODE, COUNTER_KEYS, generated_source
 
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    compiled_mod.cache_clear()
+    CODE.clear()
     yield
-    compiled_mod.cache_clear()
+    CODE.clear()
 
 
 def small_program(iterations: int = 5):
@@ -48,25 +47,25 @@ def run_compiled(**kwargs):
 
 
 def test_compile_produces_one_report_per_specialization():
-    assert compile_reports() == []
+    assert CODE.reports() == []
     run_compiled(record_trace=False)
-    reports = compile_reports()
+    reports = CODE.reports()
     assert len(reports) == 1
     report = reports[0]
     assert report.instructions == 8
     assert report.blocks >= 2
     assert report.source_lines > 0
-    assert report.compile_seconds > 0
+    assert report.seconds > 0
     assert report.mode == "--"
     assert set(report.counters) == set(COUNTER_KEYS)
     run_compiled()                      # record_trace: new specialization
-    assert len(compile_reports()) == 2
-    assert {report.mode for report in compile_reports()} == {"--", "t-"}
+    assert len(CODE.reports()) == 2
+    assert {report.mode for report in CODE.reports()} == {"--", "t-"}
 
 
 def test_counters_see_elided_checks_in_small_program():
     run_compiled(record_trace=False)
-    counters = compile_reports()[0].counters
+    counters = CODE.reports()[0].counters
     # LDQ/STQ at constant address 0x100 in 4 KiB memory: both the bounds
     # and the alignment check are provably unnecessary.
     assert counters["bounds_checks_elided"] == 2
@@ -77,29 +76,29 @@ def test_rc4_kernel_counts_sbox_folds():
     kernel = make_kernel("RC4")
     program, memory, _layout = kernel.prepare(bytes(64), None)
     Machine(program, memory).execute(backend="compiled", record_trace=False)
-    counters = compile_reports()[0].counters
+    counters = CODE.reports()[0].counters
     assert counters["sbox_index_folds"] > 0
     assert counters["masks_elided"] > 0
 
 
 def test_source_cache_hits_accumulate_on_reports():
     run_compiled(record_trace=False)
-    assert compile_reports()[0].source_cache_hits == 0
+    assert CODE.reports()[0].hits == 0
     run_compiled(record_trace=False)
     run_compiled(record_trace=False)
-    assert compile_reports()[0].source_cache_hits == 2
+    assert CODE.reports()[0].hits == 2
 
 
 def test_explain_table_lists_programs():
     run_compiled(record_trace=False)
-    table = explain_table()
-    assert "1 program(s)" in table
-    assert compile_reports()[0].digest[:8] in table
+    table = CODE.explain()
+    assert "compiled backend: 1 function(s)" in table
+    assert CODE.reports()[0].digest[:8] in table
     assert "bounds checks elided" in table
 
 
 def test_explain_table_empty_without_compiles():
-    assert "no programs compiled" in explain_table()
+    assert "compiled backend: nothing generated" in CODE.explain()
 
 
 def test_record_compile_metrics_folds_counters():
@@ -132,7 +131,7 @@ def test_compile_and_cache_hit_events_publish_to_active_bus():
         set_active_bus(previous)
     kinds = [(event["source"], event["type"]) for event in sink.events]
     assert ("backend", "compile") in kinds
-    assert ("backend", "codegen-cache-hit") in kinds
+    assert ("backend", "cache-hit") in kinds
     compile_event = next(event for event in sink.events
                          if event["type"] == "compile")
     assert compile_event["data"]["instructions"] == 8
@@ -141,6 +140,34 @@ def test_compile_and_cache_hit_events_publish_to_active_bus():
 
 def test_cache_clear_drops_reports():
     run_compiled(record_trace=False)
-    assert compile_reports()
-    compiled_mod.cache_clear()
-    assert compile_reports() == []
+    assert CODE.reports()
+    CODE.clear()
+    assert CODE.reports() == []
+
+
+def test_compiled_code_keeps_no_source_yet_tracebacks_show_its_lines():
+    """A compiled function's ``linecache`` entry builds no lines until one
+    is read, then reads as ``generated_source(machine)`` (up to the
+    function's name), so a runaway loop stopped by ``max_instructions``
+    names its ``<repro-compiled:...>`` file and shows the line."""
+    program = small_program()
+    machine = Machine(program, Memory(1 << 12))
+    machine.execute(backend="compiled")
+    filename = f"<repro-compiled:{program.digest()[:8]}:tf:{1 << 12}>"
+    assert not isinstance(linecache.cache[filename][2], list)
+    with pytest.raises(SimulationError, match="exceeded 4 instructions") \
+            as info:
+        Machine(program, Memory(1 << 12)).execute(backend="compiled",
+                                                  max_instructions=4)
+    (code, lineno), = [
+        (frame.f_code, lineno) for frame, lineno
+        in traceback.walk_tb(info.value.__traceback__)
+        if frame.f_code.co_filename == filename]
+    source = generated_source(machine).replace(
+        "def _compiled_run(", f"def {code.co_name}(", 1)
+    assert "".join(linecache.getlines(filename)) == source
+    line = source.splitlines()[lineno - 1].strip()
+    assert line == "raise SimulationError("
+    formatted = "".join(traceback.format_exception(info.value))
+    assert f'File "{filename}", line {lineno}' in formatted
+    assert f"\n    {line}\n" in formatted

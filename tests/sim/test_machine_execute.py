@@ -128,19 +128,19 @@ def test_legacy_entry_points_removed(name):
 # -- compiled code cache ----------------------------------------------------
 
 def test_compiled_code_cache_reuses_specializations():
-    compiled_mod.cache_clear()
-    assert compiled_mod.cache_info()["size"] == 0
+    compiled_mod.CODE.clear()
+    assert len(compiled_mod.CODE) == 0
     machine().execute(backend="compiled")
-    assert compiled_mod.cache_info()["size"] == 1
+    assert len(compiled_mod.CODE) == 1
     # Same program, same flags, same memory size: cache hit, no new entry.
     machine().execute(backend="compiled")
-    assert compiled_mod.cache_info()["size"] == 1
+    assert len(compiled_mod.CODE) == 1
     # A different recording mode is a different specialization.
     machine().execute(backend="compiled", record_values=True)
-    assert compiled_mod.cache_info()["size"] == 2
+    assert len(compiled_mod.CODE) == 2
     # A different memory size changes which bounds checks can be elided.
     Machine(small_program(), Memory(1 << 13)).execute(backend="compiled")
-    assert compiled_mod.cache_info()["size"] == 3
+    assert len(compiled_mod.CODE) == 3
 
 
 def test_unbounded_chunk_yields_single_chunk():

@@ -93,11 +93,11 @@ def _tier_entry(point, trace, chunk_size):
     return inner[len(inner) // 2]
 
 
-class _ColdCache(dict):
-    """A code cache the construction-time probe never hits.
+class _ColdEntries(dict):
+    """Code-cache entries the construction-time probe never finds.
 
     Schedulers are still shared between cases (``specialized_scheduler``
-    reads it with ``get``), but every pipeline tiers up at its pinned
+    reads them with ``get``), but every pipeline tiers up at its pinned
     entry instead of entry 0.
     """
 
@@ -105,7 +105,7 @@ class _ColdCache(dict):
         return False
 
 
-_COLD_CACHE = _ColdCache()
+_COLD_ENTRIES = _ColdEntries()
 
 
 def _tiered_stats(trace, config, chunk_size, point, warm_ranges=None):
@@ -127,7 +127,7 @@ def _tiered_stats(trace, config, chunk_size, point, warm_ranges=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(specialized_mod, "TIER_UP_ATTRIBUTED", per_static)
         patch.setattr(specialized_mod, "TIER_UP_PLAIN", per_static)
-        patch.setattr(specialized_mod, "_CODE_CACHE", _COLD_CACHE)
+        patch.setattr(specialized_mod.CODE, "_entries", _COLD_ENTRIES)
         patch.setattr(SpecializedPipeline, "_tier_up", spy)
         pipeline = make_pipeline(config, trace.static, trace.program,
                                  warm_ranges=warm_ranges,
@@ -327,42 +327,43 @@ def _pipeline(run, config):
 
 
 def test_specialization_report_and_code_cache(monkeypatch):
-    specialized_mod.cache_clear()
+    cache = specialized_mod.CODE
+    cache.clear()
     run = _small_run()
     n = timing_ir(run.trace.static, run.trace.program).n_instructions
     assert len(run.trace) < specialized_mod.TIER_UP_ATTRIBUTED * n
     # Below its threshold a pipeline stays on the per-entry path.
     pipeline = _pipeline(run, FOURW)
     before = _feed(pipeline, run.trace, None)
-    assert specialized_mod.cache_info()["size"] == 0
+    assert len(cache) == 0
     assert pipeline.report is None
-    assert specialized_mod.untiered_pipelines() == 1
+    assert cache.untiered == 1
     # Crossing the threshold generates the scheduler exactly once.
     monkeypatch.setattr(specialized_mod, "TIER_UP_ATTRIBUTED", 10)
     pipeline = _pipeline(run, FOURW)
     assert pipeline.report is None
     assert _feed(pipeline, run.trace, 7) == before
-    assert specialized_mod.cache_info()["size"] == 1
-    reports = specialized_mod.specialization_reports()
+    assert len(cache) == 1
+    reports = cache.reports()
     assert reports == [pipeline.report]
     report = reports[0]
-    assert report.config_name == FOURW.name
-    assert report.attributed
-    assert report.source_cache_hits == 0
+    assert report.mode == f"{FOURW.name} attr"
+    assert report.hits == 0
     # A later pipeline for the same key uses the cached scheduler from
     # entry 0, whatever the threshold.
     monkeypatch.undo()
     pipeline = _pipeline(run, FOURW)
     assert pipeline.report is report
-    assert report.source_cache_hits == 1
+    assert report.hits == 1
     assert _feed(pipeline, run.trace, None) == before
-    assert specialized_mod.cache_info()["size"] == 1
-    assert specialized_mod.untiered_pipelines() == 1
-    assert FOURW.name in specialized_mod.explain_table()
+    assert len(cache) == 1
+    assert cache.untiered == 1
+    assert f"{FOURW.name} attr" in cache.explain()
 
 
 def test_untiered_pipelines_surface_in_explain_and_metrics():
-    specialized_mod.cache_clear()
+    cache = specialized_mod.CODE
+    cache.clear()
     run = _small_run()
     registry, bus = MetricsRegistry(), EventBus()
     bus.subscribe(MetricsView(registry))
@@ -372,15 +373,15 @@ def test_untiered_pipelines_surface_in_explain_and_metrics():
             _feed(_pipeline(run, config), run.trace, None)
     finally:
         set_active_bus(previous)
-    assert specialized_mod.specialization_reports() == []
-    table = specialized_mod.explain_table()
-    assert "no programs specialized" in table
+    assert cache.reports() == []
+    table = cache.explain()
+    assert "timing block schedulers: nothing generated" in table
     assert "3 pipeline(s) finished on the per-entry path" in table
     assert f"{specialized_mod.TIER_UP_ATTRIBUTED} (attr)" in table
     assert registry.counter("timing.pipelines_untiered").value == 3
     assert registry.counter("timing.programs").value == 0
-    specialized_mod.cache_clear()
-    assert specialized_mod.untiered_pipelines() == 0
+    cache.clear()
+    assert cache.untiered == 0
 
 
 # -- the default stack tiers up ---------------------------------------------
@@ -394,8 +395,7 @@ HOT_SESSION = 2048
 def private_code_cache(monkeypatch):
     """A code cache of the test's own: every scheduler is generated here
     at its pipeline's tier-up count, and none outlives the test."""
-    monkeypatch.setattr(specialized_mod, "_CODE_CACHE", {})
-    monkeypatch.setattr(specialized_mod, "_REPORTS", {})
+    monkeypatch.setattr(specialized_mod.CODE, "_entries", {})
 
 
 def test_default_simulate_tiers_up_and_matches_generic(private_code_cache):
@@ -405,7 +405,7 @@ def test_default_simulate_tiers_up_and_matches_generic(private_code_cache):
     for count, config in enumerate(CONFIGS, 1):
         stats = simulate(run.trace, config, run.warm_ranges)
         assert stats.extra["timing_engine"] == "specialized"
-        assert len(specialized_mod.specialization_reports()) == count
+        assert len(specialized_mod.CODE.reports()) == count
         generic = simulate(run.trace, config, run.warm_ranges,
                            engine="generic")
         assert stats.hotspots == generic.hotspots
@@ -421,7 +421,7 @@ def test_default_runner_tiers_up_and_matches_generic(private_code_cache):
                                 session_bytes=HOT_SESSION)
     experiments = [Experiment(options, config) for config in CONFIGS]
     default = Runner(cache=ResultCache.disabled()).run(experiments)
-    assert len(specialized_mod.specialization_reports()) == len(CONFIGS)
+    assert len(specialized_mod.CODE.reports()) == len(CONFIGS)
     generic = Runner(cache=ResultCache.disabled(),
                      timing_engine="generic").run(experiments)
     for mine, reference in zip(default, generic):

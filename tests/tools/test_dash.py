@@ -94,7 +94,7 @@ def test_golden_frame_content(tmp_path):
     assert "RC6        4W" in frame and "[cache]" in frame
     assert "issued" in frame and "operand" in frame
     assert "cache: 0 hit / 1 miss / 1 write" in frame
-    assert "compile: 1 program(s), 4.0 ms codegen" in frame
+    assert "compile: 1 function(s), 4.0 ms codegen" in frame
     assert "masks elided 4" in frame
     assert "! stuck: RC6/encrypt:128B" in frame
     assert "profile: timing 1.25s, compile 0.01s" in frame

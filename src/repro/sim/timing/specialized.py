@@ -62,25 +62,55 @@ from repro.sim.trace import StaticInfo
 #: Count-based, never time-based, so the tier point is deterministic.
 TIER_UP_ATTRIBUTED = 800
 TIER_UP_PLAIN = 250
+#: Iteration-memo engagement (:mod:`repro.sim.timing.memo`): a pipeline
+#: with a bounded window starts memoizing at a header visit with at least
+#: this many header visits and entries before it.  Both keep the figure
+#: suite's 128 B cells off the memo (at most 16 block-cipher iterations;
+#: RC4's 128 make ~2,800 entries), whose first 18-34 iterations are all
+#: distinct anyway.  The visits before the entry count is reached are the
+#: headers' execution counts; without stall attribution, which keeps
+#: them, visits count from there.
+MEMO_ENGAGE_VISITS = 16
+MEMO_ENGAGE_ENTRIES = 4096
+
+#: Fields of the memo totals (``_Schedulers.memo``), the ``timing``/``memo``
+#: event and the ``timing.memo_*`` metrics.
+MEMO_FIELDS = ("pipelines", "kept", "iterations", "hits", "entries",
+               "served", "keys")
 
 
 class _Schedulers(CodeCache):
-    """The block schedulers, and the pipelines that finished on the
-    per-entry loop below their tier-up count (``untiered``)."""
+    """The block schedulers; the pipelines that finished on the per-entry
+    loop below their tier-up count (``untiered``); and the iteration
+    memos' totals (``memo``)."""
 
-    untiered = 0
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.clear()
 
     def clear(self) -> None:
         super().clear()
         self.untiered = 0
+        self.memo = dict.fromkeys(MEMO_FIELDS, 0)
 
     def explain(self) -> str:
-        if not self.untiered:
-            return super().explain()
-        return (f"{super().explain()}\n  {self.untiered} pipeline(s) "
-                "finished on the per-entry path, below the tier-up "
-                f"threshold of {TIER_UP_ATTRIBUTED} (attr) / "
-                f"{TIER_UP_PLAIN} (plain) entries per static instruction")
+        lines = [super().explain()]
+        if self.untiered:
+            lines.append(
+                f"  {self.untiered} pipeline(s) finished on the per-entry "
+                "path, below the tier-up threshold of "
+                f"{TIER_UP_ATTRIBUTED} (attr) / {TIER_UP_PLAIN} (plain) "
+                "entries per static instruction")
+        memo = self.memo
+        if memo["pipelines"]:
+            share = memo["served"] / memo["entries"] if memo["entries"] else 0
+            lines.append(
+                f"  iteration memo: {memo['pipelines']} pipeline(s), "
+                f"{memo['kept']} kept; {memo['hits']} of "
+                f"{memo['iterations']} iterations hit, {memo['served']} of "
+                f"{memo['entries']} entries served ({share:.1%}), "
+                f"{memo['keys']} distinct keys")
+        return "\n".join(lines)
 
 
 #: Generated schedulers by (program digest, static fingerprint, config),
@@ -181,6 +211,11 @@ class SpecializedPipeline(GenericPipeline):
     so the scheduler is generated exactly at that entry.  A scheduler
     already in the code cache is used from entry 0.  Both paths share
     all stage state, so the stats do not depend on the tier point.
+
+    Memoized: on a bounded window, the pipeline hands its windows to an
+    iteration memo (:mod:`repro.sim.timing.memo`) from the header visit
+    at which it engages (``MEMO_ENGAGE_*``) until probation drops it; it
+    tiers up only once that happens, at its tier-up count.
     """
 
     engine_name = "specialized"
@@ -207,6 +242,14 @@ class SpecializedPipeline(GenericPipeline):
         #: tiered up (or for an empty program, which has nothing to
         #: specialize).
         self._tier_at: "int | None" = None
+        #: The iteration memo, once engaged (kept after probation drops
+        #: it, for its report).
+        self.memo = None
+        #: Entry count from which to watch for the memo's engagement; None
+        #: when the pipeline never memoizes.
+        self._memo_at: "int | None" = None
+        self._headers = None
+        self._visits = 0
         n = len(program.instructions)
         if n:
             # An empty code cache (every short run) needs no key.
@@ -218,6 +261,11 @@ class SpecializedPipeline(GenericPipeline):
                 # int(): a fractional K (e.g. a Fraction) is allowed and
                 # still yields an exact entry count.
                 self._tier_at = int(per_static * n)
+                # The memo reads every live store a load meets as a
+                # forward; the loop does when its data is ready after
+                # cycle 0, which a store_latency of 0 does not promise.
+                if config.window_size and config.store_latency:
+                    self._memo_at = MEMO_ENGAGE_ENTRIES
 
     def _tier_up(self) -> None:
         """Switch to the generated scheduler (from the code cache if there).
@@ -238,17 +286,15 @@ class SpecializedPipeline(GenericPipeline):
         # The per-entry loop counts the entries it steps through; the
         # generated code does not, so its runs are counted here.
         step = super()._advance
-        if self._tier_at is not None and taken_arr is None:
-            split = min(hi, lo + self._tier_at - self._count)
-            if split > lo:
-                # The entries before the tier point.  The loop reads the
-                # lookahead entry seq[split] inside the window, so the
-                # split changes nothing.
-                step(seq, addrs, None, base_pos, lo, split, next_s)
-                lo = split
-            if lo == hi:
-                return
-            self._tier_up()
+        if self._tier_at is not None:
+            if taken_arr is None:
+                lo = self._untiered(seq, addrs, base_pos, lo, hi, next_s)
+                if lo == hi:
+                    return
+                self._tier_up()
+            elif self.memo is not None and self.memo.engaged:
+                # Explicit outcomes are never memoized.
+                self.memo.drop(seq[lo])
         fast = self._fast
         if taken_arr is not None or fast is None:
             step(seq, addrs, taken_arr, base_pos, lo, hi, next_s)
@@ -267,7 +313,69 @@ class SpecializedPipeline(GenericPipeline):
                 j += 1
             step(seq, addrs, None, base_pos, stop, j, next_s)
 
+    def _untiered(self, seq, addrs, base_pos, lo, hi, next_s) -> int:
+        """Run the window up to the tier point: on the memo while it is
+        engaged, else on the per-entry loop, engaging the memo at its
+        header visit.  Returns the tier point, or ``hi``.
+
+        The loop reads the lookahead entry ``seq[split]`` inside the
+        window, so splitting it anywhere changes nothing.
+        """
+        step = GenericPipeline._advance
+        memo = self.memo
+        while lo < hi:
+            if memo is not None and memo.engaged:
+                lo = memo.advance(seq, addrs, base_pos, lo, hi, next_s)
+                continue
+            split = min(hi, lo + self._tier_at - self._count)
+            visit = -1
+            if self._memo_at is not None and memo is None:
+                visit = self._watch(seq, lo, split)
+                if visit >= 0:
+                    split = visit
+            if split > lo:
+                step(self, seq, addrs, None, base_pos, lo, split, next_s)
+                lo = split
+            if visit < 0:
+                return lo
+            from repro.sim.timing.memo import IterationMemo
+
+            memo = self.memo = IterationMemo(self, self._headers)
+        return lo
+
+    def _watch(self, seq, lo: int, hi: int) -> int:
+        """The header visit in ``[lo, hi)`` at which the memo engages, or
+        -1; counts the visits it passes."""
+        start = lo + max(0, self._memo_at - self._count)
+        if start >= hi:
+            return -1
+        from repro.sim.timing import memo as memo_mod
+
+        headers = self._headers
+        if headers is None:
+            headers = self._headers = memo_mod.loop_headers(self.program)
+            if not headers:
+                self._memo_at = None
+                return -1
+            if self.attribution is not None:
+                executed = self.attribution.exec_counts
+                self._visits = sum(executed[h] for h in headers)
+            self._visits += sum(seq[lo:start].count(h) for h in headers)
+        while True:
+            visit = memo_mod.next_visit(seq, headers, start, hi)
+            if visit < 0 or self._visits >= MEMO_ENGAGE_VISITS:
+                return visit
+            self._visits += 1
+            start = visit + 1
+
     def _finalize_engine(self):
+        memo = self.memo
+        if memo is not None:
+            memo.finish()
+            self._publish_memo(memo)
+            if memo.kept:
+                # A kept memo is why the pipeline never tiered up.
+                return
         if self._tier_at is not None:
             CODE.untiered += 1
             CODE.publish("untiered", {
@@ -287,6 +395,23 @@ class SpecializedPipeline(GenericPipeline):
                 for s in range(block.leader, block.leader + block.length):
                     exec_counts[s] += count
         self._block_execs = [0] * len(self._blocks)
+
+
+    def _publish_memo(self, memo) -> None:
+        """Add the memo's report to the totals and the run ledger."""
+        report = {"pipelines": 1, "kept": int(memo.kept),
+                  "iterations": memo.iterations, "hits": memo.hits,
+                  "entries": self._count, "served": memo.served,
+                  "keys": memo.keys}
+        for key, value in report.items():
+            CODE.memo[key] += value
+        CODE.publish("memo", {
+            "digest": self.program.digest()[:12],
+            "config": self.config.name,
+            **{key: value for key, value in report.items()
+               if key not in ("pipelines", "kept")},
+            "kept": memo.kept,
+        })
 
 
 class SpecializedEngine:

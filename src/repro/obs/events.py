@@ -62,7 +62,7 @@ KNOWN_SOURCES = {
     "report": ("full-report",),
     "cache": ("hit", "miss", "write"),
     "backend": ("compile", "cache-hit"),
-    "timing": ("compile", "cache-hit", "untiered"),
+    "timing": ("compile", "cache-hit", "untiered", "memo"),
     "lint": ("program",),
     "profiler": ("snapshot",),
     "diff": ("report",),

@@ -45,6 +45,9 @@ CODEGEN = {
 #: carry.
 _COUNTS = {"compile": "programs", "cache-hit": "source_cache_hits",
            "untiered": "pipelines_untiered"}
+#: The ``timing``/``memo`` event's counts, each summed into
+#: ``timing.memo_<name>``.
+_MEMO_COUNTS = ("iterations", "hits", "entries", "served", "keys")
 
 
 class MetricsView:
@@ -80,6 +83,11 @@ class MetricsView:
                     "cipher": data["cipher"], **labels,
                 }).observe(data["seconds"])
             gauge("runner.peak_trace_bytes").set(data["peak_trace_bytes"])
+        elif source == "timing" and type_ == "memo":
+            counter("timing.memo_pipelines").inc()
+            counter("timing.memo_kept").inc(int(data["kept"]))
+            for name in _MEMO_COUNTS:
+                counter(f"timing.memo_{name}").inc(data[name])
         elif source == "runner" and type_ == "functional":
             counter("runner.functional_runs").inc()
             histogram("runner.functional.seconds",
@@ -129,8 +137,8 @@ class MetricsView:
             # Imported here: a codegen event means its module is loaded.
             keys = self._families[family] = \
                 import_module(module).CODE.counter_keys
-            for name in (*(_COUNTS[type_] for type_ in KNOWN_SOURCES[source]),
-                         *keys):
+            for name in (*(_COUNTS[type_] for type_ in KNOWN_SOURCES[source]
+                           if type_ in _COUNTS), *keys):
                 registry.counter(f"{family}.{name}")
             registry.gauge(f"{family}.wall_seconds")
         registry.counter(f"{family}.{counter}").inc()

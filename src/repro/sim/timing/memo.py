@@ -63,9 +63,9 @@ and records the transition.
 **When it runs** (:mod:`repro.sim.timing.specialized` decides): on
 bounded windows only (DF is never memoized), never with
 ``schedule_range`` or explicit ``taken`` flags, and never once a
-pipeline has tiered up.  A pipeline engages at a header visit with
-``MEMO_ENGAGE_VISITS`` visits and ``MEMO_ENGAGE_ENTRIES`` entries
-before it; it drops the memo for good when fewer than
+pipeline has tiered up.  A pipeline engages at the first header visit
+after ``MEMO_ENGAGE_VISITS`` visits made at or after entry
+``MEMO_ENGAGE_ENTRIES``; it drops the memo for good when fewer than
 :data:`PROBATION_HITS` of its first :data:`PROBATION_ITERATIONS` memo
 iterations hit, and only then may tier up.  ``docs/timing.md``
 ("Memoized iterations") has the measurements behind each constant.
@@ -79,6 +79,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
+from operator import sub
 
 from repro.sim.timing.generic import GenericPipeline
 from repro.sim.timing.stages import (
@@ -93,10 +94,11 @@ from repro.sim.timing.stages import (
 #: Probation: a pipeline drops its memo for good when fewer than
 #: ``PROBATION_HITS`` of its first ``PROBATION_ITERATIONS`` memo
 #: iterations hit.  RC4 (5% of iterations repeat at 2 KiB) and the
-#: Blowfish key setup (none) drop; the block ciphers' kernels hit from
-#: their 19th-35th iteration on (docs/timing.md, "Memoized iterations").
-PROBATION_ITERATIONS = 32
-PROBATION_HITS = 8
+#: Blowfish key setup (none) drop; the block-cipher kernels, engaged
+#: past their first distinct iterations, hit on almost every one
+#: (docs/timing.md, "Memoized iterations").
+PROBATION_ITERATIONS = 16
+PROBATION_HITS = 4
 #: Transitions one pipeline records at most (the block-cipher kernels
 #: need 18-46); past it, misses still run but record nothing.
 MAX_TRANSITIONS = 256
@@ -462,66 +464,31 @@ class IterationMemo:
     @staticmethod
     def _hierarchy(hierarchy, plan: _Path, addrs, j0: int,
                    forwards: tuple) -> tuple:
-        """The accesses in order: the all-hit path inline (as the block
-        schedulers have it), ``MemoryHierarchy.access`` otherwise."""
-        l1 = hierarchy.l1
-        l1_sets, l1_count, line_bytes = l1.sets, l1.num_sets, l1.block
-        tlb = hierarchy.tlb.cache
-        tlb_sets, tlb_count, page_bytes = tlb.sets, tlb.num_sets, tlb.block
+        """The accesses in order, through ``MemoryHierarchy.access``."""
         access = hierarchy.access
         forwarded = frozenset(forwards[::2])
         misses = []
-        index = l1_hits = tlb_hits = 0
+        index = 0
         for offset, store, read in plan.hier:
             if read in forwarded:
                 continue
-            a = addrs[j0 + offset]
-            line = a // line_bytes
-            tags = l1_sets[line % l1_count]
-            page = a // page_bytes
-            pages = tlb_sets[page % tlb_count]
-            if (page in pages and line in tags
-                    and line + 1 in l1_sets[(line + 1) % l1_count]):
-                if pages[-1] != page:
-                    pages.remove(page)
-                    pages.append(page)
-                tlb_hits += 1
-                if tags[-1] != line:
-                    tags.remove(line)
-                    tags.append(line)
-                l1_hits += 1
-            else:
-                extra = access(a, store)
-                if extra:
-                    misses += (index, extra)
+            extra = access(addrs[j0 + offset], store)
+            if extra:
+                misses += (index, extra)
             index += 1
-        l1.hits += l1_hits
-        tlb.hits += tlb_hits
         return tuple(misses)
 
     @staticmethod
     def _sboxes(sboxes, plan: _Path, addrs, j0: int) -> tuple:
-        """SBox-cache accesses and syncs in order: the tag check inline,
-        ``SBoxCache.access`` otherwise."""
-        caches, count = sboxes.caches, sboxes.count
+        """SBox-cache accesses and syncs in order, through the array."""
+        access, sync = sboxes.access, sboxes.sync
         misses = []
         index = 0
-        for offset, table, sync in plan.sbox:
-            cache = caches[table % count]
-            if sync:
-                cache.sync()
+        for offset, table, is_sync in plan.sbox:
+            if is_sync:
+                sync(table)
                 continue
-            a = addrs[j0 + offset]
-            if cache.tag == a & -1024:
-                valid = cache.valid
-                sector = (a >> 5) & 31
-                if valid[sector]:
-                    cache.hits += 1
-                else:
-                    valid[sector] = True
-                    cache.misses += 1
-                    misses.append(index)
-            elif not cache.access(a):
+            if not access(table, addrs[j0 + offset]):
                 misses.append(index)
             index += 1
         return tuple(misses)
@@ -744,13 +711,8 @@ class IterationMemo:
         if att is not None:
             transition.labels = bytes(att.labels[labels0:])
             hot = att.hot
-            deltas = array("q")
-            for (s, _), old in zip(plan.counts, hot0):
-                row = hot[s]
-                for column in range(_N_WAIT):
-                    if row[column] != old[column]:
-                        deltas += array("q", (s * _N_WAIT + column,
-                                              row[column] - old[column]))
+            rows = {s: list(map(sub, hot[s], old))
+                    for (s, _), old in zip(plan.counts, hot0)}
             if behind:
                 # The window column grew by the lag per entry fetched up to
                 # the first misprediction; hits add their own lag.
@@ -760,8 +722,10 @@ class IterationMemo:
                 transition.pre = array("q", [v for item in early.items()
                                              for v in item])
                 for s, n_early in early.items():
-                    deltas += array("q", (s * _N_WAIT, -n_early * lag))
-            transition.hot = deltas
+                    rows[s][0] -= n_early * lag
+            # Rows of ``_N_WAIT + 1``: the static index, then its deltas.
+            transition.hot = array("q", [v for s, row in rows.items()
+                                         if any(row) for v in (s, *row)])
         transition.hits = transition.lag_sum = 0
         self._table[key] = transition
         self.keys += 1
@@ -798,9 +762,10 @@ class IterationMemo:
             if att is not None:
                 hot = att.hot
                 deltas = transition.hot
-                for i in range(0, len(deltas), 2):
-                    s, column = divmod(deltas[i], _N_WAIT)
-                    hot[s][column] += hits * deltas[i + 1]
+                for i in range(0, len(deltas), _N_WAIT + 1):
+                    row = hot[deltas[i]]
+                    for column in range(_N_WAIT):
+                        row[column] += hits * deltas[i + 1 + column]
                 pre = transition.pre
                 if pre is not None:
                     for i in range(0, len(pre), 2):

@@ -1,5 +1,12 @@
 """The ``"specialized"`` timing engine: per-(program, config) blocks.
 
+A pipeline of this engine runs each trace window on one of three paths,
+all sharing the stage state: the per-entry loop, the generated block
+scheduler (once tiered up), or the iteration memo (on a bounded window,
+once engaged; :mod:`repro.sim.timing.memo`), which replays the recorded
+effect of a loop iteration it has seen before and runs the per-entry
+loop on the others.
+
 For each (program, machine config) pair this engine generates one Python
 function that schedules whole straight-line blocks of the trace at a
 time: the stage emitters of :mod:`repro.sim.timing.scheduler` with the
@@ -25,13 +32,19 @@ instruction, and only then generates its scheduler -- short sessions
 never pay for ``compile()``.  A scheduler already in the code cache is
 used from entry 0.
 
+The iteration memo engages at the ``MEMO_ENGAGE_*`` point and drops out
+for good in probation when its loop does not repeat; a pipeline tiers up
+only while no memo is engaged, so one that keeps its memo never does.
+
 The output contract is bit-identical :class:`~repro.sim.stats.SimStats`
 against the ``"generic"`` engine for every config, trace and chunking.
-Both paths come from the same emitters, so the independent checks are
-the golden cells (``tests/analysis/test_harnesses.py``, the long cells
-with tier-up forced at entry 0) and the stage reference models; the
+The loop and the blocks come from the same emitters, so the independent
+checks are the golden cells (``tests/analysis/test_harnesses.py``, the
+long cells on the generic engine, tiered up at entry 0 and on the memo
+from the first header visit) and the stage reference models; the
 equivalence grid (``tests/sim/test_timing_engines.py``) checks each
-inline form against its component's method.
+inline form against its component's method, and the memo's replay
+against the loop.
 """
 
 from __future__ import annotations
@@ -63,13 +76,11 @@ from repro.sim.trace import StaticInfo
 TIER_UP_ATTRIBUTED = 800
 TIER_UP_PLAIN = 250
 #: Iteration-memo engagement (:mod:`repro.sim.timing.memo`): a pipeline
-#: with a bounded window starts memoizing at a header visit with at least
-#: this many header visits and entries before it.  Both keep the figure
-#: suite's 128 B cells off the memo (at most 16 block-cipher iterations;
-#: RC4's 128 make ~2,800 entries), whose first 18-34 iterations are all
-#: distinct anyway.  The visits before the entry count is reached are the
-#: headers' execution counts; without stall attribution, which keeps
-#: them, visits count from there.
+#: with a bounded window starts memoizing at the first loop-header visit
+#: after ``MEMO_ENGAGE_VISITS`` visits made at or after entry
+#: ``MEMO_ENGAGE_ENTRIES``.  Both keep the figure suite's 128 B cells off
+#: the memo (at most 16 block-cipher iterations; RC4's 128 make ~2,800
+#: entries), whose first 18-34 iterations are all distinct anyway.
 MEMO_ENGAGE_VISITS = 16
 MEMO_ENGAGE_ENTRIES = 4096
 
@@ -345,7 +356,8 @@ class SpecializedPipeline(GenericPipeline):
 
     def _watch(self, seq, lo: int, hi: int) -> int:
         """The header visit in ``[lo, hi)`` at which the memo engages, or
-        -1; counts the visits it passes."""
+        -1; counts the visits it passes from entry ``MEMO_ENGAGE_ENTRIES``
+        on, so the point does not depend on the chunking."""
         start = lo + max(0, self._memo_at - self._count)
         if start >= hi:
             return -1
@@ -357,10 +369,6 @@ class SpecializedPipeline(GenericPipeline):
             if not headers:
                 self._memo_at = None
                 return -1
-            if self.attribution is not None:
-                executed = self.attribution.exec_counts
-                self._visits = sum(executed[h] for h in headers)
-            self._visits += sum(seq[lo:start].count(h) for h in headers)
         while True:
             visit = memo_mod.next_visit(seq, headers, start, hi)
             if visit < 0 or self._visits >= MEMO_ENGAGE_VISITS:

@@ -203,8 +203,8 @@ def test_report_runs_end_to_end(tmp_path):
         golden["reports"]["figures-default"]
 
 
-def _long_generic_options():
-    """``long-generic``'s seed-7 Figure 10 options, read from the
+def _long_options(workload: str):
+    """A long workload's seed-7 Figure 10 options, read from the
     benchmark's own ``workloads.py`` (loaded by path, so ``sys.path`` is
     left alone)."""
     import importlib.util
@@ -220,33 +220,22 @@ def _long_generic_options():
         # Registered first: its dataclasses look their module up by name.
         sys.modules[spec.name] = workloads
         spec.loader.exec_module(workloads)
-    return workloads.long_options(workloads.WORKLOADS["long-generic"], 7)
+    return workloads.long_options(workloads.WORKLOADS[workload], 7)
 
 
-@pytest.mark.parametrize("engine", ["generic", "specialized"])
-def test_long_generic_cells_on_both_scheduler_paths(engine, monkeypatch):
-    """Figure 10 at ``long-generic``'s sessions (RC4 5 KiB, Blowfish and
-    RC6 512 B) reproduces its 18 cells of ``benchmarks/perf/golden.json``
-    exactly on both scheduler paths: the per-entry loop (generic engine)
-    and the per-block schedulers (specialized engine tiered up at entry
-    0, so every matched block runs generated code).
-
-    The figure cells above are too short to tier up, so these are the
-    exact pins of the block path."""
+def _golden_cells(workload: str) -> dict:
     import json
     from pathlib import Path
 
-    from repro.runner import ResultCache, Runner
-    from repro.sim.timing import specialized as specialized_mod
-
     golden = json.loads((Path(__file__).resolve().parents[2] / "benchmarks"
                          / "perf" / "golden.json").read_text())
-    if engine == "specialized":
-        monkeypatch.setattr(specialized_mod, "TIER_UP_ATTRIBUTED", 0)
-        monkeypatch.setattr(specialized_mod, "TIER_UP_PLAIN", 0)
-        # A private code cache: every scheduler is generated here, and
-        # none outlives the test.
-        monkeypatch.setattr(specialized_mod.CODE, "_entries", {})
+    return golden["cells"][workload]
+
+
+def _run_cells(options, runner_options) -> dict:
+    """Figure 10 over ``options`` with the cache off: cell key -> cell."""
+    from repro.runner import ResultCache, Runner
+
     cells: dict[str, dict] = {}
 
     def record(result) -> None:
@@ -255,11 +244,71 @@ def test_long_generic_cells_on_both_scheduler_paths(engine, monkeypatch):
             "cycles": stats.cycles, "instructions": stats.instructions,
             "slots": {k: v for k, v in stats.stall_slots.items() if v}}
 
-    runner = Runner(cache=ResultCache.disabled(), timing_engine=engine,
-                    stats_hook=record)
-    speedups.run(_long_generic_options(), runner=runner)
+    runner = Runner(cache=ResultCache.disabled(), stats_hook=record,
+                    **runner_options)
+    speedups.run(options, runner=runner)
+    return cells
+
+
+@pytest.mark.parametrize("engine", ["generic", "specialized", "memo"])
+def test_long_generic_cells_on_both_scheduler_paths(engine, monkeypatch):
+    """Figure 10 at ``long-generic``'s sessions (RC4 5 KiB, Blowfish and
+    RC6 512 B) reproduces its 18 cells of ``benchmarks/perf/golden.json``
+    exactly on every scheduler path: the per-entry loop (generic engine),
+    the per-block schedulers (specialized engine tiered up at entry 0, so
+    every matched block runs generated code), and the iteration memo
+    (specialized engine memoizing every bounded-window pipeline from its
+    first loop-header visit, with no probation drop).
+
+    The figure cells above are too short to tier up or memoize, so these
+    are the exact pins of the block and memo paths."""
+    from repro.sim.timing import memo as memo_mod
+    from repro.sim.timing import specialized as specialized_mod
+
+    if engine != "generic":
+        # A private code cache: every scheduler is generated here, and
+        # none outlives the test.
+        monkeypatch.setattr(specialized_mod.CODE, "_entries", {})
+    if engine == "specialized":
+        monkeypatch.setattr(specialized_mod, "TIER_UP_ATTRIBUTED", 0)
+        monkeypatch.setattr(specialized_mod, "TIER_UP_PLAIN", 0)
+    if engine == "memo":
+        monkeypatch.setattr(specialized_mod, "MEMO_ENGAGE_VISITS", 0)
+        monkeypatch.setattr(specialized_mod, "MEMO_ENGAGE_ENTRIES", 0)
+        monkeypatch.setattr(memo_mod, "PROBATION_HITS", 0)
+        monkeypatch.setattr(specialized_mod.CODE, "memo",
+                            dict.fromkeys(specialized_mod.MEMO_FIELDS, 0))
+    cells = _run_cells(_long_options("long-generic"), {
+        "timing_engine": "generic" if engine == "generic" else "specialized"})
     if engine == "specialized":
         assert specialized_mod.CODE.reports()
-    moved = _moved_cells(golden["cells"]["long-generic"], cells)
+    if engine == "memo":
+        memo = specialized_mod.CODE.memo
+        assert memo["kept"] == memo["pipelines"] > 0 and memo["hits"] > 0
+    moved = _moved_cells(_golden_cells("long-generic"), cells)
     assert not moved, f"long-generic cells moved on {engine}:\n" + \
         "\n".join(moved)
+
+
+def test_long_fast_block_cipher_cells_on_the_memo(monkeypatch):
+    """Figure 10 for Blowfish and RC6 at ``long-fast``'s 3 KiB sessions,
+    on the default stack with the shipped constants, reproduces their 12
+    cells of ``benchmarks/perf/golden.json`` exactly, and the iteration
+    memo serves at least 80% of its windowed pipelines' entries."""
+    from repro.sim.timing import specialized as specialized_mod
+
+    monkeypatch.setattr(specialized_mod.CODE, "_entries", {})
+    monkeypatch.setattr(specialized_mod.CODE, "memo",
+                        dict.fromkeys(specialized_mod.MEMO_FIELDS, 0))
+    options = [o for o in _long_options("long-fast")
+               if o.cipher in ("Blowfish", "RC6")]
+    cells = _run_cells(options, {})
+    golden = {key: cell for key, cell in _golden_cells("long-fast").items()
+              if not key.startswith("RC4/")}
+    assert len(golden) == len(cells) == 12
+    moved = _moved_cells(golden, cells)
+    assert not moved, "long-fast cells moved on the memo:\n" + \
+        "\n".join(moved)
+    memo = specialized_mod.CODE.memo
+    assert memo["kept"] == memo["pipelines"] >= 9
+    assert memo["served"] >= 0.8 * memo["entries"], memo

@@ -12,10 +12,13 @@ seams, and each inline form the blocks keep (the hierarchy's all-hit
 path, the predictor's counter update, the SBox cache's tag check)
 against its component's method -- for every cipher, machine model,
 chunking and tier-up point, on cycles, the 13-category slot account,
-wait-cycle totals and the hot-spot table.  It also pins the engines'
-name lookup and error shape, the ``schedule_range`` fallback, the
-tiering, specialization report and cache surfaces, and the generated
-sources.
+wait-cycle totals and the hot-spot table.  The iteration memo, the
+specialized engine's third path, is checked the same way: every cipher,
+bounded-window machine and chunking, and random loop programs, with the
+memo forced on against the generic engine, plus its bypasses, probation
+and report.  It also pins the engines' name lookup and error shape, the
+``schedule_range`` fallback, the tiering, specialization report and
+cache surfaces, and the generated sources.
 """
 
 import linecache
@@ -26,11 +29,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.isa import Features, Imm, KernelBuilder
 from repro.kernels import KERNEL_NAMES
 from repro.kernels.registry import make_kernel
 from repro.obs import EventBus, MetricsRegistry, MetricsView, set_active_bus
 from repro.obs.diffing import explain_stats_delta
-from repro.sim import DATAFLOW, EIGHTW_PLUS, FOURW, Machine, Memory
+from repro.obs.events import KNOWN_SOURCES
+from repro.sim import (
+    DATAFLOW,
+    EIGHTW_PLUS,
+    FOURW,
+    FOURW_PLUS,
+    Machine,
+    Memory,
+)
 from repro.sim.config import bottleneck_config
 from repro.sim.backends import get_backend
 from repro.sim.timing import (
@@ -41,11 +53,12 @@ from repro.sim.timing import (
     make_pipeline,
     simulate,
 )
+from repro.sim.timing import memo as memo_mod
 from repro.sim.timing import specialized as specialized_mod
 from repro.sim.timing.generic import OP_TABLE_FIELDS, GenericPipeline
 from repro.sim.timing.ir import timing_ir
 from repro.sim.timing.specialized import SpecializedPipeline
-from repro.sim.trace import StaticInfo
+from repro.sim.trace import StaticInfo, Trace, TraceChunk
 
 from .test_timing_properties import random_programs
 
@@ -237,6 +250,283 @@ def test_engines_agree_on_full_length_dataflow_session():
     specialized = _stats(run, DATAFLOW, "specialized", 4096)
     assert specialized == baseline, explain_stats_delta(
         baseline, specialized, "generic", "specialized")
+
+
+# -- the iteration memo -----------------------------------------------------
+
+#: The machines with a bounded window, the only ones that memoize:
+#: Figure 10's and Figure 5's ``window``.
+MEMO_CONFIGS = (FOURW, FOURW_PLUS, EIGHTW_PLUS, bottleneck_config("window"))
+#: A machine small enough that random loops fill its window, load/store
+#: queue, caches, TLB and SBox caches, and prune every few entries.
+TINY = FOURW_PLUS.with_(
+    name="tiny", window_size=16, lsq_size=4, l1_size=512, l1_assoc=1,
+    tlb_entries=2, tlb_assoc=1, page_size=256, prune_interval=16,
+    retire_width=1, fetch_width=2, fetch_groups_per_cycle=2, mul_slots=1,
+    sbox_caches=2)
+
+
+def _force_memo(patch):
+    """Through ``patch``: every bounded-window pipeline memoizes from its
+    first loop-header visit and never drops the memo in probation (so
+    never tiers up)."""
+    patch.setattr(specialized_mod, "MEMO_ENGAGE_VISITS", 0)
+    patch.setattr(specialized_mod, "MEMO_ENGAGE_ENTRIES", 0)
+    patch.setattr(memo_mod, "PROBATION_HITS", 0)
+
+
+def _memo_stats(trace, config, chunk_size, warm_ranges=None):
+    """``(stats, memo)`` of a specialized pipeline with the memo forced on
+    (:func:`_force_memo`) and no scheduler to start from."""
+    with pytest.MonkeyPatch.context() as patch:
+        _force_memo(patch)
+        patch.setattr(specialized_mod.CODE, "_entries", _COLD_ENTRIES)
+        pipeline = make_pipeline(config, trace.static, trace.program,
+                                 warm_ranges=warm_ranges,
+                                 engine="specialized")
+        stats = _feed(pipeline, trace, chunk_size)
+    assert pipeline.report is None
+    return stats, pipeline.memo
+
+
+@pytest.fixture(scope="module")
+def memo_runs():
+    """One run per cipher long enough for its loop iterations to repeat:
+    256 B is 16 or 32 block-cipher iterations, 256 of RC4's."""
+    data = bytes(i & 0xFF for i in range(256))
+    return {name: make_kernel(name).encrypt(data) for name in KERNEL_NAMES}
+
+
+@pytest.mark.parametrize("cipher", KERNEL_NAMES)
+@pytest.mark.parametrize("config", MEMO_CONFIGS, ids=lambda c: c.name)
+def test_memo_bit_identical_every_cipher(memo_runs, cipher, config):
+    """The memo replays hits and runs misses exactly, at any chunking, and
+    a chunk seam inside an iteration costs it no hit."""
+    run = memo_runs[cipher]
+    baseline = _stats(run, config, "generic")
+    hits = set()
+    for chunk_size in CHUNK_SIZES:
+        stats, memo = _memo_stats(run.trace, config, chunk_size,
+                                  run.warm_ranges)
+        assert memo is not None and memo.kept
+        hits.add((memo.iterations, memo.hits, memo.served))
+        assert stats.hotspots == baseline.hotspots
+        assert stats == baseline, (
+            f"{cipher}/{config.name} diverged on the memo at chunk_size="
+            f"{chunk_size}: " + explain_stats_delta(baseline, stats,
+                                                    "generic", "memo"))
+    assert len(hits) == 1, hits
+
+
+_LOOP_OPS = ("addq", "subq", "xor", "and_", "bis", "sll", "srl", "mull",
+             "roll")
+_LOADS = (*(("ldq", o) for o in (0, 8, -8, 16)),
+          *(("ldl", o) for o in (0, 4, 8, -8, 16)),
+          *(("ldbu", o) for o in (0, 4, 8, -8, 16, 5)))
+_STORES = tuple(("st" + op[2], offset) for op, offset in _LOADS)
+
+
+@st.composite
+def random_loop_programs(draw):
+    """A loop of 20-200 iterations over a pointer that wraps within 256
+    bytes: ALU work, loads, stores, SBOX lookups and syncs, data-dependent
+    skips and sometimes an inner loop, so iterations both repeat and
+    differ."""
+    kb = KernelBuilder(Features.OPT)
+    regs = kb.regs("a", "b", "c", "d")
+    ptr, count, table, inner, base = kb.regs("ptr", "count", "table",
+                                             "inner", "base")
+    for reg in regs:
+        kb.ldiq(reg, draw(st.integers(0, 0xFFFFFFFF)))
+    kb.ldiq(ptr, 0x400)
+    kb.ldiq(base, 0x400)
+    kb.ldiq(table, 0x1000)
+    kb.ldiq(count, draw(st.integers(20, 200)))
+    kb.label("loop")
+    for _ in range(draw(st.integers(1, 12))):
+        dst, src, other = (draw(st.sampled_from(regs)) for _ in range(3))
+        kind = draw(st.sampled_from(("alu", "alu", "load", "store", "sbox",
+                                     "sync", "skip")))
+        if kind == "alu":
+            op = draw(st.sampled_from(_LOOP_OPS))
+            if op in ("sll", "srl", "roll"):
+                getattr(kb, op)(dst, src, Imm(draw(st.integers(0, 31))))
+            else:
+                getattr(kb, op)(dst, src, other)
+        elif kind == "load":
+            op, offset = draw(st.sampled_from(_LOADS))
+            getattr(kb, op)(dst, ptr, offset)
+        elif kind == "store":
+            op, offset = draw(st.sampled_from(_STORES))
+            getattr(kb, op)(src, ptr, offset)
+        elif kind == "sbox":
+            kb.sbox(dst, table, src, draw(st.integers(0, 3)),
+                    draw(st.integers(0, 5)), aliased=draw(st.booleans()))
+        elif kind == "sync":
+            kb.sboxsync(draw(st.integers(0, 5)))
+        else:
+            skip = kb.unique_label("skip")
+            getattr(kb, draw(st.sampled_from(("beq", "blt", "bge"))))(
+                src, skip)
+            kb.xor(dst, dst, other)
+            if draw(st.booleans()):
+                kb.stl(dst, ptr, 4)
+            kb.label(skip)
+    if draw(st.booleans()):
+        kb.and_(inner, regs[0], Imm(3))
+        kb.addq(inner, inner, Imm(1))
+        kb.label("inner")
+        kb.addq(regs[1], regs[1], regs[2])
+        kb.stl(regs[1], ptr, 12)
+        kb.subq(inner, inner, Imm(1))
+        kb.bne(inner, "inner")
+    kb.addq(ptr, ptr, Imm(draw(st.sampled_from((0, 8, 24)))))
+    kb.and_(ptr, ptr, Imm(0xFF))
+    kb.bis(ptr, ptr, base)
+    kb.subq(count, count, Imm(1))
+    kb.bne(count, "loop")
+    kb.halt()
+    return kb.build()
+
+
+@given(random_loop_programs(), st.sampled_from(MEMO_CONFIGS + (TINY,)),
+       st.sampled_from(CHUNK_SIZES))
+@settings(max_examples=100, deadline=None)
+def test_random_loop_programs_memo_agrees(program, config, chunk_size):
+    """Loops whose iterations repeat, take different paths, forward
+    stores and fill a small machine: the memo matches the generic
+    engine at any chunking."""
+    trace = Machine(program, Memory(1 << 13)).execute().trace
+    static = StaticInfo.from_program(program)
+    baseline = _feed(make_pipeline(config, static, program, engine="generic"),
+                     trace, None)
+    stats, memo = _memo_stats(trace, config, chunk_size)
+    assert memo is not None
+    assert stats.hotspots == baseline.hotspots
+    assert stats == baseline, explain_stats_delta(baseline, stats,
+                                                  "generic", "memo")
+
+
+def test_rc4_drops_its_memo_in_probation_then_tiers_up(private_code_cache):
+    """With the shipped constants RC4, whose iterations rarely repeat,
+    engages the memo, drops it after probation and tiers up at its count."""
+    run = make_kernel("RC4").encrypt(bytes(HOT_SESSION))
+    tier_ups = []
+    tier_up = SpecializedPipeline._tier_up
+
+    def spy(pipeline):
+        tier_ups.append(pipeline._count)
+        tier_up(pipeline)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SpecializedPipeline, "_tier_up", spy)
+        pipeline = _pipeline(run, FOURW)
+        stats = _feed(pipeline, run.trace, None)
+    memo = pipeline.memo
+    assert memo is not None and not memo.kept
+    assert memo.iterations == memo_mod.PROBATION_ITERATIONS
+    assert memo.hits < memo_mod.PROBATION_HITS
+    n = len(run.trace.program.instructions)
+    assert tier_ups == [specialized_mod.TIER_UP_ATTRIBUTED * n]
+    assert stats == _stats(run, FOURW, "generic")
+
+
+def test_memo_engages_at_one_visit_for_any_chunking():
+    """The shipped engagement point counts header visits from entry
+    ``MEMO_ENGAGE_ENTRIES`` on, with or without stall attribution, so it
+    does not move with the chunking."""
+    run = make_kernel("Blowfish").encrypt(bytes(512))
+    for config in (FOURW, bottleneck_config("window")):
+        baseline = _stats(run, config, "generic")
+        seen = set()
+        for chunk_size in (None, 4096, 7, 1):
+            pipeline = _pipeline(run, config)
+            assert _feed(pipeline, run.trace, chunk_size) == baseline
+            memo = pipeline.memo
+            assert memo is not None and memo.kept
+            seen.add((memo.iterations, memo.hits))
+        assert len(seen) == 1, (config.name, seen)
+
+
+def test_memo_bypasses(private_code_cache, monkeypatch):
+    """Never memoized, even with engagement forced: an unbounded window
+    (DF), schedule capture, chunks with explicit branch outcomes, and a
+    pipeline whose scheduler was generated before it started.  A memo
+    engaged when the first explicit chunk arrives is dropped there."""
+    _force_memo(monkeypatch)
+    run = make_kernel("Blowfish").encrypt(bytes(256))
+    trace = run.trace
+    baseline = _stats(run, FOURW, "generic")
+    _, memo = _memo_stats(trace, DATAFLOW, None, run.warm_ranges)
+    assert memo is None
+    capture = make_pipeline(FOURW, trace.static, trace.program,
+                            schedule_range=(0, 30), engine="specialized")
+    assert type(capture) is GenericPipeline
+    # Explicit outcomes equal to the adjacency rule's: the same stats.
+    flags = [trace.taken(position) for position in range(len(trace))]
+    explicit = Trace(program=trace.program, static=trace.static,
+                     seq=trace.seq, addrs=trace.addrs, taken_flags=flags)
+    stats, memo = _memo_stats(explicit, FOURW, 4096, run.warm_ranges)
+    assert memo is None and stats == baseline
+    half = len(trace) // 2
+    pipeline = _pipeline(run, FOURW)
+    for chunk in trace.chunks(1000):
+        if chunk.start >= half:
+            end = chunk.start + len(chunk.seq)
+            chunk = TraceChunk(seq=chunk.seq, addrs=chunk.addrs,
+                               start=chunk.start,
+                               taken=explicit.taken_flags[chunk.start:end])
+        pipeline.feed(chunk)
+    assert pipeline.finish() == baseline
+    memo = pipeline.memo
+    assert memo.iterations and memo.hits and not memo.engaged
+    # Tiered up at construction, from the code cache: no memo.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(specialized_mod, "TIER_UP_ATTRIBUTED", 0)
+        _feed(_pipeline(run, FOURW), trace, None)
+    pipeline = _pipeline(run, FOURW)
+    assert pipeline.report is not None
+    assert _feed(pipeline, trace, None) == baseline
+    assert pipeline.memo is None
+
+
+def test_memo_reports_in_explain_events_and_metrics(private_code_cache):
+    """A kept memo publishes one ``timing``/``memo`` event, prints the
+    ``iteration memo:`` line and folds into ``timing.memo_*``; its
+    pipeline is not counted below the tier-up threshold."""
+    cache = specialized_mod.CODE
+    cache.clear()
+    run = make_kernel("Blowfish").encrypt(bytes(1024))
+    registry, bus = MetricsRegistry(), EventBus()
+    events = []
+    bus.subscribe(MetricsView(registry))
+    bus.subscribe(events.append)
+    previous = set_active_bus(bus)
+    try:
+        pipeline = _pipeline(run, FOURW)
+        _feed(pipeline, run.trace, None)
+    finally:
+        set_active_bus(previous)
+    memo = pipeline.memo
+    assert memo is not None and memo.kept and memo.hits > 0
+    (event,) = [e for e in events if e["source"] == "timing"]
+    assert event["type"] == "memo"
+    assert "memo" in KNOWN_SOURCES["timing"]
+    report = {"iterations": memo.iterations, "hits": memo.hits,
+              "entries": len(run.trace), "served": memo.served,
+              "keys": memo.keys}
+    assert event["data"] == {"digest": run.trace.program.digest()[:12],
+                             "config": FOURW.name, **report, "kept": True}
+    for name, value in {**report, "pipelines": 1, "kept": 1}.items():
+        assert registry.counter(f"timing.memo_{name}").value == value, name
+    assert cache.untiered == 0
+    share = memo.served / len(run.trace)
+    assert (f"iteration memo: 1 pipeline(s), 1 kept; {memo.hits} of "
+            f"{memo.iterations} iterations hit, {memo.served} of "
+            f"{len(run.trace)} entries served ({share:.1%}), "
+            f"{memo.keys} distinct keys") in cache.explain()
+    cache.clear()
+    assert "iteration memo" not in cache.explain()
 
 
 # -- generated sources ------------------------------------------------------
